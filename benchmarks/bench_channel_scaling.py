@@ -2,8 +2,8 @@
 
 For each channel count a disk-backed cohort member is synthesised with
 :func:`repro.data.outofcore.generate_cohort`, then trained and evaluated
-end to end through the *streamed* driver path
-(``run_patient(..., chunk_samples=...)``) with real engines.  Two
+end to end through the driver path (``run_patient``, which scores in
+chunks of ``DEFAULT_CHUNK_SAMPLES``) with real engines.  Two
 numbers are recorded per count: decision throughput (windows/s over the
 streamed predict sweeps) and peak evaluation memory (tracemalloc, which
 counts numpy buffers but not reclaimable memmap pages).  Process peak
@@ -35,6 +35,7 @@ from pathlib import Path
 from benchmarks.conftest import bench_dim, smoke_mode
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
+from repro.core.streaming import DEFAULT_CHUNK_SAMPLES
 from repro.data.outofcore import (
     CohortSpec,
     MemberSpec,
@@ -54,7 +55,6 @@ BUDGET_MB = 200.0
 FS = 256.0
 DURATION_S = 240.0
 N_SEIZURES = 2
-CHUNK_SAMPLES = 2_048
 
 
 def _channel_grid() -> tuple[int, ...]:
@@ -104,9 +104,7 @@ def _run_member(n_channels: int, dim: int, root: Path) -> dict[str, float]:
     gc.collect()
     tracemalloc.start()
     t0 = time.perf_counter()
-    run = run_patient(
-        factory, patient, method="laelaps", chunk_samples=CHUNK_SAMPLES
-    )
+    run = run_patient(factory, patient, method="laelaps")
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -140,7 +138,7 @@ def test_channel_scaling_trajectory(tmp_path):
     metrics: dict[str, float] = {}
     print(
         f"\n[channel scaling] {DURATION_S:.0f} s @ {FS:.0f} Hz, d={dim}, "
-        f"chunk={CHUNK_SAMPLES}, budget {BUDGET_MB:.0f} MB"
+        f"chunk={DEFAULT_CHUNK_SAMPLES}, budget {BUDGET_MB:.0f} MB"
     )
     for n_channels in channels:
         row = _run_member(n_channels, dim, tmp_path / f"c{n_channels}")
@@ -173,7 +171,7 @@ def test_channel_scaling_trajectory(tmp_path):
             "fs": FS,
             "dim": dim,
             "n_seizures": N_SEIZURES,
-            "chunk_samples": CHUNK_SAMPLES,
+            "chunk_samples": DEFAULT_CHUNK_SAMPLES,
             "budget_mb": BUDGET_MB,
         },
         metrics=metrics,

@@ -1,27 +1,19 @@
-"""Cross-engine benchmark matrix plus the fused-engine microbenches.
+"""Cross-engine benchmark matrix.
 
-Two instruments in one file:
+Every *registered* compute engine, timed on the same whole-recording
+workload at d = 2000 and d = 10000 (the golden-model dimension),
+reported as windows/s and speedup vs the unpacked reference, and
+serialised to the versioned benchmark-record schema
+(:mod:`repro.evaluation.benchrec`).  The committed repo-root
+``BENCH_engine_matrix.json`` is this bench's full-mode output on the
+recording host; engines whose optional accelerator is missing (e.g.
+``packed-native`` without numba) are listed with ``available = 0``
+instead of being silently dropped.  On numba-backed hosts with enough
+cores the matrix also asserts the ``packed-native`` floor: at least 3x
+over ``packed`` at d = 10000 (report-only below 4 cores, see
+:mod:`benchmarks._gating`).
 
-* **engine matrix** (``test_engine_matrix_record``) — every *registered*
-  compute engine, timed on the same whole-recording workload at
-  d = 2000 and d = 10000 (the golden-model dimension), reported as
-  windows/s and speedup vs the unpacked reference, and serialised to
-  the versioned benchmark-record schema
-  (:mod:`repro.evaluation.benchrec`).  The committed repo-root
-  ``BENCH_engine_matrix.json`` is this bench's full-mode output on the
-  recording host; engines whose optional accelerator is missing (e.g.
-  ``packed-native`` without numba) are listed with ``available = 0``
-  instead of being silently dropped.  On numba-backed hosts with
-  enough cores the matrix also asserts the ``packed-native`` floor:
-  at least 3x over ``packed-fused`` at d = 10000 (report-only below
-  4 cores, see :mod:`benchmarks._gating`).
-
-* **fused microbenches** — the two wins the ``packed-fused`` engine
-  promises over PR 1's batched packed path: the preallocated
-  single-window streaming classify (asserted >= 1.2x where timing is
-  trustworthy) and the fused block sweep (checked bit-exact, reported).
-
-Run directly with ``pytest benchmarks/bench_engine_fused.py -s``;
+Run directly with ``pytest benchmarks/bench_engine_matrix.py -s``;
 ``--smoke`` shrinks the sizes for the CI jobs and writes the matrix
 record to ``BENCH_engine_matrix.smoke.json`` instead of the committed
 baseline.  ``REPRO_BENCH_RECORD_MATRIX`` overrides the output path
@@ -37,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._gating import gate_speedup
-from benchmarks.conftest import bench_dim, bench_seconds, smoke_mode
+from benchmarks.conftest import bench_seconds, smoke_mode
 from repro.core.config import GOLDEN_DIM, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.hdc.backend import random_bits
 from repro.hdc.engine import (
     AUTO_ENGINE,
-    PACKED_FUSED_ENGINE,
+    PACKED_ENGINE,
     PACKED_NATIVE_ENGINE,
     UNPACKED_ENGINE,
     engine_capabilities,
@@ -55,16 +47,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The committed cross-engine matrix baseline this bench writes/compares.
 MATRIX_BASELINE_PATH = REPO_ROOT / "BENCH_engine_matrix.json"
 
-DIM = bench_dim(GOLDEN_DIM, smoke=512)
 FS = 256.0
 N_ELECTRODES = 32
-#: Acceptance floor: fused single-window classify vs the packed engine.
-MIN_SPEEDUP = 1.2
-#: Acceptance floor: packed-native vs packed-fused at the golden
-#: dimension, asserted only on numba-backed hosts with >= 4 cores.
+#: Acceptance floor: packed-native vs packed at the golden dimension,
+#: asserted only on numba-backed hosts with >= 4 cores.
 MIN_NATIVE_SPEEDUP = 3.0
-#: Streaming-classify repetitions (single windows, like live ticks).
-N_TICKS = 64 if smoke_mode() else 3_000
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -76,7 +63,7 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _fitted(backend: str, dim: int = DIM) -> LaelapsDetector:
+def _fitted(backend: str, dim: int) -> LaelapsDetector:
     detector = LaelapsDetector(
         N_ELECTRODES,
         LaelapsConfig(dim=dim, fs=FS, seed=7, backend=backend),
@@ -86,11 +73,6 @@ def _fitted(backend: str, dim: int = DIM) -> LaelapsDetector:
         random_bits((4, dim), np.random.default_rng(2)),
     )
     return detector
-
-
-# ----------------------------------------------------------------------
-# The cross-engine matrix
-# ----------------------------------------------------------------------
 
 
 def _matrix_dims() -> tuple[int, ...]:
@@ -169,15 +151,15 @@ def test_engine_matrix_record():
     top = dims[-1]
     if PACKED_NATIVE_ENGINE in times[top]:
         native_speedup = (
-            times[top][PACKED_FUSED_ENGINE] / times[top][PACKED_NATIVE_ENGINE]
+            times[top][PACKED_ENGINE] / times[top][PACKED_NATIVE_ENGINE]
         )
-        metrics[f"d{top}_native_speedup_vs_fused"] = native_speedup
+        metrics[f"d{top}_native_speedup_vs_packed"] = native_speedup
         gate_speedup(
             native_speedup,
             MIN_NATIVE_SPEEDUP,
             min_cores=4,
             label="engine matrix",
-            detail=f"packed-native vs packed-fused at d={top}",
+            detail=f"packed-native vs packed at d={top}",
         )
 
     record = BenchRecord(
@@ -208,80 +190,3 @@ def test_engine_matrix_record():
     baseline = read_record(MATRIX_BASELINE_PATH)  # schema errors hard-fail
     print(render_comparison(baseline, fresh))
     print("[engine matrix] deltas are report-only (runner shapes vary)")
-
-
-# ----------------------------------------------------------------------
-# The fused-engine microbenches
-# ----------------------------------------------------------------------
-
-
-def test_fused_single_window_streaming_classify():
-    """The fused scratch query beats the general packed sweep per tick."""
-    rng = np.random.default_rng(0)
-    packed = _fitted("packed")
-    fused = _fitted("packed-fused")
-    windows = packed.engine.pack_queries(random_bits((N_TICKS, DIM), rng))
-
-    def drive(detector: LaelapsDetector):
-        classify = detector.engine.classify_windows
-        memory = detector.memory
-        for i in range(N_TICKS):
-            classify(memory, windows[i : i + 1])
-
-    for i in range(N_TICKS):  # bit-exactness before timing
-        labels_p, dists_p = packed.engine.classify_windows(
-            packed.memory, windows[i : i + 1]
-        )
-        labels_f, dists_f = fused.engine.classify_windows(
-            fused.memory, windows[i : i + 1]
-        )
-        np.testing.assert_array_equal(labels_f, labels_p)
-        np.testing.assert_array_equal(dists_f, dists_p)
-
-    repeats = 1 if smoke_mode() else 5
-    packed_s = _best_of(repeats, lambda: drive(packed))
-    fused_s = _best_of(repeats, lambda: drive(fused))
-    speedup = packed_s / fused_s
-    print(
-        f"\n[fused streaming classify] d={DIM}, {N_TICKS} single-window "
-        f"ticks: packed {packed_s * 1e3:.1f} ms "
-        f"({N_TICKS / packed_s:,.0f}/s), fused {fused_s * 1e3:.1f} ms "
-        f"({N_TICKS / fused_s:,.0f}/s) -> {speedup:.2f}x"
-    )
-    # On a single core the timing is too scheduler-noisy to trust.
-    gate_speedup(
-        speedup,
-        MIN_SPEEDUP,
-        min_cores=2,
-        label="fused streaming classify",
-        detail="fused single-window classify vs the packed engine",
-    )
-
-
-def test_fused_block_sweep_recording():
-    """Whole-recording sweep: fused vs encode-then-classify, bit-exact."""
-    seconds = bench_seconds(20.0, smoke=2.0)
-    rng = np.random.default_rng(3)
-    signal = rng.standard_normal((int(seconds * FS), N_ELECTRODES))
-    packed = _fitted("packed")
-    fused = _fitted("packed-fused")
-
-    preds_packed = packed.predict(signal)
-    preds_fused = fused.predict(signal)
-    np.testing.assert_array_equal(preds_fused.labels, preds_packed.labels)
-    np.testing.assert_array_equal(
-        preds_fused.distances, preds_packed.distances
-    )
-    assert len(preds_fused) > 0
-
-    repeats = 1 if smoke_mode() else 3
-    packed_s = _best_of(repeats, lambda: packed.predict(signal))
-    fused_s = _best_of(repeats, lambda: fused.predict(signal))
-    n_windows = len(preds_fused)
-    print(
-        f"\n[fused block sweep] d={DIM}, {seconds:.0f} s of signal "
-        f"({n_windows} windows): packed encode+classify {packed_s:.2f} s, "
-        f"fused sweep {fused_s:.2f} s ({packed_s / fused_s:.2f}x), "
-        f"peak H scratch {min(n_windows, 512)} windows instead of "
-        f"{n_windows}"
-    )

@@ -14,9 +14,10 @@ from typing import Iterator
 
 from repro.analysis.engine import FileContext, Finding, Rule, register_rule
 
-#: The registered engine names (mirrored here as data on purpose: this
-#: module must lint files without importing them, and the rule should
-#: flag the *strings*, wherever the registry goes next).
+#: The registered engine names plus the retired ``packed-fused`` alias
+#: (mirrored here as data on purpose: this module must lint files
+#: without importing them, and the rule should flag the *strings*,
+#: wherever the registry goes next).
 _ENGINE_LITERALS = frozenset(
     {"packed", "unpacked", "packed-fused",  # repro: noqa[RPR003]
      "packed-native"}  # repro: noqa[RPR003]
@@ -31,12 +32,13 @@ class EngineLiteralRule(Rule):
     name = "engine-literal-outside-hdc"
     rationale = (
         "Backend names are registry keys owned by `repro.hdc.engine`.  A "
-        "literal `\"packed\"`/`\"unpacked\"`/`\"packed-fused\"`/"
-        "`\"packed-native\"` anywhere above hdc/ re-forks the dispatch "
-        "PR 5 collapsed and silently decouples from `engine_names()` "
-        "when engines are added or renamed.  Import UNPACKED_ENGINE/"
-        "PACKED_ENGINE/PACKED_FUSED_ENGINE/PACKED_NATIVE_ENGINE (or "
-        "iterate the registry) instead."
+        "literal `\"packed\"`/`\"unpacked\"`/`\"packed-native\"` (or "
+        "the retired alias `\"packed-fused\"`) anywhere above hdc/ "
+        "re-forks the dispatch the registry collapsed and silently "
+        "decouples from `engine_names()` when engines are added or "
+        "renamed.  Import UNPACKED_ENGINE/PACKED_ENGINE/"
+        "PACKED_NATIVE_ENGINE (or resolve the name through the registry) "
+        "instead."
     )
     include = ("src/repro/",)
     exclude = ("src/repro/hdc/",)

@@ -1,8 +1,9 @@
 """Out-of-core discipline: the streamed path must never materialise.
 
-The whole point of :mod:`repro.data.outofcore` and the streamed driver
-path in :mod:`repro.evaluation.runner` is a RAM bound that does not
-scale with recording length or channel count — 1024-channel members are
+The whole point of :mod:`repro.data.outofcore` and the chunked
+inference loop in :mod:`repro.core.streaming` (which
+:mod:`repro.evaluation.runner` hands memmap views to) is a RAM bound
+that does not scale with recording length or channel count — 1024-channel members are
 *views* into memmapped files, touched one chunk at a time.  One careless
 ``np.asarray(recording.data)`` (or ``.copy()`` / ``.tolist()`` on the
 mapped buffer) silently pulls the entire recording into RAM, and every
@@ -64,6 +65,7 @@ class OutOfCoreMaterializationRule(Rule):
     )
     include = (
         "src/repro/data/outofcore.py",
+        "src/repro/core/streaming.py",
         "src/repro/evaluation/runner.py",
     )
 

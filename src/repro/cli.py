@@ -361,6 +361,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.hdc.engine import (
         AUTO_ENGINE,
         engine_capabilities,
+        engine_names,
         resolve_engine_name,
     )
 
@@ -370,15 +371,14 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             cap["name"],
             cap["window_form"],
             cap["width_at_dim"],
-            "yes" if cap["fused"] else "no",
             "yes" if cap["available"] else "no",
             cap["summary"],
         ]
         for cap in caps
     ]
     table = render_table(
-        ["Engine", "Window form", f"width@d={args.dim}", "Fused",
-         "Avail", "Capabilities"],
+        ["Engine", "Window form", f"width@d={args.dim}", "Avail",
+         "Capabilities"],
         rows,
         title="Registered compute engines (LaelapsConfig.backend values)",
     )
@@ -388,6 +388,12 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             print(
                 f"\n'{cap['name']}' is unavailable on this host: "
                 f"{cap['unavailable_reason']}"
+            )
+    for alias in backend_choices():
+        if alias not in engine_names() and alias != AUTO_ENGINE:
+            print(
+                f"\n'{alias}' is a retired name kept for old models and "
+                f"checkpoints; it resolves to '{resolve_engine_name(alias)}'."
             )
     print(
         f"\n'{AUTO_ENGINE}' resolves to "

@@ -56,8 +56,10 @@ class LaelapsConfig:
             config fully determines the model.
         backend: Name of the compute engine running the pipeline — any
             name registered in :mod:`repro.hdc.engine` (``unpacked``,
-            the word-domain ``packed``, the fused ``packed-fused``) or
-            ``auto`` to pick the fastest at detector construction.
+            the word-domain ``packed``, the numba-backed
+            ``packed-native``), the retired alias ``packed-fused`` of
+            ``packed``, or ``auto`` to pick the fastest at detector
+            construction.
             Every engine produces bit-identical labels and confidence
             scores; see :data:`BACKENDS` and the ``repro backends``
             command.

@@ -274,22 +274,20 @@ class LaelapsDetector:
     def predict(self, signal: np.ndarray) -> WindowPredictions:
         """Classify every analysis window of a recording.
 
-        Runs the engine's :meth:`~repro.hdc.engine.ComputeEngine.encode_classify`
-        sweep — on a fused engine, windows are classified as their blocks
-        complete and the full ``(n_windows, ...)`` H array is never
-        materialised.
+        LBP-symbolised detectors score through the chunk loop of
+        :func:`repro.core.streaming.predict_chunked`, so memory stays
+        O(chunk) at any recording length; other symbolisers cannot
+        continue codes across chunks and score in one shot.
         """
+        from repro.core.streaming import DEFAULT_CHUNK_SAMPLES, predict_chunked
+        from repro.core.symbolizers import LBPSymbolizer
+
         if not self.is_fitted:
             raise RuntimeError("detector must be fitted before predicting")
         arr = self._validate_signal(signal)
-        codes = self.symbolizer.codes(arr)
-        labels, distances = self.engine.encode_classify(self.memory, codes)
-        return WindowPredictions(
-            labels=labels,
-            distances=distances,
-            deltas=delta_scores(distances),
-            times=self.window_times(labels.shape[0]),
-        )
+        if not isinstance(self.symbolizer, LBPSymbolizer):
+            return self.predict_from_windows(self.encode(arr))
+        return predict_chunked(self, arr, DEFAULT_CHUNK_SAMPLES)
 
     def classify_from_windows(
         self, h: np.ndarray

@@ -14,7 +14,12 @@ Because the postprocessor *is* the batch one (same class, resumable),
 and any chunking — including the warm-up contract that no alarm can fire
 before ``postprocess_len`` labels exist.
 
-Multi-patient serving is layered on top of this class by
+The same tail carry is the detector's one inference core:
+:func:`predict_chunked` feeds a whole recording through
+:meth:`StreamingLaelaps.encode_chunk` a chunk at a time, which is how
+``LaelapsDetector.predict`` and the out-of-core evaluation path score
+signals in O(chunk) memory.  Multi-patient serving is layered on top of
+:class:`StreamingLaelaps` by
 :class:`repro.core.sessions.StreamSessionManager`, which drives many
 streams through the two-phase split :meth:`StreamingLaelaps.encode_chunk`
 / :meth:`StreamingLaelaps.emit_events` so classification can be batched
@@ -27,8 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.detector import LaelapsDetector
-from repro.core.postprocess import AlarmStateMachine, PostprocessConfig
+from repro.core.detector import LaelapsDetector, WindowPredictions
+from repro.core.postprocess import (
+    AlarmStateMachine,
+    PostprocessConfig,
+    delta_scores,
+)
+
+#: Raw samples per chunk of :func:`predict_chunked`.  Sized so the
+#: transient buffers (chunk + LBP codes + the engine's per-block
+#: scratch) stay well under the out-of-core RAM budget even at 1024
+#: channels, while each chunk still spans many analysis windows.
+DEFAULT_CHUNK_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -59,9 +74,7 @@ class StreamingLaelaps:
     stream events whose windows completed inside that chunk.  The
     stream runs on whichever compute engine the detector was built
     with — on the word-domain engines the H vectors never leave the
-    packed form between the encoder and the associative memory, and the
-    fused engine answers the per-tick single-window query through its
-    preallocated scratch path.
+    packed form between the encoder and the associative memory.
 
     Code continuation and decision times follow the detector's
     *symbolizer* (not the config's default LBP length), so a detector
@@ -114,25 +127,37 @@ class StreamingLaelaps:
         temporal encoder; returns the H vectors of the windows completed
         by this chunk (possibly zero) in the backend's representation.
         Classification is *not* performed — callers either classify
-        immediately (:meth:`push`) or batch across many sessions
+        immediately (:meth:`push`, :func:`predict_chunked`) or batch
+        across many sessions
         (:class:`repro.core.sessions.StreamSessionManager`).
+
+        The chunk keeps its dtype: LBP codes are signs of sample
+        differences, which no float or integer width changes, so
+        upcasting would only cost memory.
         """
-        arr = np.asarray(chunk, dtype=np.float64)
+        arr = np.asarray(chunk)
         if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:
             raise ValueError(
                 f"expected (n, {self.detector.n_electrodes}), got {arr.shape}"
             )
         self._samples_seen += arr.shape[0]
-        joined = np.concatenate([self._raw_tail, arr], axis=0)
+        joined = (
+            np.concatenate([self._raw_tail, arr], axis=0)
+            if self._raw_tail.shape[0]
+            else arr
+        )
         length = self._symbolizer.length
         if joined.shape[0] <= length:
-            self._raw_tail = joined
+            # A copy: ``joined`` may be a view of the caller's buffer.
+            self._raw_tail = joined.copy()
             return self._encoder.feed(
                 np.zeros((0, self.detector.n_electrodes), dtype=np.int64)
             )
         codes = self._symbolizer.codes(joined)
-        # Keep the raw samples whose codes are not yet computable.
+        # Keep the raw samples whose codes are not yet computable, and
+        # free the joined copy before the encoder's scratch peaks.
         self._raw_tail = joined[-length:].copy()
+        del joined
         return self._encoder.feed(codes)
 
     def emit_events(
@@ -231,3 +256,58 @@ class StreamingLaelaps:
         self._encoder.restore_state(state["encoder"])
         self._post.restore_state(state["post"])
         return self
+
+
+def predict_chunked(
+    detector: LaelapsDetector,
+    signal: np.ndarray,
+    chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
+) -> WindowPredictions:
+    """Score a recording chunk by chunk: the one inference loop.
+
+    Each chunk of raw samples goes through
+    :meth:`StreamingLaelaps.encode_chunk` (LBP codes continue across
+    chunk boundaries through the carried tail, the temporal encoder
+    buffers partial blocks) and its completed windows are classified at
+    once, so peak memory is O(chunk) whatever the recording length —
+    ``signal`` may be a memmap view that must never be materialised.
+    Labels, distances and decision times equal those of a one-shot
+    ``encode`` + ``predict_from_windows`` for every chunk size.
+
+    Args:
+        detector: A fitted, LBP-symbolised detector.
+        signal: Recording ``(n_samples, n_electrodes)``.
+        chunk_samples: Raw samples per chunk (memory only: predictions
+            are identical for every value).
+
+    Raises:
+        ValueError: On a bad chunk size or signal shape.
+    """
+    if chunk_samples < 1:
+        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
+    if signal.ndim != 2 or signal.shape[1] != detector.n_electrodes:
+        raise ValueError(
+            f"expected (n_samples, {detector.n_electrodes}) signal, "
+            f"got shape {signal.shape}"
+        )
+    stream = StreamingLaelaps(detector)
+    labels_parts: list[np.ndarray] = []
+    distances_parts: list[np.ndarray] = []
+    for start in range(0, signal.shape[0], chunk_samples):
+        h = stream.encode_chunk(signal[start : start + chunk_samples])
+        if h.shape[0]:
+            labels, distances, _ = detector.classify_from_windows(h)
+            labels_parts.append(labels)
+            distances_parts.append(distances)
+    if labels_parts:
+        labels = np.concatenate(labels_parts)
+        distances = np.concatenate(distances_parts, axis=0)
+    else:
+        labels = np.zeros(0, dtype=np.int64)
+        distances = np.zeros((0, 2), dtype=np.int64)
+    return WindowPredictions(
+        labels=labels,
+        distances=distances,
+        deltas=delta_scores(distances),
+        times=detector.window_times(labels.shape[0]),
+    )

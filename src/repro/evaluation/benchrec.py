@@ -254,16 +254,54 @@ def compare_records(
     return deltas
 
 
+def context_differences(
+    baseline: BenchRecord, fresh: BenchRecord
+) -> list[str]:
+    """Why two records are not like for like, one line per cause.
+
+    Names every ``config`` key whose value differs (or exists on one
+    side only) and a ``cpu_count`` change; empty when the deltas
+    compare the same harness configuration on the same host shape.
+    """
+    missing = object()
+    causes = []
+    for key in sorted(baseline.config.keys() | fresh.config.keys()):
+        base = baseline.config.get(key, missing)
+        new = fresh.config.get(key, missing)
+        if base != new:
+            causes.append(
+                f"config {key}: "
+                f"{'absent' if base is missing else repr(base)} -> "
+                f"{'absent' if new is missing else repr(new)}"
+            )
+    base_cpus = baseline.machine.get("cpu_count")
+    new_cpus = fresh.machine.get("cpu_count")
+    if base_cpus != new_cpus:
+        causes.append(f"cpu_count: {base_cpus} -> {new_cpus}")
+    return causes
+
+
 def render_comparison(
     baseline: BenchRecord, fresh: BenchRecord
 ) -> str:
-    """Human-readable delta table (what the CI job prints)."""
+    """Human-readable delta table (what the CI job prints).
+
+    Report-only: a configuration or host-shape mismatch is named in the
+    header (:func:`context_differences`) rather than refused, so the
+    deltas below it are never read as like for like by accident.
+    """
     rows = [
         f"[benchrec] {fresh.name}: fresh {fresh.git_sha[:12]} vs "
         f"baseline {baseline.git_sha[:12]} "
         f"(baseline host: {baseline.machine.get('cpu_count', '?')} cores, "
         f"this host: {fresh.machine.get('cpu_count', '?')} cores)"
     ]
+    causes = context_differences(baseline, fresh)
+    if causes:
+        rows.append(
+            "  WARNING: not like for like; the deltas below mix contexts:"
+        )
+        rows.extend(f"    {cause}" for cause in causes)
     width = max((len(d.metric) for d in compare_records(baseline, fresh)),
                 default=0)
     for delta in compare_records(baseline, fresh):

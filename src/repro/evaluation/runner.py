@@ -16,12 +16,8 @@ from typing import Any, Callable, Protocol
 import numpy as np
 
 from repro.core.detector import WindowPredictions
-from repro.core.postprocess import (
-    PostprocessConfig,
-    Postprocessor,
-    delta_scores,
-    tune_tr,
-)
+from repro.core.postprocess import PostprocessConfig, Postprocessor, tune_tr
+from repro.core.streaming import DEFAULT_CHUNK_SAMPLES, predict_chunked
 from repro.core.training import TrainingSegments, windows_in_segments
 from repro.data.model import Patient, Recording, SeizureEvent
 from repro.data.splits import ChronologicalSplit, split_patient
@@ -44,24 +40,17 @@ class SupportsDetection(Protocol):
 #: ``factory(n_electrodes, fs) -> detector``.
 DetectorFactory = Callable[[int, float], SupportsDetection]
 
-#: Default raw-sample chunk of the streamed prediction path.  Sized so
-#: the transient buffers (chunk + LBP codes + the engine's per-block
-#: scratch) stay well under the out-of-core RAM budget even at 1024
-#: channels, while each chunk still spans many analysis windows.
-DEFAULT_CHUNK_SAMPLES = 4096
-
 
 def predict_windows(
     detector: SupportsDetection, signal: np.ndarray
 ) -> WindowPredictions:
-    """Score a whole recording in one batched sweep.
+    """Score a whole recording through the detector's own ``predict``.
 
-    Laelaps detectors route ``predict`` through their compute engine's
-    ``encode_classify`` sweep (batched on every engine, fused on
-    ``packed-fused`` — windows are classified as their blocks complete,
-    with no per-window loop and no full H array); baselines run their
-    own ``predict``.  Kept as the evaluation driver's single entry
-    point so every method is scored through the same call.
+    Laelaps detectors run the chunked inference loop
+    (:func:`repro.core.streaming.predict_chunked`), so memmap-backed
+    recordings are scored in O(chunk) memory; baselines run their own
+    ``predict``.  Kept as the evaluation driver's single entry point so
+    every method is scored through the same call.
     """
     return detector.predict(signal)
 
@@ -71,29 +60,21 @@ def predict_windows_streamed(
     signal: np.ndarray,
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
 ) -> WindowPredictions:
-    """Score a recording block by block, bit-exact with ``predict``.
+    """Score a recording in chunks of a chosen size, bit-exact with ``predict``.
 
-    The out-of-core path: ``signal`` may be (a view of) an
-    ``np.memmap``-backed recording that must never be materialised.
-    Chunks of raw samples feed the detector's streaming machinery — LBP
-    codes continue across chunk boundaries through a carried symboliser
-    tail (the :class:`~repro.core.streaming.StreamingLaelaps` contract),
-    the temporal encoder buffers partial blocks, and each chunk's
-    completed windows are classified immediately — so peak memory is
-    O(chunk), independent of the recording length, and the label /
-    distance / time streams equal the in-memory path's exactly (the
-    sign-of-difference LBP codes and per-window Hamming queries are
-    insensitive to how the sweep is blocked).
+    :func:`predict_windows` with the chunk size exposed: the same loop
+    (:func:`repro.core.streaming.predict_chunked`), for callers that
+    size chunks to their memory budget.
 
     Args:
-        detector: A *fitted* Laelaps-style detector: needs the
-            streaming surface (``symbolizer`` with LBP margin
-            semantics, ``temporal_encoder``, ``classify_from_windows``,
+        detector: A *fitted* Laelaps-style detector with the streaming
+            surface (``symbolizer`` with LBP margin semantics,
+            ``temporal_encoder``, ``classify_from_windows``,
             ``window_times``).  Baselines without it must use
             :func:`predict_windows`.
         signal: Recording ``(n_samples, n_electrodes)``; memmap views
             welcome.
-        chunk_samples: Raw samples per block (memory/speed knob; the
+        chunk_samples: Raw samples per chunk (memory/speed knob; the
             predictions are identical for every value).
 
     Raises:
@@ -112,45 +93,7 @@ def predict_windows_streamed(
             "classify_from_windows); got "
             f"{type(detector).__name__}"
         )
-    if chunk_samples < 1:
-        raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-    if signal.ndim != 2:
-        raise ValueError(
-            f"expected (n_samples, n_electrodes), got {signal.shape}"
-        )
-    encoder = detector.temporal_encoder()
-    length = symbolizer.length
-    n_samples = signal.shape[0]
-    tail = signal[0:0]
-    labels_parts: list[np.ndarray] = []
-    distances_parts: list[np.ndarray] = []
-    for start in range(0, n_samples, chunk_samples):
-        chunk = signal[start:start + chunk_samples]
-        joined = np.concatenate([tail, chunk], axis=0)
-        if joined.shape[0] <= length:
-            tail = joined
-            continue
-        codes = symbolizer.codes(joined)
-        # Keep the raw samples whose codes are not yet computable.
-        tail = joined[-length:]
-        h = encoder.feed(codes)
-        if h.shape[0] == 0:
-            continue
-        labels, distances, _ = detector.classify_from_windows(h)
-        labels_parts.append(labels)
-        distances_parts.append(distances)
-    if labels_parts:
-        all_labels = np.concatenate(labels_parts)
-        all_distances = np.concatenate(distances_parts, axis=0)
-    else:
-        all_labels = np.zeros(0, dtype=np.int64)
-        all_distances = np.zeros((0, 2), dtype=np.int64)
-    return WindowPredictions(
-        labels=all_labels,
-        distances=all_distances,
-        deltas=delta_scores(all_distances),
-        times=detector.window_times(all_labels.shape[0]),
-    )
+    return predict_chunked(detector, signal, chunk_samples)
 
 
 @dataclass
@@ -210,7 +153,6 @@ def run_patient(
     patient: Patient,
     split: ChronologicalSplit | None = None,
     method: str = "detector",
-    chunk_samples: int | None = None,
     **split_kwargs: float,
 ) -> PatientRun:
     """Train a detector on a patient and capture raw predictions.
@@ -221,12 +163,6 @@ def run_patient(
         split: Pre-computed chronological split; derived from the patient
             when omitted.
         method: Name recorded in the run.
-        chunk_samples: When set, score both spans through
-            :func:`predict_windows_streamed` in blocks of this many raw
-            samples — the out-of-core path for memmap-backed recordings
-            (bit-exact with the default in-memory sweep).  Training
-            still slices only the short prototype segments, so the full
-            spans are never materialised.
         **split_kwargs: Forwarded to
             :func:`repro.data.splits.split_patient` when ``split`` is None.
     """
@@ -238,17 +174,11 @@ def run_patient(
     test_rec = recording.slice_time(train_end, recording.duration_s)
 
     detector = factory(patient.n_electrodes, recording.fs)
+    # Training slices only the short prototype segments and scoring is
+    # chunked, so memmap-backed spans are never materialised.
     detector.fit(train_rec.data, split.training_segments)
-    if chunk_samples is None:
-        train_preds = predict_windows(detector, train_rec.data)
-        test_preds = predict_windows(detector, test_rec.data)
-    else:
-        train_preds = predict_windows_streamed(
-            detector, train_rec.data, chunk_samples
-        )
-        test_preds = predict_windows_streamed(
-            detector, test_rec.data, chunk_samples
-        )
+    train_preds = predict_windows(detector, train_rec.data)
+    test_preds = predict_windows(detector, test_rec.data)
 
     window_s = detector.window_s
     # A window with decision time t spans [t - window_s, t]; it overlaps a
@@ -344,21 +274,14 @@ def evaluate_detector(
     tr: float | None = None,
     postprocess_len: int = 10,
     tc: int = 10,
-    chunk_samples: int | None = None,
 ) -> DetectionMetrics:
     """Score a *fitted* detector on an annotated recording.
 
     Convenience wrapper used by the examples: predicts, postprocesses at
     the detector's (or an explicit) t_r, and computes metrics against the
-    recording's own annotations.  ``chunk_samples`` switches to the
-    streamed (out-of-core) prediction path, identical in output.
+    recording's own annotations.
     """
-    if chunk_samples is None:
-        preds = predict_windows(detector, recording.data)
-    else:
-        preds = predict_windows_streamed(
-            detector, recording.data, chunk_samples
-        )
+    preds = predict_windows(detector, recording.data)
     threshold = tr if tr is not None else float(getattr(detector, "tr", 0.0))
     post = Postprocessor(
         PostprocessConfig(postprocess_len=postprocess_len, tc=tc, tr=threshold)

@@ -23,7 +23,7 @@ encoders bit-exactly in the word domain.
 
 ``repro.hdc.engine`` is the single dispatch point between the forms: a
 named registry of :class:`~repro.hdc.engine.ComputeEngine` objects
-(``unpacked``, ``packed``, the fused ``packed-fused`` fast path and the
+(``unpacked``, ``packed``, the numba-backed ``packed-native`` and the
 ``auto`` selector) that every layer above — detector, streaming,
 sessions, persistence, serving, CLI — routes through instead of
 branching on a backend string or probing array widths.
@@ -56,7 +56,6 @@ from repro.hdc.engine import (
     AUTO_ENGINE,
     ComputeEngine,
     PackedEngine,
-    PackedFusedEngine,
     UnpackedEngine,
     backend_choices,
     build_engine,
@@ -77,10 +76,7 @@ from repro.hdc.ops import (
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal import TemporalEncoder, encode_recording
-from repro.hdc.temporal_packed import (
-    PackedTemporalEncoder,
-    encode_recording_packed,
-)
+from repro.hdc.temporal_packed import PackedTemporalEncoder
 
 __all__ = [
     "pack_bits",
@@ -110,7 +106,6 @@ __all__ = [
     "TemporalEncoder",
     "encode_recording",
     "PackedTemporalEncoder",
-    "encode_recording_packed",
     "AssociativeMemory",
     "PrototypeAccumulator",
     "PackedPrototypeAccumulator",
@@ -118,7 +113,6 @@ __all__ = [
     "ComputeEngine",
     "UnpackedEngine",
     "PackedEngine",
-    "PackedFusedEngine",
     "backend_choices",
     "build_engine",
     "engine_capabilities",

@@ -17,20 +17,23 @@ Registered engines (:func:`engine_names`):
   integer-counter path;
 * ``packed`` — uint64 words end to end (the word layout of the paper's
   GPU kernels, Sec. V-B), batched XOR + popcount queries;
-* ``packed-fused`` — the packed representation plus a fused
-  encode→classify fast path: recordings are swept block by block with
-  windows classified as soon as they complete (the full
-  ``(n_windows, words)`` H array is never materialised), and
-  single-window streaming queries run through a preallocated
-  XOR/popcount scratch with no per-call validation layers;
-* ``packed-native`` — the fused packed pipeline with both hot kernels
+* ``packed-native`` — the packed pipeline with both hot kernels
   (XOR+popcount sweep, carry-save bundling tree) JIT-compiled to
   multithreaded nogil machine code via the optional numba dependency
   (:mod:`repro.hdc.native`); registered even when numba is absent, but
   listed as unavailable and skipped by ``auto``;
 * ``auto`` — resolves to the fastest *available* registered engine at
   detector construction (``packed-native`` with numba installed,
-  ``packed-fused`` otherwise).
+  ``packed`` otherwise).
+
+``packed-fused`` — a retired engine that differed from ``packed`` only
+by a one-window XOR scratch — survives as a resolve-time alias of
+``packed``, so saved models, fleet checkpoints and command lines that
+name it keep loading, bit-exactly.
+
+Engines only encode and classify; the chunk loop that turns a long
+signal into windows lives above them, in
+:func:`repro.core.streaming.predict_chunked`.
 
 All engines are bit-exact against each other; the cross-engine property
 suite (``tests/property/test_engine_equivalence.py``) enforces this over
@@ -50,7 +53,7 @@ from repro.hdc.associative import (
     PrototypeAccumulator,
     grouped_classify_packed,
 )
-from repro.hdc.backend import pack_bits, packed_words, popcount_words
+from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
@@ -66,8 +69,10 @@ AUTO_ENGINE = "auto"
 #: enforced by ``repro lint`` rule RPR003.
 UNPACKED_ENGINE = "unpacked"
 PACKED_ENGINE = "packed"
-PACKED_FUSED_ENGINE = "packed-fused"
 PACKED_NATIVE_ENGINE = "packed-native"
+
+#: Retired engine names that still resolve, mapped to their successor.
+_ALIASES = {"packed-fused": PACKED_ENGINE}
 
 
 class EngineUnavailableError(RuntimeError):
@@ -77,10 +82,6 @@ class EngineUnavailableError(RuntimeError):
     (``repro backends`` shows availability and the reason), but
     constructing one raises this with the remedy in the message.
     """
-
-#: Windows completed per flush of the fused block sweep; bounds the
-#: live H scratch at ``(chunk, words)`` regardless of recording length.
-_FUSED_WINDOW_CHUNK = 512
 
 
 @runtime_checkable
@@ -95,8 +96,7 @@ class ComputeEngine(Protocol):
       ``state_dict``/``restore_state`` are the streaming-state
       export/import hooks used by checkpoints);
     * associative-memory training (:meth:`train`, :meth:`accumulator`,
-      :meth:`store`) and querying (:meth:`classify_windows`,
-      :meth:`encode_classify`);
+      :meth:`store`) and querying (:meth:`classify_windows`);
     * the packed-query bridge for the cross-session grouped sweep
       (:meth:`pack_queries`);
     * its checkpoint payload tag (:attr:`name` — persisted so a saved
@@ -136,12 +136,6 @@ class ComputeEngine(Protocol):
         """Batched nearest-prototype sweep over H vectors (either form)."""
         ...
 
-    def encode_classify(
-        self, memory: AssociativeMemory, codes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Encode a code stream and classify every completed window."""
-        ...
-
     def pack_queries(self, h: np.ndarray) -> np.ndarray:
         """H vectors as packed uint64 queries for the grouped sweep."""
         ...
@@ -161,8 +155,6 @@ class _EngineBase:
     name = "base"
     #: Whether H vectors natively live in packed uint64 words.
     native_packed = False
-    #: Whether the hot path fuses encode and classify.
-    fused = False
     #: Human-readable native window form, for the capability listing.
     window_form = "?"
     #: One-line capability summary, for the capability listing.
@@ -245,13 +237,6 @@ class _EngineBase:
             return memory.classify_packed(arr)
         return memory.classify(arr)
 
-    def encode_classify(
-        self, memory: AssociativeMemory, codes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Reference sweep: encode everything, then one batched query."""
-        h = self.temporal_encoder().encode_all(codes)
-        return self.classify_windows(memory, h)
-
     #: Cross-session grouped-sweep implementation used when every
     #: session of a tick shares this engine; engines with a native
     #: grouped kernel override it (same signature, bit-exact).
@@ -281,7 +266,6 @@ class _EngineBase:
             "name": cls.name,
             "window_form": cls.window_form,
             "width_at_dim": packed_words(dim) if cls.native_packed else dim,
-            "fused": cls.fused,
             "available": ok,
             "unavailable_reason": why,
             "summary": cls.summary,
@@ -342,108 +326,11 @@ class PackedEngine(_EngineBase):
         memory.store_packed(label, prototype)
 
 
-@register_engine
-class PackedFusedEngine(PackedEngine):
-    """Packed engine with a fused encode→classify hot path.
-
-    Two fusions on top of :class:`PackedEngine`:
-
-    * **block sweep** (:meth:`encode_classify`) — the code stream is fed
-      to the temporal encoder in slices sized to complete at most
-      ``_FUSED_WINDOW_CHUNK`` windows, and each slice's H vectors are
-      queried against the prototypes immediately and dropped, so the
-      intermediate ``(n_windows, words)`` H array of the packed path is
-      never materialised (peak scratch is ``(chunk, words)``);
-    * **single-window streaming query** (:meth:`classify_windows` with
-      one native window, the per-tick shape of a live stream) — XOR into
-      a preallocated scratch against the memory's prototype block, one
-      popcount, one reduction; none of the layered re-validation,
-      re-packing or label-table rebuilds of the general path.
-    """
-
-    name = PACKED_FUSED_ENGINE
-    fused = True
-    summary = (
-        "packed layout plus fused encode-classify block sweep and a "
-        "preallocated single-window streaming query"
-    )
-
-    def __init__(self, code_memory, electrode_memory, spec) -> None:
-        super().__init__(code_memory, electrode_memory, spec)
-        self._xor_scratch: np.ndarray | None = None
-
-    def classify_windows(
-        self, memory: AssociativeMemory, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # The live-stream hot path gets one cheap shape probe instead of
-        # the general dual-form validation: at ~4 us per tick, the
-        # layered checks of windows_2d() are a measurable share.
-        arr = np.asarray(h)
-        if (
-            arr.dtype == np.uint64
-            and arr.ndim == 2
-            and arr.shape[1] == self.words
-        ):
-            return self._fused_query(memory, arr)
-        arr = self.windows_2d(arr)
-        if not self._is_packed(arr):
-            return memory.classify(arr)
-        return self._fused_query(memory, arr)
-
-    def _fused_query(
-        self, memory: AssociativeMemory, arr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """XOR + popcount against the prototype block, minimal overhead."""
-        block, label_table = memory.packed_block()
-        if arr.shape[0] == 1:
-            scratch = self._xor_scratch
-            if scratch is None or scratch.shape != block.shape:
-                scratch = self._xor_scratch = np.empty_like(block)
-            np.bitwise_xor(block, arr[0], out=scratch)
-            dists = popcount_words(scratch).sum(axis=-1, dtype=np.int64)
-            # label_table is replaced wholesale by store(), never
-            # mutated, so handing out a slice view is safe (see
-            # AssociativeMemory.packed_block) and saves an allocation.
-            idx = dists.argmin()
-            return label_table[idx : idx + 1], dists[None, :]
-        # Multi-window batches gain nothing from the scratch: reuse the
-        # memory's batched sweep so distance/tie-break semantics have a
-        # single implementation.
-        return memory.classify_packed(arr)
-
-    def encode_classify(
-        self, memory: AssociativeMemory, codes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused block sweep: classify windows as their blocks complete."""
-        encoder = self.temporal_encoder()
-        slice_samples = _FUSED_WINDOW_CHUNK * self.spec.step_samples
-        labels_parts: list[np.ndarray] = []
-        dists_parts: list[np.ndarray] = []
-        arr = np.asarray(codes)
-        for start in range(0, max(arr.shape[0], 1), slice_samples):
-            h = encoder.feed(arr[start : start + slice_samples])
-            if h.shape[0]:
-                labels, dists = self._fused_query(memory, h)
-                labels_parts.append(labels)
-                dists_parts.append(dists)
-        if not labels_parts:
-            n_classes = memory.n_classes
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, n_classes), dtype=np.int64),
-            )
-        return (
-            np.concatenate(labels_parts),
-            np.concatenate(dists_parts, axis=0),
-        )
-
-
 #: Fastest-first preference order used by the ``auto`` pseudo-engine;
 #: candidates whose :meth:`_EngineBase.auto_eligible` says no on this
 #: host (e.g. ``packed-native`` without numba) are skipped.
 _AUTO_PREFERENCE = (
     PACKED_NATIVE_ENGINE,
-    PACKED_FUSED_ENGINE,
     PACKED_ENGINE,
     UNPACKED_ENGINE,
 )
@@ -455,15 +342,15 @@ def engine_names() -> tuple[str, ...]:
 
 
 def backend_choices() -> tuple[str, ...]:
-    """Every valid ``LaelapsConfig.backend`` value, including ``auto``."""
-    return engine_names() + (AUTO_ENGINE,)
+    """Every valid ``LaelapsConfig.backend`` value: engines, aliases, ``auto``."""
+    return engine_names() + tuple(_ALIASES) + (AUTO_ENGINE,)
 
 
 def resolve_engine_name(name: str) -> str:
     """Resolve a backend string to a concrete registered engine name.
 
-    ``auto`` resolves to the fastest available engine; anything else
-    must be a registered name.
+    ``auto`` resolves to the fastest available engine and a retired
+    name to its successor; anything else must be a registered name.
 
     Raises:
         ValueError: For unknown names, listing the valid choices.
@@ -475,6 +362,7 @@ def resolve_engine_name(name: str) -> str:
                 and _REGISTRY[candidate].auto_eligible()
             ):
                 return candidate
+    name = _ALIASES.get(name, name)
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown compute engine {name!r}; valid choices are "
@@ -492,7 +380,7 @@ def build_engine(
     """Construct the named engine bound to one detector's memories.
 
     Args:
-        name: A registered engine name or ``"auto"``.
+        name: A registered engine name, an alias or ``"auto"``.
         code_memory: IM1 — LBP-code atomic vectors.
         electrode_memory: IM2 — electrode-name atomic vectors.
         spec: Window geometry in samples.
@@ -511,8 +399,8 @@ def engine_capabilities(dim: int = 10_000) -> list[dict]:
     """Capability/word-layout rows for every registered engine.
 
     The data behind the ``repro backends`` CLI listing: one dict per
-    engine (name, native window form, trailing width at ``dim``, fused
-    flag, availability with reason, summary).  The ``auto``
+    engine (name, native window form, trailing width at ``dim``,
+    availability with reason, summary).  The ``auto``
     pseudo-engine is not listed — ask :func:`resolve_engine_name` what
     it currently resolves to.
     """

@@ -46,7 +46,7 @@ from repro.hdc.bitsliced import plane_depth, planes_add, planes_greater_than
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
     EngineUnavailableError,
-    PackedFusedEngine,
+    PackedEngine,
     register_engine,
 )
 from repro.hdc.item_memory import ItemMemory
@@ -59,7 +59,7 @@ NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
 
 #: Env knob: allow constructing the engine on its pure-Python kernel
 #: twins when numba is absent.  Testing/debug only — orders of
-#: magnitude slower than ``packed-fused`` — so ``auto`` ignores it.
+#: magnitude slower than ``packed`` — so ``auto`` ignores it.
 NATIVE_PURE_PYTHON_ENV = "REPRO_NATIVE_PURE_PYTHON"
 
 _NUMBA_IMPORT_ERROR: str | None
@@ -479,18 +479,17 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
 
 
 @register_engine
-class PackedNativeEngine(PackedFusedEngine):
-    """The ``packed-fused`` engine with both hot kernels JIT-parallelised.
+class PackedNativeEngine(PackedEngine):
+    """The ``packed`` engine with both hot kernels JIT-parallelised.
 
-    Inherits the fused block/scratch discipline (block sweep bounded by
-    the window chunk, no H materialisation); replaces the sweep and the
-    bundling tree with the nogil prange kernels above and routes the
-    cross-session grouped sweep through its native twin.
+    Replaces the sweep and the bundling tree with the nogil prange
+    kernels above and routes the cross-session grouped sweep through
+    its native twin.
     """
 
     name = PACKED_NATIVE_ENGINE
     summary = (
-        "fused packed pipeline with numba-parallel nogil XOR+popcount "
+        "packed pipeline with numba-parallel nogil XOR+popcount "
         "sweep and carry-save bundling kernels"
     )
     grouped_kernel = staticmethod(grouped_classify_packed_native)
@@ -517,7 +516,7 @@ class PackedNativeEngine(PackedFusedEngine):
     @classmethod
     def auto_eligible(cls) -> bool:
         # Without real numba the pure-Python twins are orders of
-        # magnitude slower than packed-fused: never auto-select them.
+        # magnitude slower than packed: never auto-select them.
         return numba_available()
 
     def _build_spatial(self, code_memory, electrode_memory):
@@ -526,10 +525,13 @@ class PackedNativeEngine(PackedFusedEngine):
     def temporal_encoder(self) -> NativeTemporalEncoder:
         return NativeTemporalEncoder(self.spatial, self.spec)
 
-    def _fused_query(
-        self, memory: AssociativeMemory, arr: np.ndarray
+    def classify_windows(
+        self, memory: AssociativeMemory, h: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One kernel call for any batch size, no scratch needed."""
+        """One native sweep for a packed batch of any size."""
+        arr = self.windows_2d(h)
+        if not self._is_packed(arr):
+            return memory.classify(arr)
         block, label_table = memory.packed_block()
         best, dists = sweep_classify_packed(arr, block)
         return label_table[best], dists

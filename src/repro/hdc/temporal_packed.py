@@ -83,19 +83,3 @@ class PackedTemporalEncoder(WindowBundler):
         for counts in blocks:
             self._block_planes.append(planes_from_counts(counts, self.dim))
 
-
-def encode_recording_packed(
-    codes: np.ndarray, spatial: PackedSpatialEncoder, spec: WindowSpec
-) -> np.ndarray:
-    """One-shot packed encoding of a multichannel code stream.
-
-    Args:
-        codes: Integer array ``(n_samples, n_electrodes)``.
-        spatial: Configured packed spatial encoder.
-        spec: Window geometry (window a multiple of step).
-
-    Returns:
-        uint64 array ``(n_windows, words)``; window ``i`` covers code
-        samples ``[i * step, i * step + window)``.
-    """
-    return PackedTemporalEncoder(spatial, spec).encode_all(codes)

@@ -60,11 +60,16 @@ def sign_bits(signal: np.ndarray) -> np.ndarray:
     Returns:
         uint8 array of shape ``(n_samples - 1, ...)`` with 1 where the
         signal strictly increases and 0 otherwise.
+
+    Neighbours are compared rather than subtracted: ``np.diff`` wraps
+    on integer samples (``uint16`` 3 - 5 is 65534), a comparison never
+    does, and it gives every dtype the codes of the same samples in
+    float64.
     """
     arr = np.asarray(signal)
     if arr.shape[0] < 2:
         return np.zeros((0,) + arr.shape[1:], dtype=np.uint8)
-    return (np.diff(arr, axis=0) > 0).astype(np.uint8)
+    return (arr[1:] > arr[:-1]).astype(np.uint8)
 
 
 def _bits_to_codes(bits: np.ndarray, length: int) -> np.ndarray:

@@ -551,6 +551,13 @@ FIXTURES: dict[str, tuple[Fixture, ...]] = {
             "    return np.asarray(recording.data)\n",
             False,
         ),
+        # The chunked inference loop is on the memmap path too.
+        Fixture(
+            "src/repro/core/streaming.py",
+            "def f(recording):\n"
+            "    return recording.data.tolist()\n",
+            True,
+        ),
     ),
 }
 

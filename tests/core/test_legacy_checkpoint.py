@@ -134,6 +134,59 @@ class TestLegacySessionsRestore:
         assert any(len(v) > 0 for v in expected.values())
 
 
+def _retagged(src: Path, dst: Path, retag) -> Path:
+    """A copy of a checkpoint whose JSON meta went through ``retag``."""
+    with np.load(src) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays.pop("meta").tobytes()).decode("utf-8"))
+    retag(meta)
+    encoded = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(dst, meta=encoded, **arrays)
+    return dst
+
+
+class TestRetiredFusedTag:
+    """Checkpoints tagged with the retired ``packed-fused`` engine name
+    reload onto ``packed`` and reproduce the frozen outputs."""
+
+    def test_model_checkpoint_loads_on_packed(self, tmp_path):
+        path = _retagged(
+            FIXTURE_DIR / "legacy_packed_model.npz", tmp_path / "m.npz",
+            lambda meta: meta.update(engine="packed-fused"),
+        )
+        assert _meta(path)["engine"] == "packed-fused"
+        detector = load_model(path)
+        assert type(detector.engine) is PackedEngine
+        _, signal = generator.build_legacy_model()
+        preds = detector.predict(signal)
+        with np.load(FIXTURE_DIR / "legacy_packed_expected.npz") as expected:
+            np.testing.assert_array_equal(preds.labels, expected["labels"])
+            np.testing.assert_array_equal(
+                preds.distances, expected["distances"]
+            )
+
+    def test_session_checkpoint_resumes_on_packed(self, tmp_path):
+        def retag(meta):
+            for session in meta["sessions"]:
+                if session["config"]["backend"] == "packed":
+                    session["engine"] = "packed-fused"
+
+        path = _retagged(
+            FIXTURE_DIR / "legacy_packed_sessions.npz", tmp_path / "s.npz",
+            retag,
+        )
+        assert "packed-fused" in {
+            s.get("engine") for s in _meta(path)["sessions"]
+        }
+        manager = load_sessions(path)
+        assert type(manager.session("legacy-0").detector.engine) is PackedEngine
+        _, signals = generator.build_legacy_sessions()
+        expected = json.loads(
+            (FIXTURE_DIR / "legacy_packed_sessions_expected.json").read_text()
+        )
+        assert generator.resume_events(manager, signals) == expected
+
+
 class TestGeneratorIsDeterministic:
     """Regenerating the fixtures reproduces the committed bytes' content."""
 

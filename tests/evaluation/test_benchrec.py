@@ -10,6 +10,7 @@ from repro.evaluation.benchrec import (
     BenchRecord,
     BenchRecordError,
     compare_records,
+    context_differences,
     current_git_sha,
     machine_fingerprint,
     main,
@@ -127,6 +128,28 @@ class TestComparison:
         assert "load_slo" in text
         assert "tick_latency_p99_ms" in text
         assert "1.00x" in text
+        assert "not like for like" not in text
+
+    def test_render_names_config_and_host_mismatches(self):
+        """A smoke run against a full baseline is flagged, not refused."""
+        cores = machine_fingerprint()["cpu_count"]
+        smoke = _record(
+            config={"n_sessions": 2, "dim": 256, "smoke": True},
+            machine={**machine_fingerprint(), "cpu_count": cores + 1},
+        )
+        assert context_differences(_record(), _record()) == []
+        causes = context_differences(_record(), smoke)
+        assert causes == [
+            "config n_sessions: 8 -> 2",
+            "config smoke: absent -> True",
+            f"cpu_count: {cores} -> {cores + 1}",
+        ]
+        text = render_comparison(_record(), smoke)
+        assert "not like for like" in text
+        for cause in causes:
+            assert cause in text
+        # Still a full, report-only delta table.
+        assert "tick_latency_p99_ms" in text
 
 
 class TestModuleCli:

@@ -1,18 +1,21 @@
 """Streamed (out-of-core) evaluation: bit-exact with the in-memory path.
 
 The contract under test: :func:`predict_windows_streamed` produces the
-*same* labels, distances, deltas and decision times as the batched
-``predict`` sweep for every compute engine, every chunk size (including
-chunks smaller than the LBP length and chunks that straddle analysis
-windows), on in-RAM arrays and on memmap views alike.  The chunk size
-is a memory knob, never a semantics knob.
+*same* labels, distances, deltas and decision times as a one-shot
+``encode`` + ``predict_from_windows`` for every compute engine, every
+chunk size (including chunks smaller than the LBP length and chunks
+that straddle analysis windows), on in-RAM arrays and on memmap views
+alike.  The chunk size is a memory knob, never a semantics knob.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.streaming as streaming_module
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.training import TrainingSegments
@@ -22,17 +25,21 @@ from repro.data.outofcore import (
     default_member_plans,
     generate_cohort,
 )
+from repro.data.splits import split_patient
 from repro.data.synthetic import SynthesisParams, SyntheticIEEGGenerator
 from repro.evaluation.runner import (
     evaluate_detector,
-    predict_windows,
     predict_windows_streamed,
     run_patient,
 )
-from repro.hdc.engine import build_engine
 
 _FS = 256.0
 _SEGMENTS = TrainingSegments(ictal=((60.0, 75.0),), interictal=(15.0, 45.0))
+
+
+def _one_shot(detector, signal):
+    """The unchunked reference: encode everything, classify once."""
+    return detector.predict_from_windows(detector.encode(np.asarray(signal)))
 
 
 def _engine_available(backend: str) -> bool:
@@ -52,6 +59,7 @@ def fitted():
     ).generate(120.0, None)
     # Plant the training classes directly: an ictal-looking segment is
     # not needed for the equivalence property, only two prototypes.
+    # "packed-fused" is the retired alias of packed and must score alike.
     detectors = {}
     for backend in ("unpacked", "packed", "packed-fused", "packed-native"):
         if not _engine_available(backend):
@@ -75,7 +83,7 @@ class TestBitExactness:
             pytest.skip(f"engine {backend} unavailable")
         detector = detectors[backend]
         signal = recording.data[: int(45.0 * _FS)]
-        batch = predict_windows(detector, signal)
+        batch = _one_shot(detector, signal)
         streamed = predict_windows_streamed(detector, signal, chunk_samples)
         np.testing.assert_array_equal(streamed.labels, batch.labels)
         np.testing.assert_array_equal(streamed.distances, batch.distances)
@@ -89,7 +97,7 @@ class TestBitExactness:
         recording, detectors = fitted
         detector = next(iter(detectors.values()))
         signal = recording.data[:2000]
-        batch = predict_windows(detector, signal)
+        batch = _one_shot(detector, signal)
         streamed = predict_windows_streamed(detector, signal, chunk_samples)
         np.testing.assert_array_equal(streamed.labels, batch.labels)
         np.testing.assert_array_equal(streamed.distances, batch.distances)
@@ -145,17 +153,30 @@ class TestDriverIntegration:
         )
 
     def test_run_patient_streamed_equals_in_memory(self, patient):
-        run_mem = run_patient(self._factory, patient)
-        run_str = run_patient(self._factory, patient, chunk_samples=777)
-        for side in ("train_preds", "test_preds"):
-            mem, str_ = getattr(run_mem, side), getattr(run_str, side)
-            np.testing.assert_array_equal(str_.labels, mem.labels)
-            np.testing.assert_array_equal(str_.distances, mem.distances)
-            np.testing.assert_array_equal(str_.times, mem.times)
-        np.testing.assert_array_equal(run_str.train_truth, run_mem.train_truth)
-        assert run_str.trained_delta_mean == run_mem.trained_delta_mean
+        built = []
 
-    def test_evaluate_detector_streamed_equals_in_memory(self, patient):
+        def factory(n_electrodes, fs):
+            built.append(self._factory(n_electrodes, fs))
+            return built[-1]
+
+        run = run_patient(factory, patient)
+        detector, recording = built[0], patient.recording
+        train_end = split_patient(patient).train_span_s[1]
+        spans = {
+            "train_preds": recording.slice_time(0.0, train_end),
+            "test_preds": recording.slice_time(
+                train_end, recording.duration_s
+            ),
+        }
+        for side, span in spans.items():
+            streamed, mem = getattr(run, side), _one_shot(detector, span.data)
+            np.testing.assert_array_equal(streamed.labels, mem.labels)
+            np.testing.assert_array_equal(streamed.distances, mem.distances)
+            np.testing.assert_array_equal(streamed.times, mem.times)
+
+    def test_evaluate_detector_streamed_equals_in_memory(
+        self, patient, monkeypatch
+    ):
         recording = patient.recording
         detector = self._factory(patient.n_electrodes, recording.fs)
         first = recording.seizures[0]
@@ -166,6 +187,8 @@ class TestDriverIntegration:
                 interictal=(10.0, 40.0),
             ),
         )
-        batch = evaluate_detector(detector, recording)
-        streamed = evaluate_detector(detector, recording, chunk_samples=901)
-        assert streamed == batch
+        streamed = evaluate_detector(detector, recording)
+        # One chunk spanning an in-RAM copy of the whole recording.
+        monkeypatch.setattr(streaming_module, "DEFAULT_CHUNK_SAMPLES", 10**9)
+        in_memory = replace(recording, data=np.array(recording.data))
+        assert evaluate_detector(detector, in_memory) == streamed

@@ -11,7 +11,6 @@ from repro.hdc.engine import (
     AUTO_ENGINE,
     ComputeEngine,
     PackedEngine,
-    PackedFusedEngine,
     UnpackedEngine,
     backend_choices,
     build_engine,
@@ -34,20 +33,29 @@ def _engine(name: str, dim: int = 100):
 
 class TestRegistry:
     def test_registered_names(self):
-        assert engine_names() == (
-            "unpacked", "packed", "packed-fused", "packed-native",
-        )
+        assert engine_names() == ("unpacked", "packed", "packed-native")
 
     def test_backend_choices_append_auto(self):
-        assert backend_choices() == (*engine_names(), AUTO_ENGINE)
+        assert backend_choices() == (
+            *engine_names(), "packed-fused", AUTO_ENGINE,
+        )
         assert BACKENDS == backend_choices()
+
+    def test_retired_fused_name_resolves_to_packed(self):
+        assert resolve_engine_name("packed-fused") == "packed"
+        detector = LaelapsDetector(
+            4, LaelapsConfig(dim=256, backend="packed-fused")
+        )
+        assert type(detector.engine) is PackedEngine
+        assert detector.backend == "packed"
+        assert detector.config.backend == "packed-fused"
 
     def test_auto_resolves_to_fastest_eligible(self):
         # packed-native leads the preference order but only when real
-        # numba backs it; otherwise auto lands on packed-fused.
+        # numba backs it; otherwise auto lands on packed.
         from repro.hdc.native import numba_available
 
-        expected = "packed-native" if numba_available() else "packed-fused"
+        expected = "packed-native" if numba_available() else "packed"
         assert resolve_engine_name(AUTO_ENGINE) == expected
 
     def test_unknown_name_lists_choices(self):
@@ -93,7 +101,7 @@ class TestCapabilities:
         assert [row["name"] for row in rows] == list(engine_names())
         for row in rows:
             assert set(row) == {
-                "name", "window_form", "width_at_dim", "fused",
+                "name", "window_form", "width_at_dim",
                 "available", "unavailable_reason", "summary",
             }
             assert row["available"] == (row["unavailable_reason"] is None)
@@ -102,13 +110,7 @@ class TestCapabilities:
         by_name = {row["name"]: row for row in engine_capabilities(130)}
         assert by_name["unpacked"]["width_at_dim"] == 130
         assert by_name["packed"]["width_at_dim"] == packed_words(130) == 3
-        assert by_name["packed-fused"]["width_at_dim"] == 3
-
-    def test_fused_engines_are_the_fused_family(self):
-        fused = {
-            row["name"] for row in engine_capabilities() if row["fused"]
-        }
-        assert fused == {"packed-fused", "packed-native"}
+        assert by_name["packed-native"]["width_at_dim"] == 3
 
 
 class TestWindowForms:
@@ -125,7 +127,7 @@ class TestWindowForms:
             engine.windows_2d(np.zeros((3, 7), dtype=np.uint8))
 
     def test_pack_queries_round_trips(self):
-        engine = _engine("packed-fused", dim=100)
+        engine = _engine("packed", dim=100)
         bits = random_bits((4, 100), np.random.default_rng(1))
         packed = engine.pack_queries(bits)
         np.testing.assert_array_equal(packed, pack_bits(bits))
@@ -146,13 +148,12 @@ class TestDetectorIntegration:
         detector = LaelapsDetector(4, LaelapsConfig(dim=256, backend="auto"))
         assert detector.backend == resolve_engine_name(AUTO_ENGINE)
         assert detector.config.backend == "auto"
-        assert isinstance(detector.engine, PackedFusedEngine)
+        assert isinstance(detector.engine, PackedEngine)
 
     def test_named_engines_construct(self):
         for name, cls in (
             ("unpacked", UnpackedEngine),
             ("packed", PackedEngine),
-            ("packed-fused", PackedFusedEngine),
         ):
             detector = LaelapsDetector(
                 4, LaelapsConfig(dim=256, backend=name)

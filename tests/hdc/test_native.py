@@ -25,10 +25,10 @@ from repro.hdc.bitsliced import (
 )
 from repro.hdc.engine import (
     AUTO_ENGINE,
-    PACKED_FUSED_ENGINE,
+    PACKED_ENGINE,
     PACKED_NATIVE_ENGINE,
     EngineUnavailableError,
-    PackedFusedEngine,
+    PackedEngine,
     build_engine,
     engine_capabilities,
     resolve_engine_name,
@@ -138,7 +138,7 @@ class TestSweepKernel:
             PackedNativeEngine.grouped_kernel
             is grouped_classify_packed_native
         )
-        assert PackedFusedEngine.grouped_kernel is grouped_classify_packed
+        assert PackedEngine.grouped_kernel is grouped_classify_packed
 
 
 class TestBundlingKernels:
@@ -226,7 +226,7 @@ class TestAvailability:
         row = rows[PACKED_NATIVE_ENGINE]
         assert row["available"] is False
         assert "numba" in row["unavailable_reason"]
-        assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
+        assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
 
     def test_auto_prefers_native_with_real_numba(self, monkeypatch):
         monkeypatch.setattr(native_module, "_NUMBA_IMPORT_ERROR", None)
@@ -242,7 +242,7 @@ class TestAvailability:
         monkeypatch.setattr(
             native_module, "_NUMBA_IMPORT_ERROR", "No module named 'numba'"
         )
-        assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
+        assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
         rows = {r["name"]: r for r in engine_capabilities()}
         assert rows[PACKED_NATIVE_ENGINE]["available"] is True
 
@@ -300,7 +300,7 @@ class TestNumbaAbsentReload:
             assert native_module.apply_native_threads(4) == 1
             rows = {r["name"]: r for r in engine_capabilities()}
             assert rows[PACKED_NATIVE_ENGINE]["available"] is False
-            assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
+            assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
         finally:
             builtins.__import__ = real_import
             if saved_env is not None:
@@ -372,10 +372,12 @@ class TestThreadKnob:
 
 class TestEngineParity:
     def test_full_pipeline_matches_packed_fused(self, pure_python_ok):
+        # "packed-fused" is the retired alias of packed: a model saved
+        # under it must score like packed-native too.
         rng = np.random.default_rng(11)
         signal = rng.standard_normal((3 * 128, 4))
         predictions = {}
-        for backend in (PACKED_FUSED_ENGINE, PACKED_NATIVE_ENGINE):
+        for backend in ("packed-fused", PACKED_NATIVE_ENGINE):
             detector = LaelapsDetector(
                 4, LaelapsConfig(dim=129, fs=128.0, seed=5, backend=backend)
             )
@@ -384,7 +386,7 @@ class TestEngineParity:
                 random_bits((3, 129), np.random.default_rng(2)),
             )
             predictions[backend] = detector.predict(signal)
-        fused = predictions[PACKED_FUSED_ENGINE]
+        fused = predictions["packed-fused"]
         nat = predictions[PACKED_NATIVE_ENGINE]
         assert len(nat) > 0
         np.testing.assert_array_equal(nat.labels, fused.labels)

@@ -78,7 +78,8 @@ class TestPackedParityThroughLookup:
 
     @pytest.mark.parametrize("engine", ["packed", "packed-fused"])
     def test_full_pipeline_parity(self, lookup_popcount, engine):
-        """Both word-domain engines equal the unpacked reference."""
+        """The word-domain engine, by name and by retired alias, equals
+        the unpacked reference."""
         rng = np.random.default_rng(11)
         signal = rng.standard_normal((4 * 128, 4))
         predictions = {}

@@ -8,10 +8,7 @@ from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal import encode_recording
-from repro.hdc.temporal_packed import (
-    PackedTemporalEncoder,
-    encode_recording_packed,
-)
+from repro.hdc.temporal_packed import PackedTemporalEncoder
 from repro.signal.windows import WindowSpec
 
 DIM = 200
@@ -53,16 +50,16 @@ class TestEquivalence:
         h_unpacked = encode_recording(
             codes, SpatialEncoder(*memories), spec
         )
-        h_packed = encode_recording_packed(
-            codes, PackedSpatialEncoder(*memories), spec
-        )
+        h_packed = PackedTemporalEncoder(
+            PackedSpatialEncoder(*memories), spec
+        ).encode_all(codes)
         assert h_packed.dtype == np.uint64
         np.testing.assert_array_equal(unpack_bits(h_packed, DIM), h_unpacked)
 
     @pytest.mark.parametrize("chunk", [1, 7, 16, 33, 250])
     def test_chunked_feed_equals_one_shot(self, memories, spec, codes, chunk):
         spatial = PackedSpatialEncoder(*memories)
-        one_shot = encode_recording_packed(codes, spatial, spec)
+        one_shot = PackedTemporalEncoder(spatial, spec).encode_all(codes)
         encoder = PackedTemporalEncoder(spatial, spec)
         pieces = [
             encoder.feed(codes[start : start + chunk])
@@ -76,7 +73,8 @@ class TestEquivalence:
         encoder.feed(codes[:100])
         encoder.reset()
         np.testing.assert_array_equal(
-            encoder.feed(codes), encode_recording_packed(codes, spatial, spec)
+            encoder.feed(codes),
+            PackedTemporalEncoder(spatial, spec).encode_all(codes),
         )
 
 
@@ -87,9 +85,9 @@ class TestShapes:
         assert out.shape == (0, encoder.words)
 
     def test_window_count(self, memories, spec, codes):
-        h = encode_recording_packed(
-            codes, PackedSpatialEncoder(*memories), spec
-        )
+        h = PackedTemporalEncoder(
+            PackedSpatialEncoder(*memories), spec
+        ).encode_all(codes)
         step = spec.step_samples
         expected = codes.shape[0] // step - (spec.window_samples // step) + 1
         assert h.shape[0] == expected

@@ -1,7 +1,7 @@
 """RAM-budget contract of the out-of-core pipeline.
 
 Tier-1 scale: the streamed path's peak (tracemalloc) must be flat in
-the recording length while the in-memory sweep's grows, and disk-backed
+the recording length while a one-shot encode's grows, and disk-backed
 generation must stay bounded by its chunk budget.  The slow-marked test
 is the acceptance criterion of the out-of-core pipeline: a 1024-channel
 30-minute recording generated to disk and evaluated end to end (train,
@@ -33,7 +33,6 @@ from repro.data.outofcore import (
 from repro.data.synthetic import SynthesisParams
 from repro.evaluation.runner import (
     finalize_run,
-    predict_windows,
     predict_windows_streamed,
     run_patient,
     tune_run_tr,
@@ -54,7 +53,7 @@ def _peak_mb(fn) -> float:
 
 
 class TestStreamedPeakIsFlat:
-    """Streamed peak ~constant in duration; in-memory peak grows."""
+    """Streamed peak ~constant in duration; one-shot peak grows."""
 
     @pytest.fixture(scope="class")
     def setup(self, tmp_path_factory):
@@ -92,13 +91,17 @@ class TestStreamedPeakIsFlat:
 
     def test_in_memory_peak_grows_and_exceeds_streamed(self, setup):
         detector, short, long = setup
-        mem_short = _peak_mb(lambda: predict_windows(detector, short))
-        mem_long = _peak_mb(lambda: predict_windows(detector, long))
+
+        def one_shot(signal):
+            return detector.predict_from_windows(detector.encode(signal))
+
+        mem_short = _peak_mb(lambda: one_shot(short))
+        mem_long = _peak_mb(lambda: one_shot(long))
         streamed_long = _peak_mb(
             lambda: predict_windows_streamed(detector, long, 2048)
         )
-        # The batched sweep materialises codes + spatial gather buffers
-        # proportional to the whole span; 3x the duration must show up.
+        # The one-shot encode materialises codes + H vectors proportional
+        # to the whole span; 3x the duration must show up.
         assert mem_long > 1.8 * mem_short, (mem_short, mem_long)
         assert streamed_long < mem_long, (streamed_long, mem_long)
 
@@ -152,8 +155,7 @@ class TestHighChannelAcceptance:
                     LaelapsConfig(dim=1_000, fs=rec_fs, seed=7),
                 )
 
-            run = run_patient(factory, patient, method="laelaps",
-                              chunk_samples=2048)
+            run = run_patient(factory, patient, method="laelaps")
             result = finalize_run(run, tr=tune_run_tr(run))
             results["result"] = result
 

@@ -1,12 +1,13 @@
 """Property tests: every registered compute engine is bit-exact.
 
 The tentpole contract of :mod:`repro.hdc.engine`: the ``unpacked``,
-``packed``, ``packed-fused`` and ``packed-native`` engines produce
-identical prototypes, labels, Hamming distances and stream events on
-arbitrary inputs — over odd dimensions (padding bits in the top word),
-ragged stream chunking, mixed-engine session fleets sharing one grouped
-sweep, and mid-stream checkpoint/restore where the checkpoint is
-reopened on a *different* engine than the one that wrote it.
+``packed`` and ``packed-native`` engines produce identical prototypes,
+labels, Hamming distances and stream events on arbitrary inputs — over
+odd dimensions (padding bits in the top word), ragged stream chunking,
+the chunk loop behind ``predict``, mixed-engine session fleets sharing
+one grouped sweep, and mid-stream checkpoint/restore where the
+checkpoint is reopened on a *different* engine than the one that wrote
+it (the retired ``packed-fused`` tag included).
 
 ``packed-native`` participates on every host: with numba installed (the
 ``native-engine`` CI job) its kernels run JIT-compiled and parallel,
@@ -22,13 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.hdc.engine as engine_module
+import repro.core.streaming as streaming_module
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
 from repro.hdc.backend import random_bits, unpack_bits
-from repro.hdc.engine import PACKED_NATIVE_ENGINE, engine_names
+from repro.hdc.engine import (
+    PACKED_NATIVE_ENGINE,
+    engine_names,
+    resolve_engine_name,
+)
 from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
 
 ENGINES = engine_names()
@@ -145,51 +150,56 @@ class TestBatchEquivalence:
                     np.testing.assert_array_equal(deltas, reference[2])
 
 
-class TestFusedSweep:
-    """The fused block sweep equals encode-everything-then-classify."""
+class TestChunkedPredict:
+    """``predict``'s chunk loop equals one-shot encode + classify."""
 
-    @pytest.mark.parametrize("chunk_windows", [1, 2, 3, 7])
-    def test_block_sweep_matches_unfused(self, monkeypatch, chunk_windows):
-        # Shrink the flush size so a short recording spans many slices,
-        # exercising the slice loop and the cross-slice concatenation.
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("chunk_of_step", [
+        pytest.param(lambda step: 1, id="one-sample"),
+        pytest.param(lambda step: step // 2 + 1, id="mid-block"),
+        pytest.param(lambda step: step, id="block-edge"),
+    ])
+    def test_predict_equals_one_shot(self, monkeypatch, engine,
+                                     chunk_of_step):
+        detector = _fitted(engine, 129, np.random.default_rng(9))
+        step = detector.config.window_spec.step_samples
         monkeypatch.setattr(
-            engine_module, "_FUSED_WINDOW_CHUNK", chunk_windows
+            streaming_module, "DEFAULT_CHUNK_SAMPLES", chunk_of_step(step)
         )
-        rng = np.random.default_rng(5)
-        fused = _fitted("packed-fused", 129, np.random.default_rng(9))
-        packed = _fitted("packed", 129, np.random.default_rng(9))
-        signal = _signal(rng, 8.0)
-        preds_fused = fused.predict(signal)
-        preds_packed = packed.predict(signal)
-        assert len(preds_fused) > chunk_windows  # really crossed slices
-        np.testing.assert_array_equal(
-            preds_fused.labels, preds_packed.labels
-        )
-        np.testing.assert_array_equal(
-            preds_fused.distances, preds_packed.distances
-        )
-
-    def test_single_window_scratch_query(self):
-        """The preallocated streaming query equals the general sweep."""
-        rng = np.random.default_rng(6)
-        fused = _fitted("packed-fused", 200, np.random.default_rng(3))
-        packed = _fitted("packed", 200, np.random.default_rng(3))
-        for _ in range(5):  # reuses the scratch across calls
-            window = random_bits((1, 200), rng)
-            query = fused.engine.pack_queries(window)
-            labels_f, dists_f = fused.engine.classify_windows(
-                fused.memory, query
+        signal = _signal(np.random.default_rng(5), 8.0)
+        chunked = detector.predict(signal)
+        one_shot = detector.predict_from_windows(detector.encode(signal))
+        assert len(one_shot) > 1
+        for field in ("labels", "distances", "deltas", "times"):
+            np.testing.assert_array_equal(
+                getattr(chunked, field), getattr(one_shot, field)
             )
-            labels_p, dists_p = packed.memory.classify_packed(query)
-            np.testing.assert_array_equal(labels_f, labels_p)
-            np.testing.assert_array_equal(dists_f, dists_p)
 
-    def test_empty_code_stream(self):
-        fused = _fitted("packed-fused", 65, np.random.default_rng(3))
-        codes = np.zeros((0, 3), dtype=np.int64)
-        labels, dists = fused.engine.encode_classify(fused.memory, codes)
-        assert labels.shape == (0,)
-        assert dists.shape == (0, 2)
+    def test_signal_shorter_than_margin_plus_window(self):
+        detector = _fitted("packed", 65, np.random.default_rng(3))
+        n = detector.symbolizer.margin + detector.config.window_spec.window_samples
+        preds = detector.predict(_signal(np.random.default_rng(4), 2.0)[: n - 1])
+        assert preds.labels.shape == (0,)
+        assert preds.distances.shape == (0, 2)
+        assert preds.times.shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int16])
+    def test_integer_samples_score_like_float64(self, dtype):
+        """Integer input gives the codes of the same samples in float64
+        (a subtraction would wrap: uint16 3 - 5 is 65534)."""
+        detector = _fitted("packed", 129, np.random.default_rng(9))
+        info = np.iinfo(dtype)
+        samples = np.random.default_rng(6).integers(
+            info.min, info.max, size=(int(8 * FS), 3), endpoint=True
+        ).astype(dtype)
+        as_float = samples.astype(np.float64)
+        np.testing.assert_array_equal(
+            detector.encode(samples), detector.encode(as_float)
+        )
+        got, want = detector.predict(samples), detector.predict(as_float)
+        assert len(want) > 0
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.distances, want.distances)
 
 
 @st.composite
@@ -300,12 +310,12 @@ def _roundtrip_checkpoint(
             manager.push("p0", signal[start : start + cut_chunk])
         )
     payload = manager.pop_session("p0")
-    assert payload["model"]["engine"] == engine_a
+    assert payload["model"]["engine"] == resolve_engine_name(engine_a)
 
     payload["model"]["engine"] = engine_b
     resumed = StreamSessionManager()
     stream = resumed.import_session("p0", payload)
-    assert stream.detector.backend == engine_b
+    assert stream.detector.backend == resolve_engine_name(engine_b)
     consumed = stream.samples_seen
     for lo in range(consumed, signal.shape[0], cut_chunk):
         events.extend(resumed.push("p0", signal[lo : lo + cut_chunk]))
@@ -319,7 +329,8 @@ class TestNativeCheckpointDirections:
 
     The hypothesis test above samples engine pairs; these pin the four
     native-engine directions so every run exercises them, odd dim and
-    mid-window cut included.
+    mid-window cut included.  ``packed-fused`` is the retired alias of
+    ``packed``: a session tagged with it must resume on ``packed``.
     """
 
     @pytest.mark.parametrize("engine_a, engine_b", [
