@@ -11,9 +11,10 @@ RSS (``ru_maxrss``) rides along for context.
 
 The point of the bench is the **RAM-budget contract**: evaluation peak
 must stay under ``BUDGET_MB`` at *every* channel count, while the
-in-memory path's floor — the batch generator's float64 working array
-alone — provably exceeds the budget at high channel counts (recorded
-per count as ``c{n}_in_memory_floor_mb``).
+in-memory path's floor — the recording held as float64, twice the
+float32 array the batch generator fills — provably exceeds the budget
+at high channel counts (recorded per count as
+``c{n}_in_memory_floor_mb``).
 
 The committed repo-root ``BENCH_channel_scaling.json`` is this bench's
 full-mode output on the recording host; re-running refreshes it (see

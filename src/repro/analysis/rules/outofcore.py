@@ -1,6 +1,7 @@
 """Out-of-core discipline: the streamed path must never materialise.
 
-The whole point of :mod:`repro.data.outofcore` and the chunked
+The whole point of :mod:`repro.data.outofcore` (whose memmaps the chunk
+renderer in :mod:`repro.data.synthetic` fills) and the chunked
 inference loop in :mod:`repro.core.streaming` (which
 :mod:`repro.evaluation.runner` hands memmap views to) is a RAM bound
 that does not scale with recording length or channel count — 1024-channel members are
@@ -65,6 +66,7 @@ class OutOfCoreMaterializationRule(Rule):
     )
     include = (
         "src/repro/data/outofcore.py",
+        "src/repro/data/synthetic.py",
         "src/repro/core/streaming.py",
         "src/repro/evaluation/runner.py",
     )

@@ -10,19 +10,20 @@ provides the closest synthetic equivalent:
   flattened LBP-code histogram, and ictal slower/larger/asymmetric
   rhythmic oscillations that concentrate the histogram — plus the
   interictal confounders (spikes, rhythmic bursts, sustained background
-  drifts) that make false alarms possible;
+  drifts) that make false alarms possible.  One chunk renderer makes
+  every sample: batch recordings, live streams and disk cohorts are
+  its three front ends;
 * :mod:`repro.data.cohort` mirrors Table I patient by patient (electrode
   counts, seizure counts, training-seizure counts) at a configurable
   duration scale;
 * :mod:`repro.data.splits` implements the chronological train/test
   protocol of Sec. IV-B;
-* :mod:`repro.data.morphology` is the shared waveform vocabulary (pink
-  noise, ictal chirps, spikes) every synthesizer draws from, so batch,
-  clocked and disk-backed generation emit the same signals;
-* :mod:`repro.data.outofcore` synthesises disk-backed high-channel
-  cohorts chunk-by-chunk into memmap files with a versioned manifest —
-  generation is bit-identical for every chunk size, and members open as
-  O(1)-memory memmap views (``repro synth`` on the CLI).
+* :mod:`repro.data.morphology` is the waveform vocabulary (pink noise,
+  ictal chirps, spikes) the renderer draws its events from;
+* :mod:`repro.data.outofcore` renders disk-backed high-channel cohorts
+  into memmap files with a versioned manifest — generation is
+  bit-identical for every chunk size, and members open as O(1)-memory
+  memmap views (``repro synth`` on the CLI).
 """
 
 from repro.data.cohort import (

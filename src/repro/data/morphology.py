@@ -1,26 +1,19 @@
-"""Shared waveform morphology for every synthetic iEEG source.
+"""Shared waveform morphology of the synthetic iEEG.
 
-One module owns the signal shapes: the pink-noise background filter
-(batch-normalised and streaming forms), the asymmetric sawtooth rhythm
-with its chirp phase and ramp/fade envelope, the biphasic spike kernel,
-and the band-passed noise of subtle seizures.  Three synthesisers draw
-from it —
+One module owns the signal shapes: the pink-noise background filter,
+the asymmetric sawtooth rhythm with its chirp phase and ramp/fade
+envelope, the ictal stream wave, the biphasic spike kernel, and the
+band-passed noise of subtle seizures.  The chunk renderer of
+:mod:`repro.data.synthetic` draws every event from it, so batch
+recordings, live streams and disk cohorts carry the same
+electrographic signatures.
 
-* :class:`repro.data.synthetic.SyntheticIEEGGenerator` (batch, whole
-  recording in RAM),
-* :class:`repro.data.synthetic.ClockedEEGSource` (live chunked stream),
-* :mod:`repro.data.outofcore` (disk-backed cohorts, chunked to memmap)
-
-— so a seizure planted by any of them carries the same electrographic
-signature, and a fix to a waveform fixes all three.
-
-Two pink-noise forms exist on purpose.  The *batch* form normalises by
-the realised per-recording standard deviation, which depends on every
-sample and therefore cannot be computed chunk by chunk.  The *stream*
-form carries the IIR filter state across chunks and applies the fixed
-steady-state gain :data:`PINK_STEADY_STD` instead, which makes the
-output an exact function of the white-noise draw sequence — the
-property the chunking-invariance tests pin down.
+The pink filter carries its IIR state across chunks and applies the
+fixed steady-state gain :data:`PINK_STEADY_STD` instead of normalising
+by a realised standard deviation (which would depend on every sample
+and could not be computed chunk by chunk).  That makes the output an
+exact function of the white-noise draw sequence — the property the
+chunking-invariance tests pin down.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from scipy import signal as sps
 PINK_B = np.array([0.049922035, -0.095993537, 0.050612699, -0.004408786])
 PINK_A = np.array([1.0, -2.494956002, 2.017265875, -0.522189400])
 # Steady-state output std of the Kellet filter for unit white input —
-# the fixed gain the *streaming* forms apply instead of per-chunk
+# the fixed gain the renderer applies instead of per-chunk
 # re-normalisation (which would make output depend on chunk boundaries).
 PINK_STEADY_STD = 0.0861
 
@@ -40,22 +33,6 @@ PINK_STEADY_STD = 0.0861
 # ----------------------------------------------------------------------
 # Pink-noise background
 # ----------------------------------------------------------------------
-
-
-def pink_noise_batch(white: np.ndarray) -> np.ndarray:
-    """Pink-filter white noise and normalise each column to unit std.
-
-    Args:
-        white: White-noise draw ``(n_samples, n_channels)``.
-
-    Returns:
-        Unit-variance pink noise of the same shape.  Normalisation uses
-        the realised std of the whole array — batch-only semantics.
-    """
-    pink = sps.lfilter(PINK_B, PINK_A, white, axis=0)
-    std = pink.std(axis=0)
-    std[std == 0] = 1.0
-    return pink / std
 
 
 def pink_filter_state(n_channels: int) -> np.ndarray:
@@ -101,7 +78,7 @@ def rhythm_envelope(n: int, ramp_samples: int) -> np.ndarray:
     """Amplitude envelope of a rhythmic event: linear ramp-in, 20 % fade.
 
     The envelope also scales the background *suppression* of organised
-    discharges — see :func:`repro.data.synthetic.SyntheticIEEGGenerator`.
+    discharges — see :class:`repro.data.synthetic._RhythmEvent`.
     """
     ramp = max(1, ramp_samples)
     envelope = np.ones(n)

@@ -1,33 +1,26 @@
 """Out-of-core synthetic cohorts: disk-backed generation, memmap access.
 
-The batch generator (:class:`repro.data.synthetic.SyntheticIEEGGenerator`)
-materialises a float64 ``(n_samples, n_electrodes)`` array — at modern
-BCI channel counts (256-2048 electrodes) a 30-minute recording no longer
-fits a sane RAM budget.  This module synthesises the same signal family
-*chunk by chunk* straight into ``np.memmap`` files, with a sidecar JSON
-manifest, so a 1024-channel member opens in O(1) memory and streams
-through the evaluation harness block by block
+At modern BCI channel counts (256-2048 electrodes) a 30-minute
+recording no longer fits a sane RAM budget.  This module renders
+cohort members through the shared chunk renderer of
+:mod:`repro.data.synthetic` (:func:`~repro.data.synthetic.render_recording`)
+straight into ``np.memmap`` files, with a sidecar JSON manifest, so a
+1024-channel member opens in O(1) memory and streams through the
+evaluation harness block by block
 (:func:`repro.evaluation.runner.predict_windows_streamed`).
 
 Two properties are load-bearing and property-tested:
 
 * **Determinism** — a :class:`CohortSpec` names its realisation
   completely; regenerating with the same spec reproduces the files
-  byte for byte.
+  byte for byte.  Each member renders with the seed tuple
+  ``(cohort seed, member seed)``.
 * **Chunk invariance** — the generation chunk size is a *performance*
-  knob, not a semantic one: any chunking produces bit-identical files.
-  Background noise is drawn strictly per-sample from one generator
-  (row-major, so consecutive chunks consume consecutive draws) with the
-  pink-filter state carried across chunks and the fixed
-  :data:`repro.data.morphology.PINK_STEADY_STD` gain (per-recording
-  normalisation would couple every sample to every other); all event
-  parameters are drawn up front from a second generator; and every
-  event waveform is a pure function of the absolute sample index, so a
-  chunk overlapping an event renders exactly the samples it covers.
+  knob, not a semantic one: any chunking produces bit-identical files
+  (the renderer's contract, see :mod:`repro.data.synthetic`).
 
-Waveform morphology is shared with both in-RAM generators through
-:mod:`repro.data.morphology` — a seizure on disk carries the same
-electrographic signature as a seizure from ``generate()``.
+A seizure on disk is therefore the same signal as a seizure from
+``SyntheticIEEGGenerator.generate()`` with the same seed tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data import morphology
 from repro.data.model import (
     CLINICAL,
     SUBTLE,
@@ -46,7 +38,7 @@ from repro.data.model import (
     Recording,
     SeizureEvent,
 )
-from repro.data.synthetic import SeizurePlan, SynthesisParams
+from repro.data.synthetic import SeizurePlan, SynthesisParams, render_recording
 
 #: Version gate of the on-disk manifest format.  Bump whenever the key
 #: set below changes (enforced by lint rule RPR008).
@@ -57,11 +49,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Raw sample files are little-endian float32, C-order (time, channel).
 _MEMBER_DTYPE = np.dtype("<f4")
-
-#: Float budget of one generation chunk (white + pink + mixed buffers
-#: are each this big at most); the default chunk size derives from it
-#: so peak generation memory stays flat in the channel count.
-_CHUNK_FLOAT_BUDGET = 4_000_000
 
 
 # ----------------------------------------------------------------------
@@ -164,335 +151,8 @@ def default_member_plans(
 
 
 # ----------------------------------------------------------------------
-# Planned events (pure functions of the absolute sample index)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SpikeEvent:
-    start: int
-    wave: np.ndarray  # amplitude-scaled kernel
-    electrodes: np.ndarray
-
-    @property
-    def end(self) -> int:
-        return self.start + self.wave.size
-
-    def apply(self, chunk: np.ndarray, chunk_start: int) -> None:
-        lo = max(self.start, chunk_start)
-        hi = min(self.end, chunk_start + chunk.shape[0])
-        sl = slice(lo - self.start, hi - self.start)
-        rows = slice(lo - chunk_start, hi - chunk_start)
-        chunk[rows, self.electrodes] += self.wave[sl, None]
-
-
-@dataclass(frozen=True)
-class _RhythmEvent:
-    """A windowed rhythmic oscillation (burst/drift/PLD/clinical rhythm).
-
-    ``apply`` re-derives the event's full phase and envelope (pure
-    functions of the event length) and slices the overlap, so rendering
-    is independent of how the recording is chunked.
-    """
-
-    start: int
-    n: int
-    fs: float
-    freq_hz: float
-    chirp_to_hz: float | None
-    amplitude: float
-    asymmetry: float
-    ramp_samples: int
-    suppression: float
-    electrodes: np.ndarray
-    per_electrode: np.ndarray
-    phase_offsets: np.ndarray
-
-    @property
-    def end(self) -> int:
-        return self.start + self.n
-
-    def apply(self, chunk: np.ndarray, chunk_start: int) -> None:
-        lo = max(self.start, chunk_start)
-        hi = min(self.end, chunk_start + chunk.shape[0])
-        sl = slice(lo - self.start, hi - self.start)
-        rows = slice(lo - chunk_start, hi - chunk_start)
-        phase = morphology.chirp_phase(
-            self.n, self.fs, self.freq_hz, self.chirp_to_hz
-        )
-        envelope = morphology.rhythm_envelope(self.n, self.ramp_samples)
-        attenuation = (
-            1.0 - self.suppression * envelope[sl]
-            if self.suppression > 0 else None
-        )
-        for k, electrode in enumerate(self.electrodes):
-            wave = morphology.asymmetric_wave(
-                phase[sl] + self.phase_offsets[k], self.asymmetry
-            )
-            if attenuation is not None:
-                chunk[rows, electrode] *= attenuation
-            chunk[rows, electrode] += (
-                self.amplitude * self.per_electrode[k] * envelope[sl] * wave
-            )
-
-
-@dataclass(frozen=True)
-class _SubtleEvent:
-    """Background-amplitude band-passed noise event (marked, invisible).
-
-    The event's noise comes from its *own* seeded generator, re-created
-    on every ``apply`` — the event is bounded (seconds), so re-deriving
-    its full waveform per overlapping chunk costs little and keeps the
-    rendering chunk-invariant.
-    """
-
-    start: int
-    n: int
-    fs: float
-    scale: float
-    ramp: int
-    electrodes: np.ndarray
-    noise_seed: tuple[int, ...]
-
-    @property
-    def end(self) -> int:
-        return self.start + self.n
-
-    def apply(self, chunk: np.ndarray, chunk_start: int) -> None:
-        lo = max(self.start, chunk_start)
-        hi = min(self.end, chunk_start + chunk.shape[0])
-        sl = slice(lo - self.start, hi - self.start)
-        rows = slice(lo - chunk_start, hi - chunk_start)
-        rng = np.random.default_rng(list(self.noise_seed))
-        white = rng.standard_normal((self.n, self.electrodes.size))
-        shaped = morphology.bandpassed_noise(white, self.fs) * self.scale
-        envelope = morphology.taper_envelope(self.n, self.ramp)
-        chunk[rows, self.electrodes] += (
-            0.6 * shaped[sl] * envelope[sl, None]
-        )
-
-
-class _MemberSynthesizer:
-    """Sequential chunk renderer of one member (noise state + events)."""
-
-    def __init__(
-        self, member: MemberSpec, params: SynthesisParams, cohort_seed: int
-    ) -> None:
-        self.member = member
-        self.params = params
-        self.n_samples = int(round(member.duration_s * params.fs))
-        # Same split-generator discipline as ClockedEEGSource: noise is
-        # drawn strictly per-sample, event parameters strictly per-event,
-        # so the two sequences can never interleave.
-        self._noise_rng = np.random.default_rng(
-            [cohort_seed, member.seed, 0x5EED]
-        )
-        event_rng = np.random.default_rng([cohort_seed, member.seed, 0xE4E7])
-        # One extra filtered column: the shared spatial-mixing source.
-        self._zi = morphology.pink_filter_state(member.n_electrodes + 1)
-        self._events = _plan_events(
-            member, params, event_rng, self.n_samples
-        )
-        self._next = 0
-
-    def render(self, start: int, n: int) -> np.ndarray:
-        """Render float64 samples ``[start, start + n)`` (sequential)."""
-        if start != self._next:
-            raise ValueError(
-                f"chunks must be rendered sequentially: expected sample "
-                f"{self._next}, got {start}"
-            )
-        p = self.params
-        white = self._noise_rng.standard_normal(
-            (n, self.member.n_electrodes + 1)
-        )
-        pink, self._zi = morphology.pink_noise_stream(white, self._zi)
-        pink /= morphology.PINK_STEADY_STD
-        mix = p.spatial_mixing
-        data = np.sqrt(1.0 - mix**2) * pink[:, :-1] + mix * pink[:, -1:]
-        data *= p.background_std
-        hi = start + n
-        for event in self._events:
-            if event.start < hi and event.end > start:
-                event.apply(data, start)
-        self._next = hi
-        return data
-
-
-def _block_subset(
-    rng: np.random.Generator, n_electrodes: int, fraction: float
-) -> np.ndarray:
-    """A contiguous random block of electrodes (focal anatomy)."""
-    count = max(1, min(n_electrodes, int(round(fraction * n_electrodes))))
-    start = int(rng.integers(0, n_electrodes - count + 1))
-    return np.arange(start, start + count)
-
-
-def _event_times(
-    rng: np.random.Generator,
-    rate_per_hour: float,
-    duration_s: float,
-    keepout: list[tuple[float, float]],
-) -> list[float]:
-    """Poisson event times avoiding the seizure keep-out zones."""
-    expected = rate_per_hour * duration_s / 3600.0
-    count = int(rng.poisson(expected))
-    times = []
-    for _ in range(count):
-        t = float(rng.uniform(0.0, duration_s))
-        if any(lo <= t <= hi for lo, hi in keepout):
-            continue
-        times.append(t)
-    return sorted(times)
-
-
-def _rhythm(
-    rng: np.random.Generator,
-    fs: float,
-    start: int,
-    duration: int,
-    n_samples: int,
-    *,
-    freq_hz: float,
-    amplitude: float,
-    electrodes: np.ndarray,
-    asymmetry: float = 0.5,
-    chirp_to_hz: float | None = None,
-    ramp_s: float = 0.5,
-    suppression: float = 0.0,
-) -> _RhythmEvent | None:
-    n = min(start + duration, n_samples) - start
-    if n <= 1:
-        return None
-    return _RhythmEvent(
-        start=start,
-        n=n,
-        fs=fs,
-        freq_hz=freq_hz,
-        chirp_to_hz=chirp_to_hz,
-        amplitude=amplitude,
-        asymmetry=asymmetry,
-        ramp_samples=max(1, int(ramp_s * fs)),
-        suppression=suppression,
-        electrodes=electrodes,
-        per_electrode=rng.uniform(0.8, 1.2, size=electrodes.size),
-        phase_offsets=rng.uniform(0, 2 * np.pi, size=electrodes.size),
-    )
-
-
-def _plan_events(
-    member: MemberSpec,
-    p: SynthesisParams,
-    rng: np.random.Generator,
-    n_samples: int,
-) -> list:
-    """Draw every event of a member up front, in one fixed order.
-
-    Mirrors the batch generator's event families and parameter ranges
-    (:class:`repro.data.synthetic.SyntheticIEEGGenerator`), but as
-    placed events rather than in-place mutations of a full array.
-    """
-    events: list = []
-    duration_s = member.duration_s
-    fs = p.fs
-    onset_zone = _block_subset(rng, member.n_electrodes, p.ictal_focal_fraction)
-    margin = p.confounder_margin_s
-    keepout = [
-        (plan.onset_s - margin, plan.offset_s + margin)
-        for plan in member.seizures
-    ]
-
-    kernel = morphology.spike_kernel(fs)
-    for t in _event_times(rng, p.spike_rate_per_hour, duration_s, keepout):
-        at = int(t * fs)
-        if kernel is None or at + kernel.size >= n_samples:
-            continue
-        amplitude = p.background_std * rng.uniform(3.0, 6.0)
-        events.append(_SpikeEvent(
-            start=at,
-            wave=amplitude * kernel,
-            electrodes=_block_subset(rng, member.n_electrodes, 0.25),
-        ))
-
-    for t in _event_times(rng, p.burst_rate_per_hour, duration_s, keepout):
-        events.append(_rhythm(
-            rng, fs, int(t * fs), int(rng.uniform(1.0, 4.0) * fs), n_samples,
-            freq_hz=rng.uniform(8.0, 13.0),
-            amplitude=p.background_std * rng.uniform(1.2, 2.2),
-            electrodes=_block_subset(rng, member.n_electrodes, 0.25),
-        ))
-
-    for t in _event_times(rng, p.drift_rate_per_hour, duration_s, keepout):
-        events.append(_rhythm(
-            rng, fs, int(t * fs), int(rng.uniform(10.0, 40.0) * fs), n_samples,
-            freq_hz=rng.uniform(1.5, 3.5),
-            amplitude=p.background_std * p.drift_amplitude
-            * rng.uniform(0.8, 1.2),
-            electrodes=_block_subset(rng, member.n_electrodes, 0.6),
-            asymmetry=0.7,
-            ramp_s=2.0,
-            suppression=p.drift_suppression,
-        ))
-
-    for t in _event_times(rng, p.pld_rate_per_hour, duration_s, keepout):
-        take = max(1, int(0.6 * onset_zone.size))
-        lo = int(rng.integers(0, onset_zone.size - take + 1))
-        events.append(_rhythm(
-            rng, fs, int(t * fs), int(rng.uniform(8.0, 20.0) * fs), n_samples,
-            freq_hz=p.ictal_freq_hz * rng.uniform(0.5, 0.8),
-            amplitude=p.background_std * p.ictal_amplitude * p.pld_intensity
-            * rng.uniform(0.85, 1.15),
-            electrodes=onset_zone[lo:lo + take],
-            asymmetry=0.8,
-            ramp_s=1.5,
-            suppression=p.ictal_suppression * p.pld_intensity * 1.5,
-        ))
-
-    for idx, plan in enumerate(member.seizures):
-        onset = int(plan.onset_s * fs)
-        total = int(plan.duration_s * fs)
-        if plan.subtle:
-            end = min(onset + total, n_samples)
-            if end - onset <= 10:
-                continue
-            events.append(_SubtleEvent(
-                start=onset,
-                n=end - onset,
-                fs=fs,
-                scale=p.background_std * p.subtle_amplitude,
-                ramp=min((end - onset) // 4, int(2.0 * fs)),
-                electrodes=_block_subset(rng, member.n_electrodes, 0.2),
-                noise_seed=(member.seed, 0x5B71E, idx),
-            ))
-            continue
-        electrodes = onset_zone
-        if electrodes.size > 2 and rng.random() < 0.5:
-            electrodes = electrodes[:-1]
-        delays = np.sort(rng.uniform(0.0, p.ictal_ramp_s, size=electrodes.size))
-        freq = p.ictal_freq_hz * rng.uniform(0.95, 1.05)
-        for electrode, delay in zip(electrodes, delays):
-            events.append(_rhythm(
-                rng, fs, onset + int(delay * fs), total - int(delay * fs),
-                n_samples,
-                freq_hz=freq + 1.5,
-                chirp_to_hz=max(1.0, freq - 1.5),
-                amplitude=p.background_std * p.ictal_amplitude,
-                electrodes=np.array([electrode]),
-                asymmetry=0.85,
-                ramp_s=min(p.ictal_ramp_s, plan.duration_s / 3),
-                suppression=p.ictal_suppression,
-            ))
-
-    return [e for e in events if e is not None]
-
-
-# ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
-
-
-def _default_chunk(n_electrodes: int) -> int:
-    return max(1024, min(65536, _CHUNK_FLOAT_BUDGET // (n_electrodes + 1)))
 
 
 def generate_cohort(
@@ -520,11 +180,7 @@ def generate_cohort(
     root.mkdir(parents=True, exist_ok=True)
     members_meta = []
     for member in spec.members:
-        synth = _MemberSynthesizer(member, spec.params, spec.seed)
-        n_samples = synth.n_samples
-        step = chunk_samples or _default_chunk(member.n_electrodes)
-        if step < 1:
-            raise ValueError(f"chunk_samples must be >= 1, got {step}")
+        n_samples = int(round(member.duration_s * spec.params.fs))
         data_file = f"{member.member_id}.f32"
         mm = np.memmap(
             root / data_file,
@@ -532,9 +188,10 @@ def generate_cohort(
             mode="w+",
             shape=(n_samples, member.n_electrodes),
         )
-        for start in range(0, n_samples, step):
-            n = min(step, n_samples - start)
-            mm[start:start + n] = synth.render(start, n)
+        render_recording(
+            mm, spec.params, (spec.seed, member.seed), member.duration_s,
+            member.seizures, chunk_samples,
+        )
         mm.flush()
         del mm
         members_meta.append((member, n_samples, data_file))

@@ -45,7 +45,6 @@ from repro.hdc.backend import (
     unpack_bits,
 )
 from repro.hdc.bitsliced import (
-    BitslicedCounter,
     bitsliced_counts,
     planes_add,
     planes_from_counts,
@@ -102,7 +101,6 @@ __all__ = [
     "bound_table",
     "SpatialEncoder",
     "PackedSpatialEncoder",
-    "BitslicedCounter",
     "TemporalEncoder",
     "encode_recording",
     "PackedTemporalEncoder",

@@ -9,17 +9,16 @@ register per binary digit, so adding a d-bit mask costs
 thresholding (the majority test) is a bitwise magnitude comparator —
 no unpacking anywhere.
 
-Used by :class:`repro.hdc.spatial_packed.PackedSpatialEncoder`; the
-plain integer-counter encoder remains the default (numpy's gather/sum
-is faster for wide electrode counts), but this path is word-exact
-against it and mirrors the embedded implementation's data layout.
+Used by :class:`repro.hdc.spatial_packed.PackedSpatialEncoder`, which
+is word-exact against the plain integer-counter encoder and mirrors the
+embedded implementation's data layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hdc.backend import pack_bits, packed_words, unpack_bits
+from repro.hdc.backend import pack_bits, unpack_bits
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -134,10 +133,10 @@ def planes_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def planes_greater_than(planes: np.ndarray, threshold: int) -> np.ndarray:
     """Packed mask of positions whose bit-sliced count exceeds ``threshold``.
 
-    The bitwise magnitude comparator of
-    :meth:`BitslicedCounter.greater_than`, vectorised over any batch
-    shape: ``planes`` is ``(depth, ..., words)`` and the result is
-    ``(..., words)``.  Padding bits stay zero for ``threshold >= 0``.
+    A bitwise magnitude comparator from the most significant digit
+    down, vectorised over any batch shape: ``planes`` is
+    ``(depth, ..., words)`` and the result is ``(..., words)``.  Padding
+    bits stay zero for ``threshold >= 0``.
     """
     arr = np.asarray(planes, dtype=np.uint64)
     if arr.ndim < 2:
@@ -194,92 +193,3 @@ def planes_from_counts(counts: np.ndarray, dim: int) -> np.ndarray:
     return np.stack(
         [pack_bits(((arr >> j) & 1).astype(np.uint8)) for j in range(depth)]
     )
-
-
-class BitslicedCounter:
-    """Per-component counter over packed bit masks.
-
-    Args:
-        dim: Number of counted positions (hypervector components).
-        capacity: Maximum number of masks that will be added; sets the
-            register depth ``ceil(log2(capacity + 1))``.
-    """
-
-    def __init__(self, dim: int, capacity: int) -> None:
-        if dim < 1 or capacity < 1:
-            raise ValueError("dim and capacity must be >= 1")
-        self.dim = dim
-        self.capacity = capacity
-        self.depth = max(1, int(np.ceil(np.log2(capacity + 1))))
-        self._words = packed_words(dim)
-        self._registers = np.zeros((self.depth, self._words), dtype=np.uint64)
-        self._added = 0
-
-    @property
-    def n_added(self) -> int:
-        """Number of masks accumulated so far."""
-        return self._added
-
-    def add(self, mask: np.ndarray) -> "BitslicedCounter":
-        """Add one packed mask (uint64 array of ``packed_words(dim)``).
-
-        Ripple-carry over the bit-sliced registers: digit j absorbs the
-        carry with one XOR and regenerates it with one AND.
-        """
-        if self._added >= self.capacity:
-            raise ValueError(f"counter capacity {self.capacity} exhausted")
-        carry = np.asarray(mask, dtype=np.uint64)
-        if carry.shape != (self._words,):
-            raise ValueError(
-                f"expected packed mask of {self._words} words, "
-                f"got shape {carry.shape}"
-            )
-        carry = carry.copy()
-        for register in self._registers:
-            next_carry = register & carry
-            register ^= carry
-            carry = next_carry
-            if not carry.any():
-                break
-        self._added += 1
-        return self
-
-    def counts(self) -> np.ndarray:
-        """Per-position counts as plain integers (test/debug path)."""
-        total = np.zeros(self.dim, dtype=np.int64)
-        for j, register in enumerate(self._registers):
-            total += unpack_bits(register, self.dim).astype(np.int64) << j
-        return total
-
-    def greater_than(self, threshold: int) -> np.ndarray:
-        """Packed mask of positions where the count exceeds ``threshold``.
-
-        A bitwise magnitude comparator from the most significant digit
-        down: at each digit, positions still equal so far become
-        *greater* when the counter has a 1 where the threshold has a 0.
-        """
-        if threshold < 0:
-            return np.full(
-                self._words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64
-            )
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        greater = np.zeros(self._words, dtype=np.uint64)
-        equal = np.full(self._words, ones, dtype=np.uint64)
-        for j in range(self.depth - 1, -1, -1):
-            register = self._registers[j]
-            t_bit = (threshold >> j) & 1
-            if t_bit == 0:
-                greater |= equal & register
-                equal &= ~register
-            else:
-                equal &= register
-        # Thresholds at/above 2**depth can never be exceeded; positions
-        # with equality all the way down are not greater.
-        if threshold >> self.depth:
-            return np.zeros(self._words, dtype=np.uint64)
-        return greater
-
-    def reset(self) -> None:
-        """Clear the counter for reuse."""
-        self._registers[...] = 0
-        self._added = 0

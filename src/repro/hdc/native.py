@@ -265,8 +265,7 @@ def _count_kernel(masks, planes):
     ``masks`` is ``(k, cols)``; ``planes`` is ``(depth, cols)`` and
     must arrive zeroed.  Each column ripples its own carry chain
     (digit j absorbs the carry with one XOR, regenerates it with one
-    AND — :meth:`repro.hdc.bitsliced.BitslicedCounter.add` per
-    column), so columns are independent and the planes are bit-exact
+    AND), so columns are independent and the planes are bit-exact
     against :func:`repro.hdc.bitsliced.bitsliced_counts`.
     """
     k = masks.shape[0]

@@ -2,8 +2,8 @@
 
 Functionally identical to :class:`repro.hdc.spatial.SpatialEncoder` but
 operating entirely on packed uint64 words: per sample it XORs the packed
-electrode and code vectors (binding) and accumulates the bound masks in
-a :class:`~repro.hdc.bitsliced.BitslicedCounter`, whose magnitude
+electrode and code vectors (binding) and counts the bound masks in
+bit-sliced digit planes (:mod:`repro.hdc.bitsliced`), whose magnitude
 comparator implements the majority — exactly the XOR / transpose /
 popcount structure of the paper's GPU encoding kernel restated for
 64-bit CPU words.
@@ -22,11 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hdc.backend import pack_bits, packed_words
-from repro.hdc.bitsliced import (
-    BitslicedCounter,
-    bitsliced_counts,
-    planes_greater_than,
-)
+from repro.hdc.bitsliced import bitsliced_counts, planes_greater_than
 from repro.hdc.item_memory import ItemMemory
 
 #: Word budget per batch chunk (~64 MiB of gathered masks); keeps the
@@ -63,27 +59,12 @@ class PackedSpatialEncoder:
             packed_electrodes[:, None, :] ^ packed_codes[None, :, :]
         )
 
-    def encode_sample_packed(self, codes: np.ndarray) -> np.ndarray:
-        """Spatial record of one sample, packed, shape ``(words,)``."""
-        arr = np.asarray(codes)
-        if arr.shape != (self.n_electrodes,):
-            raise ValueError(
-                f"expected ({self.n_electrodes},) codes, got {arr.shape}"
-            )
-        if arr.min() < 0 or arr.max() >= self.n_codes:
-            raise ValueError(f"code out of range [0, {self.n_codes})")
-        counter = BitslicedCounter(self.dim, self.n_electrodes)
-        for j in range(self.n_electrodes):
-            counter.add(self._table[j, arr[j]])
-        return counter.greater_than(self.n_electrodes // 2)
-
     def encode_packed(self, codes: np.ndarray) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``.
 
         Vectorised over samples: gathers every bound mask of the chunk
         from the packed table and reduces the electrode axis with the
-        carry-save compressor tree, so the per-sample Python loop of the
-        reference path never runs on the hot path.
+        carry-save compressor tree — no per-sample Python loop.
         """
         arr = np.asarray(codes)
         if arr.ndim == 1:

@@ -541,7 +541,7 @@ FIXTURES: dict[str, tuple[Fixture, ...]] = {
             "    return np.array([electrode])\n",
             False,
         ),
-        # Out of scope: the in-memory batch modules may materialise.
+        # The chunk renderer fills the cohort memmaps: in scope.
         Fixture(
             "src/repro/data/synthetic.py",
             "import numpy as np\n"
@@ -549,7 +549,7 @@ FIXTURES: dict[str, tuple[Fixture, ...]] = {
             "\n"
             "def f(recording):\n"
             "    return np.asarray(recording.data)\n",
-            False,
+            True,
         ),
         # The chunked inference loop is on the memmap path too.
         Fixture(
@@ -557,6 +557,16 @@ FIXTURES: dict[str, tuple[Fixture, ...]] = {
             "def f(recording):\n"
             "    return recording.data.tolist()\n",
             True,
+        ),
+        # Out of scope: the in-memory cohort builder may materialise.
+        Fixture(
+            "src/repro/data/cohort.py",
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def f(recording):\n"
+            "    return np.asarray(recording.data)\n",
+            False,
         ),
     ),
 }

@@ -1,5 +1,6 @@
 """Disk-backed cohort tests: manifest hygiene, determinism, invariance."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,13 @@ from repro.data.outofcore import (
     load_cohort,
     open_member,
 )
-from repro.data.synthetic import SeizurePlan, SynthesisParams
+from repro.data.synthetic import (
+    SeizurePlan,
+    SynthesisParams,
+    _ChunkRenderer,
+    _plan_events,
+    _SubtleEvent,
+)
 
 _PARAMS = SynthesisParams(fs=128.0)
 
@@ -88,6 +95,26 @@ class TestGeneration:
         assert a == b
         generate_cohort(_spec(seed=8), tmp_path / "c", chunk_samples=512)
         assert (tmp_path / "c" / "m0.f32").read_bytes() != a
+
+    def test_member_bytes_are_pinned(self, tmp_path):
+        """The stored bytes of a member never drift silently.
+
+        The member carries clinical seizures and every confounder family
+        (spikes, bursts, drifts, PLDs) but no subtle seizure.  The digest
+        was captured before the chunk renderer moved into
+        :mod:`repro.data.synthetic`; a change here changes every cohort
+        already on disk.
+        """
+        member = MemberSpec(
+            "pin", 4, 240.0,
+            (SeizurePlan(80.0, 20.0), SeizurePlan(170.0, 20.0)), seed=6,
+        )
+        spec = CohortSpec("pin", (member,), params=_PARAMS, seed=5)
+        generate_cohort(spec, tmp_path)
+        digest = hashlib.sha256((tmp_path / "pin.f32").read_bytes())
+        assert digest.hexdigest() == (
+            "4e2101385d9eaa1e6dc9e81d91af93eeb7f880cbce722d82e240b83121dd5759"
+        )
 
     def test_seizures_are_visible_in_the_signal(self, tmp_path):
         cohort = generate_cohort(_spec(), tmp_path, chunk_samples=4096)
@@ -179,10 +206,26 @@ class TestLoading:
 
 class TestSequentialContract:
     def test_out_of_order_render_rejected(self):
-        from repro.data.outofcore import _MemberSynthesizer
-
-        member = MemberSpec("m", 2, 10.0)
-        synth = _MemberSynthesizer(member, _PARAMS, cohort_seed=0)
+        synth = _ChunkRenderer(2, _PARAMS, (0, 0))
         synth.render(0, 100)
         with pytest.raises(ValueError, match="sequentially"):
             synth.render(50, 100)
+
+
+class TestSubtleSeizureNoise:
+    def test_cohort_seed_reaches_the_subtle_noise(self):
+        """Cohorts differing only in seed draw different subtle noise."""
+        plans = (SeizurePlan(20.0, 10.0, subtle=True),)
+        n_samples = int(60.0 * _PARAMS.fs)
+        waves = []
+        for cohort_seed in (0, 1):
+            events = _plan_events(
+                (cohort_seed, 3), 5, 60.0, n_samples, plans, _PARAMS
+            )
+            (event,) = [e for e in events if isinstance(e, _SubtleEvent)]
+            chunk = np.zeros((event.n, 5))
+            event.apply(chunk, event.start)
+            waves.append(chunk[:, event.electrodes])
+        assert waves[0].shape == waves[1].shape
+        assert np.abs(waves[0]).max() > 0
+        assert not np.array_equal(waves[0], waves[1])

@@ -55,22 +55,29 @@ class TestDeterminism:
 
 
 class TestBackground:
+    @staticmethod
+    def _background(n_electrodes, seed, duration_s):
+        """A recording with every confounder rate at zero."""
+        quiet = SynthesisParams(
+            fs=FS, spike_rate_per_hour=0.0, burst_rate_per_hour=0.0,
+            drift_rate_per_hour=0.0, pld_rate_per_hour=0.0,
+        )
+        gen = SyntheticIEEGGenerator(n_electrodes, quiet, seed=seed)
+        return gen.generate(duration_s).data.astype(np.float64)
+
     def test_shape_and_scale(self, params):
-        gen = SyntheticIEEGGenerator(6, params, seed=1)
-        bg = gen.background(int(60 * FS))
+        bg = self._background(6, 1, 60.0)
         assert bg.shape == (int(60 * FS), 6)
         assert bg.std() == pytest.approx(params.background_std, rel=0.2)
 
-    def test_spatial_correlation_present(self, params):
-        gen = SyntheticIEEGGenerator(4, params, seed=2)
-        bg = gen.background(int(60 * FS))
+    def test_spatial_correlation_present(self):
+        bg = self._background(4, 2, 60.0)
         corr = np.corrcoef(bg.T)
         off_diag = corr[~np.eye(4, dtype=bool)]
         assert off_diag.mean() > 0.02
 
-    def test_spectrum_is_pink_like(self, params):
-        gen = SyntheticIEEGGenerator(1, params, seed=3)
-        bg = gen.background(int(120 * FS))[:, 0]
+    def test_spectrum_is_pink_like(self):
+        bg = self._background(1, 3, 120.0)[:, 0]
         spectrum = np.abs(np.fft.rfft(bg)) ** 2
         freqs = np.fft.rfftfreq(bg.size, 1 / FS)
         low = spectrum[(freqs > 0.5) & (freqs < 4)].mean()
@@ -211,9 +218,7 @@ class TestClockedEEGSource:
         assert np.abs(data).max() < 6.0
 
     def test_high_rate_injects_recorded_focal_onsets(self):
-        source = ClockedEEGSource(
-            4, FS, seed=7, seizure_rate_per_min=6.0, focal_fraction=0.5
-        )
+        source = ClockedEEGSource(4, FS, seed=7, seizure_rate_per_min=6.0)
         data = self._stream(source, int(90 * FS), 128)
         onsets = source.injected_onsets_s
         assert len(onsets) >= 2
@@ -233,8 +238,6 @@ class TestClockedEEGSource:
         dict(n_electrodes=0),
         dict(fs=0.0),
         dict(seizure_rate_per_min=-1.0),
-        dict(focal_fraction=0.0),
-        dict(focal_fraction=1.5),
     ])
     def test_rejects_invalid_parameters(self, bad):
         kwargs = dict(n_electrodes=4, fs=FS)

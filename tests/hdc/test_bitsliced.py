@@ -1,4 +1,4 @@
-"""Tests for the bit-sliced counter and the packed spatial encoder."""
+"""Tests for the packed spatial encoder and its per-sample oracle."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hdc.backend import pack_bits, random_bits, unpack_bits
-from repro.hdc.bitsliced import BitslicedCounter
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
+from tests.hdc.oracle import BitslicedCounter, encode_sample_packed
 
 
 class TestBitslicedCounter:
@@ -91,9 +91,12 @@ class TestPackedSpatialEncoder:
     def test_single_sample(self, encoders, rng):
         default, packed = encoders
         codes = rng.integers(0, 64, size=7)
+        expected = default.encode_sample(codes)
         np.testing.assert_array_equal(
-            unpack_bits(packed.encode_sample_packed(codes), 300),
-            default.encode_sample(codes),
+            unpack_bits(encode_sample_packed(packed, codes), 300), expected
+        )
+        np.testing.assert_array_equal(
+            unpack_bits(packed.encode_packed(codes)[0], 300), expected
         )
 
     def test_even_electrode_tie_convention(self, rng):
@@ -110,7 +113,11 @@ class TestPackedSpatialEncoder:
     def test_rejects_bad_codes(self, encoders):
         _, packed = encoders
         with pytest.raises(ValueError):
-            packed.encode_sample_packed(np.full(7, 64))
+            packed.encode_packed(np.full(7, 64))
+        with pytest.raises(ValueError):
+            packed.encode_packed(np.full((3, 7), -1))
+        with pytest.raises(ValueError):
+            encode_sample_packed(packed, np.full(7, 64))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):

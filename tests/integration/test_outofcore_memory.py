@@ -6,8 +6,8 @@ generation must stay bounded by its chunk budget.  The slow-marked test
 is the acceptance criterion of the out-of-core pipeline: a 1024-channel
 30-minute recording generated to disk and evaluated end to end (train,
 streamed predict, alarms) under a 200 MB evaluation-memory ceiling the
-in-memory path cannot meet (its float64 generation buffer alone is
-~1.9 GB).
+in-memory path cannot meet (the float32 recording the batch generator
+fills is ~0.94 GB on its own).
 
 ``tracemalloc`` counts every traced allocation (numpy registers its
 buffers) but *not* memmap pages — which is the point: mapped file pages
@@ -139,8 +139,8 @@ class TestHighChannelAcceptance:
         assert gen_peak < BUDGET_MB, f"generation peak {gen_peak:.0f} MB"
 
         # The in-memory path cannot meet the ceiling at this scale: the
-        # batch generator's float64 working array alone is ~1.9 GB.
-        in_memory_floor_mb = int(duration_s * fs) * 1024 * 8 / 1e6
+        # float32 array the batch generator fills is ~0.94 GB alone.
+        in_memory_floor_mb = int(duration_s * fs) * 1024 * 4 / 1e6
         assert in_memory_floor_mb > 4 * BUDGET_MB
 
         from repro.data.outofcore import load_cohort
