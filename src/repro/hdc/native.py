@@ -50,7 +50,7 @@ from repro.hdc.engine import (
     register_engine,
 )
 from repro.hdc.item_memory import ItemMemory
-from repro.hdc.spatial_packed import _CHUNK_WORDS, PackedSpatialEncoder
+from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal_packed import PackedTemporalEncoder
 from repro.signal.windows import WindowSpec
 
@@ -423,34 +423,13 @@ def native_bundle_exceeds(masks: np.ndarray, threshold: int) -> np.ndarray:
 class NativeSpatialEncoder(PackedSpatialEncoder):
     """Packed spatial encoder whose majority runs in the native kernel."""
 
-    def encode_packed(self, codes: np.ndarray) -> np.ndarray:
-        arr = np.asarray(codes)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.n_electrodes:
-            raise ValueError(
-                f"expected (n_samples, {self.n_electrodes}), got {arr.shape}"
-            )
-        n_samples = arr.shape[0]
-        out = np.empty((n_samples, self.words), dtype=np.uint64)
-        if n_samples == 0:
-            return out
-        if arr.min() < 0 or arr.max() >= self.n_codes:
-            raise ValueError(f"code out of range [0, {self.n_codes})")
-        chunk = max(1, _CHUNK_WORDS // (self.n_electrodes * self.words))
-        electrode_index = np.arange(self.n_electrodes)
-        for start in range(0, n_samples, chunk):
-            stop = min(start + chunk, n_samples)
-            masks = self._table[electrode_index, arr[start:stop]]
-            # Electrode-major (n_electrodes, samples * words): the kernel
-            # reduces axis 0 per word column, fusing count and majority.
-            flat = np.ascontiguousarray(masks.swapaxes(0, 1)).reshape(
-                self.n_electrodes, -1
-            )
-            out[start:stop] = native_bundle_exceeds(
-                flat, self.n_electrodes // 2
-            ).reshape(stop - start, self.words)
-        return out
+    def _majority(self, masks: np.ndarray) -> np.ndarray:
+        # The electrode-major tile is contiguous, so (n_electrodes,
+        # n * words) is a view and the kernel reduces axis 0 per word
+        # column without a copy, fusing count and majority.
+        return native_bundle_exceeds(
+            masks.reshape(self.n_electrodes, -1), self.n_electrodes // 2
+        ).reshape(masks.shape[1:])
 
 
 class NativeTemporalEncoder(PackedTemporalEncoder):

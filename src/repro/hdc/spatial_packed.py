@@ -8,13 +8,16 @@ comparator implements the majority — exactly the XOR / transpose /
 popcount structure of the paper's GPU encoding kernel restated for
 64-bit CPU words.
 
-Batch encoding reduces all samples of a chunk at once: per electrode one
-gather from the packed bound table, then a vectorised carry-save
-compressor tree (:func:`repro.hdc.bitsliced.bitsliced_counts`) and a
-bitwise magnitude comparator produce every spatial record in a handful
-of full-width word operations — the packed backend of
-:class:`repro.core.detector.LaelapsDetector` runs entirely through this
-path and is verified word-exact against the unpacked encoder.
+Batch encoding reduces all samples of a tile at once: one
+electrode-major gather from the flat packed bound table, then a
+vectorised carry-save compressor tree
+(:func:`repro.hdc.bitsliced.bitsliced_counts`) and a bitwise magnitude
+comparator produce every spatial record of the tile in a handful of
+full-width word operations.  Tiles are sized to stay in L2 cache, so the
+tree re-reads its gathered masks from cache rather than memory.  The
+packed backend of :class:`repro.core.detector.LaelapsDetector` runs
+entirely through this path and is verified word-exact against the
+unpacked encoder.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.bitsliced import bitsliced_counts, planes_greater_than
 from repro.hdc.item_memory import ItemMemory
 
-#: Word budget per batch chunk (~64 MiB of gathered masks); keeps the
-#: (n_electrodes, chunk, words) intermediate cache-friendly.
-_CHUNK_WORDS = 8_000_000
+#: Word budget per sample tile (about 2 MiB of gathered masks, one
+#: core's L2 cache): the (n_electrodes, tile, words) masks and the
+#: carry-save tree's planes stay cached while the tile is reduced.
+_TILE_WORDS = 250_000
 
 
 class PackedSpatialEncoder:
@@ -62,9 +66,10 @@ class PackedSpatialEncoder:
     def encode_packed(self, codes: np.ndarray) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``.
 
-        Vectorised over samples: gathers every bound mask of the chunk
-        from the packed table and reduces the electrode axis with the
-        carry-save compressor tree — no per-sample Python loop.
+        Vectorised over the samples of each L2-sized tile: gathers the
+        tile's bound masks electrode-major, ``(n_electrodes, tile,
+        words)`` and contiguous, and reduces the electrode axis with
+        :meth:`_majority` — no per-sample Python loop.
         """
         arr = np.asarray(codes)
         if arr.ndim == 1:
@@ -79,18 +84,23 @@ class PackedSpatialEncoder:
             return out
         if arr.min() < 0 or arr.max() >= self.n_codes:
             raise ValueError(f"code out of range [0, {self.n_codes})")
-        chunk = max(1, _CHUNK_WORDS // (self.n_electrodes * self.words))
-        electrode_index = np.arange(self.n_electrodes)
-        for start in range(0, n_samples, chunk):
-            stop = min(start + chunk, n_samples)
-            # (stop - start, n_electrodes, words) gather, electrode-major
-            # for the reduction along axis 0.
-            masks = self._table[electrode_index, arr[start:stop]]
-            planes = bitsliced_counts(np.ascontiguousarray(masks.swapaxes(0, 1)))
-            out[start:stop] = planes_greater_than(
-                planes, self.n_electrodes // 2
-            )
+        # Electrode e's mask for code c is row e * n_codes + c of the
+        # flat table view.
+        flat = self._table.reshape(-1, self.words)
+        first_row = np.arange(self.n_electrodes)[:, None] * self.n_codes
+        tile = max(1, _TILE_WORDS // (self.n_electrodes * self.words))
+        for start in range(0, n_samples, tile):
+            stop = min(start + tile, n_samples)
+            rows = np.add(first_row, arr[start:stop].T, dtype=np.intp)
+            out[start:stop] = self._majority(np.take(flat, rows, axis=0))
         return out
+
+    def _majority(self, masks: np.ndarray) -> np.ndarray:
+        """Per-position majority of ``(n_electrodes, n, words)`` masks,
+        ``(n, words)``: the per-tile reduction an engine may replace."""
+        return planes_greater_than(
+            bitsliced_counts(masks), self.n_electrodes // 2
+        )
 
     def encode(self, codes: np.ndarray) -> np.ndarray:
         """Unpacked uint8 records, drop-in compatible with the default

@@ -7,10 +7,13 @@ in particular across *odd* dimensions where the top word carries
 padding bits.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hdc import spatial_packed
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
@@ -29,6 +32,7 @@ from repro.hdc.bitsliced import (
     planes_to_counts,
 )
 from repro.hdc.item_memory import ItemMemory
+from repro.hdc.native import NativeSpatialEncoder
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal import TemporalEncoder
@@ -129,6 +133,37 @@ class TestEncoderEquivalence:
             unpack_bits(packed.encode_packed(codes), dim),
             unpacked.encode(codes),
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 7, 32]),
+        st.sampled_from([1, 63, 64, 65, 200]),
+        st.sampled_from([0, 1, 2, 3]),
+        st.integers(1, 4),
+        st.integers(-1, 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_spatial_across_tile_edges(
+        self, n_electrodes, dim, tile, n_tiles, offset, seed
+    ):
+        # A budget of ``tile`` samples' masks, or (tile 0) one word less
+        # than one sample's, which must still advance one sample a tile;
+        # the batch ends one sample before, on or after a tile edge.
+        sample_words = n_electrodes * packed_words(dim)
+        budget = tile * sample_words if tile else sample_words - 1
+        n_samples = max(1, max(tile, 1) * n_tiles + offset)
+        code_memory = ItemMemory(16, dim, seed=3)
+        electrode_memory = ItemMemory(n_electrodes, dim, seed=4)
+        codes = np.random.default_rng(seed).integers(
+            0, 16, (n_samples, n_electrodes)
+        )
+        expected = SpatialEncoder(code_memory, electrode_memory).encode(codes)
+        with mock.patch.object(spatial_packed, "_TILE_WORDS", budget):
+            for encoder_cls in (PackedSpatialEncoder, NativeSpatialEncoder):
+                encoder = encoder_cls(code_memory, electrode_memory)
+                np.testing.assert_array_equal(
+                    unpack_bits(encoder.encode_packed(codes), dim), expected
+                )
 
     @settings(max_examples=15, deadline=None)
     @given(ODD_DIMS, st.integers(0, 2**32 - 1))
