@@ -181,7 +181,9 @@ class LaelapsDetector:
 
         Accepts windows in any engine's window form (unpacked uint8
         ``(k, d)`` or word-packed uint64 ``(k, words)``), matching
-        whatever :meth:`encode` produced.
+        whatever :meth:`encode` produced.  The interictal prototype is
+        stored first, so a query equidistant from both prototypes is
+        labelled interictal.
         """
         ictal_arr = self.engine.windows_2d(ictal_h)
         inter_arr = self.engine.windows_2d(interictal_h)
@@ -190,7 +192,7 @@ class LaelapsDetector:
         self.engine.train(self.memory, INTERICTAL, inter_arr)
         self.engine.train(self.memory, ICTAL, ictal_arr)
         _, distances = self.engine.classify_windows(self.memory, ictal_arr)
-        report = FitReport(
+        self.fit_report = FitReport(
             n_ictal_windows=ictal_arr.shape[0],
             n_interictal_windows=inter_arr.shape[0],
             prototype_distance=int(
@@ -203,7 +205,6 @@ class LaelapsDetector:
                 np.mean(delta_scores(distances))
             ),
         )
-        self.fit_report = report
         return self
 
     def fit(
@@ -212,9 +213,10 @@ class LaelapsDetector:
         """Train from a recording and explicit training segments.
 
         Each segment is sliced out of the signal (with the LBP margin so
-        its trailing codes exist) and encoded independently; every H
-        window of an ictal segment feeds the ictal prototype, and likewise
-        for the interictal segment.
+        its trailing codes exist) and encoded once, independently; every
+        H window of an ictal segment feeds the ictal prototype, and
+        likewise for the interictal segment, through
+        :meth:`fit_from_windows`.
 
         Args:
             signal: Recording ``(n_samples, n_electrodes)``.
@@ -222,50 +224,25 @@ class LaelapsDetector:
                 interictal segment.
         """
         arr = self._validate_signal(signal)
-        margin = self.symbolizer.margin
-        engine = self.engine
-        ictal_acc = engine.accumulator()
+
+        def encode_segment(segment: tuple[float, float]) -> np.ndarray:
+            sl = segment_slice(
+                segment, self.config.fs, arr.shape[0], self.symbolizer.margin
+            )
+            return self.encode(arr[sl])
+
+        ictal_h = []
         for segment in segments.ictal:
-            sl = segment_slice(segment, self.config.fs, arr.shape[0], margin)
-            h = self.encode(arr[sl])
+            h = encode_segment(segment)
             if h.shape[0] == 0:
                 raise ValueError(
                     f"ictal segment {segment} too short for one analysis window"
                 )
-            ictal_acc.add(h)
-        inter_sl = segment_slice(
-            segments.interictal, self.config.fs, arr.shape[0], margin
-        )
-        inter_h = self.encode(arr[inter_sl])
+            ictal_h.append(h)
+        inter_h = encode_segment(segments.interictal)
         if inter_h.shape[0] == 0:
             raise ValueError("interictal segment too short for one window")
-        engine.store(
-            self.memory,
-            INTERICTAL,
-            engine.accumulator().add(inter_h).finalize(),
-        )
-        engine.store(self.memory, ICTAL, ictal_acc.finalize())
-        # Re-derive the fit report against the final prototypes.
-        ictal_h = [
-            self.encode(arr[segment_slice(s, self.config.fs, arr.shape[0], margin)])
-            for s in segments.ictal
-        ]
-        all_ictal = np.concatenate(ictal_h, axis=0)
-        _, distances = self.engine.classify_windows(self.memory, all_ictal)
-        self.fit_report = FitReport(
-            n_ictal_windows=int(all_ictal.shape[0]),
-            n_interictal_windows=int(inter_h.shape[0]),
-            prototype_distance=int(
-                hamming_distance(
-                    self.memory.prototype(INTERICTAL),
-                    self.memory.prototype(ICTAL),
-                )
-            ),
-            mean_trained_ictal_delta=float(
-                np.mean(delta_scores(distances))
-            ),
-        )
-        return self
+        return self.fit_from_windows(np.concatenate(ictal_h), inter_h)
 
     # ------------------------------------------------------------------
     # Inference
@@ -305,7 +282,7 @@ class LaelapsDetector:
         """
         if not self.is_fitted:
             raise RuntimeError("detector must be fitted before predicting")
-        h_arr = np.atleast_2d(np.asarray(h))
+        h_arr = self.engine.windows_2d(h)
         if h_arr.shape[0] == 0:
             return (
                 np.zeros(0, dtype=np.int64),

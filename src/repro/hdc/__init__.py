@@ -22,17 +22,17 @@ and ``repro.hdc.spatial_packed``/``repro.hdc.temporal_packed`` mirror the
 encoders bit-exactly in the word domain.
 
 ``repro.hdc.engine`` is the single dispatch point between the forms: a
-named registry of :class:`~repro.hdc.engine.ComputeEngine` objects
-(``unpacked``, ``packed``, the numba-backed ``packed-native`` and the
-``auto`` selector) that every layer above — detector, streaming,
-sessions, persistence, serving, CLI — routes through instead of
-branching on a backend string or probing array widths.
+named registry of engines (``unpacked``, ``packed``, the numba-backed
+``packed-native`` and the ``auto`` selector) that every layer above —
+detector, streaming, sessions, persistence, serving, CLI — routes
+through instead of branching on a backend string or probing array
+widths.  Engines differ only in their kernels; the associative memory
+they all feed holds packed prototypes and answers packed queries.
 """
 
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
-    PrototypeAccumulator,
 )
 from repro.hdc.backend import (
     hamming_distance,
@@ -53,7 +53,6 @@ from repro.hdc.bitsliced import (
 )
 from repro.hdc.engine import (
     AUTO_ENGINE,
-    ComputeEngine,
     PackedEngine,
     UnpackedEngine,
     backend_choices,
@@ -105,10 +104,8 @@ __all__ = [
     "encode_recording",
     "PackedTemporalEncoder",
     "AssociativeMemory",
-    "PrototypeAccumulator",
     "PackedPrototypeAccumulator",
     "AUTO_ENGINE",
-    "ComputeEngine",
     "UnpackedEngine",
     "PackedEngine",
     "backend_choices",

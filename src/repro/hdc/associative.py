@@ -6,6 +6,10 @@ interictal segment, the ictal prototype ``P2`` from 10-30 s of seizure.
 Classification compares a query H to every prototype by Hamming distance
 and returns the argmin label; the distances themselves feed the
 postprocessor's confidence score delta = |eta(H, P1) - eta(H, P2)|.
+
+The memory holds its prototypes once, packed, and answers every query
+with the packed sweep; each engine (:mod:`repro.hdc.engine`) packs its
+queries and finalizes prototypes with its own accumulator.
 """
 
 from __future__ import annotations
@@ -24,44 +28,17 @@ from repro.hdc.bitsliced import (
     planes_add,
     planes_greater_than,
 )
-from repro.hdc.ops import BundleAccumulator
-
-
-class PrototypeAccumulator:
-    """Streaming trainer for one class prototype.
-
-    Thin wrapper over :class:`BundleAccumulator` that records how many
-    H vectors contributed — useful for reporting and for the invariant
-    tests (a prototype trained from one vector equals that vector).
-    """
-
-    def __init__(self, dim: int) -> None:
-        self._bundle = BundleAccumulator(dim)
-
-    @property
-    def n_vectors(self) -> int:
-        """Number of H vectors accumulated."""
-        return self._bundle.count
-
-    def add(self, h_vectors: np.ndarray) -> "PrototypeAccumulator":
-        """Accumulate one ``(d,)`` vector or a ``(k, d)`` batch."""
-        self._bundle.add(np.asarray(h_vectors, dtype=np.uint8))
-        return self
-
-    def finalize(self) -> np.ndarray:
-        """Produce the majority-thresholded prototype, uint8 ``(d,)``."""
-        return self._bundle.finalize()
 
 
 class PackedPrototypeAccumulator:
     """Streaming trainer for one class prototype, packed end to end.
 
-    The packed twin of :class:`PrototypeAccumulator`: H vectors arrive
-    as uint64 words, per-batch counts come from the carry-save
-    compressor tree, batches combine through the packed ripple adder,
-    and the final majority is the bitwise magnitude comparator — the
-    prototype never exists in unpacked form and is bit-exact against
-    the integer-counter path.
+    The packed twin of :class:`repro.hdc.ops.BundleAccumulator`: H
+    vectors arrive as uint64 words, per-batch counts come from the
+    carry-save compressor tree, batches combine through the packed
+    ripple adder, and the final majority is the bitwise magnitude
+    comparator — the prototype never exists in unpacked form and is
+    bit-exact against the integer-counter path.
     """
 
     def __init__(self, dim: int) -> None:
@@ -73,7 +50,7 @@ class PackedPrototypeAccumulator:
         self._n = 0
 
     @property
-    def n_vectors(self) -> int:
+    def count(self) -> int:
         """Number of H vectors accumulated."""
         return self._n
 
@@ -105,10 +82,11 @@ class PackedPrototypeAccumulator:
 
 
 class AssociativeMemory:
-    """Nearest-prototype classifier over binary hypervectors.
+    """Nearest-prototype classifier over packed binary hypervectors.
 
-    Prototypes are stored both unpacked (for inspection) and packed (for
-    XOR + popcount queries, mirroring the GPU classification kernel).
+    Prototypes are stored once, as uint64 words, and queried by one
+    XOR + popcount sweep (the GPU classification kernel of Sec. V-B);
+    :meth:`prototype` unpacks a copy for inspection and persistence.
 
     Args:
         dim: Hypervector dimension d.
@@ -120,7 +98,6 @@ class AssociativeMemory:
         self.dim = dim
         self._labels: list[int] = []
         self._label_table = np.zeros(0, dtype=np.int64)
-        self._prototypes: list[np.ndarray] = []
         self._packed: np.ndarray | None = None
 
     @property
@@ -138,24 +115,16 @@ class AssociativeMemory:
         """Packed word count per prototype/query."""
         return packed_words(self.dim)
 
-    def _index(self, label: int) -> int:
+    def prototype(self, label: int) -> np.ndarray:
+        """The stored prototype for ``label`` (unpacked uint8 copy)."""
         try:
-            return self._labels.index(label)
+            row = self._labels.index(label)
         except ValueError:
             raise KeyError(f"no prototype stored for label {label}") from None
-
-    def prototype(self, label: int) -> np.ndarray:
-        """The stored prototype for ``label`` (uint8 copy)."""
-        return self._prototypes[self._index(label)].copy()
-
-    def prototype_packed(self, label: int) -> np.ndarray:
-        """The stored prototype for ``label``, packed uint64 copy."""
-        if self._packed is None:
-            raise KeyError(f"no prototype stored for label {label}")
-        return self._packed[self._index(label)].copy()
+        return unpack_bits(self._packed[row], self.dim)
 
     def store(self, label: int, prototype: np.ndarray) -> None:
-        """Insert or replace the prototype of class ``label``."""
+        """Insert or replace the prototype of class ``label`` from bits."""
         arr = np.asarray(prototype, dtype=np.uint8)
         if arr.shape != (self.dim,):
             raise ValueError(
@@ -163,20 +132,10 @@ class AssociativeMemory:
             )
         if np.any(arr > 1):
             raise ValueError("prototype components must be 0/1")
-        if label in self._labels:
-            self._prototypes[self._labels.index(label)] = arr.copy()
-        else:
-            self._labels.append(label)
-            self._prototypes.append(arr.copy())
-        self._label_table = np.asarray(self._labels, dtype=np.int64)
-        self._packed = pack_bits(np.stack(self._prototypes))
+        self._insert(label, pack_bits(arr))
 
     def store_packed(self, label: int, prototype: np.ndarray) -> None:
-        """Insert or replace the prototype of ``label`` from packed words.
-
-        The unpacked inspection copy is derived from the words, so the
-        packed form remains the source of truth for queries.
-        """
+        """Insert or replace the prototype of ``label`` from packed words."""
         arr = np.asarray(prototype, dtype=np.uint64)
         if arr.shape != (self.words,):
             raise ValueError(
@@ -186,58 +145,34 @@ class AssociativeMemory:
         tail = self.dim - (self.words - 1) * WORD_BITS
         if tail < WORD_BITS and int(arr[-1] >> np.uint64(tail)):
             raise ValueError("padding bits beyond dim must be zero")
-        self.store(label, unpack_bits(arr, self.dim))
+        self._insert(label, arr)
 
-    def train(self, label: int, h_vectors: np.ndarray) -> None:
-        """Bundle a batch of H vectors into the prototype of ``label``."""
-        acc = PrototypeAccumulator(self.dim)
-        acc.add(np.asarray(h_vectors, dtype=np.uint8))
-        self.store(label, acc.finalize())
-
-    def train_packed(self, label: int, h_vectors: np.ndarray) -> None:
-        """Bundle packed H vectors into the prototype of ``label``."""
-        acc = PackedPrototypeAccumulator(self.dim)
-        acc.add(np.asarray(h_vectors, dtype=np.uint64))
-        self.store_packed(label, acc.finalize())
-
-    def distances(self, h_vectors: np.ndarray) -> np.ndarray:
-        """Hamming distances from queries to every prototype.
-
-        Args:
-            h_vectors: One ``(d,)`` query or a batch ``(n, d)``.
-
-        Returns:
-            int64 array ``(n, n_classes)`` (``(n_classes,)`` for a single
-            query), columns ordered like :attr:`labels`.
-        """
-        if self._packed is None:
-            raise RuntimeError("associative memory has no prototypes")
-        arr = np.asarray(h_vectors, dtype=np.uint8)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.dim:
-            raise ValueError(f"queries must have dimension {self.dim}")
-        packed_queries = pack_bits(arr)
-        dists = hamming_distance_packed(
-            packed_queries[:, None, :], self._packed[None, :, :]
-        )
-        return dists[0] if single else dists
+    def _insert(self, label: int, words: np.ndarray) -> None:
+        # Build a new block rather than writing into the old one:
+        # packed_block() hands out views that must stay unchanged.
+        rows = [] if self._packed is None else list(self._packed)
+        if label in self._labels:
+            rows[self._labels.index(label)] = words
+        else:
+            self._labels.append(label)
+            rows.append(words)
+        self._label_table = np.asarray(self._labels, dtype=np.int64)
+        self._packed = np.stack(rows)
 
     def distances_packed(self, h_vectors: np.ndarray) -> np.ndarray:
         """Hamming distances from packed queries to every prototype.
 
-        The batched query kernel of the packed backend: one XOR +
-        popcount sweep over the whole ``(n_windows, words)`` block
-        against all prototypes at once, no per-window Python loop and no
-        unpacking.
+        One XOR + popcount sweep over the whole ``(n_windows, words)``
+        block against all prototypes at once, no per-window Python loop
+        and no unpacking.
 
         Args:
             h_vectors: One ``(words,)`` packed query or a batch
                 ``(n, words)``.
 
         Returns:
-            int64 array shaped like :meth:`distances`.
+            int64 array ``(n, n_classes)`` (``(n_classes,)`` for a single
+            query), columns ordered like :attr:`labels`.
         """
         if self._packed is None:
             raise RuntimeError("associative memory has no prototypes")
@@ -255,29 +190,19 @@ class AssociativeMemory:
         )
         return dists[0] if single else dists
 
-    def _labels_from_distances(
-        self, dists: np.ndarray
+    def classify_packed(
+        self, h_vectors: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        label_arr = np.asarray(self._labels, dtype=np.int64)
-        idx = np.argmin(dists, axis=-1)
-        return label_arr[idx], dists
-
-    def classify(self, h_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-prototype labels and the full distance matrix.
 
         Returns:
             ``(labels, distances)`` where ``labels`` is an int64 array of
             class labels (ties resolve to the earliest-stored class, i.e.
             interictal when stored first — the conservative choice for a
-            detector) and ``distances`` is as in :meth:`distances`.
+            detector) and ``distances`` is as in :meth:`distances_packed`.
         """
-        return self._labels_from_distances(self.distances(h_vectors))
-
-    def classify_packed(
-        self, h_vectors: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`classify` for packed queries (same tie-breaking)."""
-        return self._labels_from_distances(self.distances_packed(h_vectors))
+        dists = self.distances_packed(h_vectors)
+        return self._label_table[np.argmin(dists, axis=-1)], dists
 
     def packed_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The memory's prototypes as one grouped-sweep block.
@@ -285,9 +210,9 @@ class AssociativeMemory:
         Returns:
             ``(prototypes, labels)``: uint64 ``(n_classes, words)`` and
             int64 ``(n_classes,)`` arrays, insertion-ordered like
-            :attr:`labels`.  Both are read-only views into the memory's
-            state (``store`` replaces them wholesale, so holding a view
-            is safe); feed them to :func:`grouped_classify_packed`.
+            :attr:`labels`.  Both are views into the memory's state
+            (``store`` replaces them wholesale, so holding a view is
+            safe); feed them to :func:`grouped_classify_packed`.
         """
         if self._packed is None:
             raise RuntimeError("associative memory has no prototypes")
@@ -323,7 +248,7 @@ def grouped_classify_packed(
     Returns:
         ``(labels, distances)``: int64 ``(n,)`` class labels (ties
         resolve to the earliest-stored class, as in
-        :meth:`AssociativeMemory.classify`) and int64
+        :meth:`AssociativeMemory.classify_packed`) and int64
         ``(n, n_classes)`` Hamming distances.
     """
     query_arr, stack, owner_arr, table = _validate_grouped(

@@ -5,11 +5,16 @@ packed-vs-unpacked fork by hand — the detector branched in its
 constructor, trainer and classifier, and the session manager, the
 persistence formats, the shard workers and the CLI each carried their
 own copy of the switch.  This module collapses all of that into one
-object: a :class:`ComputeEngine` owns the spatial and temporal encoders
-of its representation, feeds and queries the associative memory, packs
-queries for the cross-session grouped sweep, and tags checkpoint
-payloads — so callers hold an engine and never ask which domain an H
-vector lives in.
+object: an engine (a subclass of :class:`_EngineBase`) owns the spatial
+and temporal encoders of its representation, feeds and queries the
+associative memory, packs queries for the cross-session grouped sweep,
+and tags checkpoint payloads — so callers hold an engine and never ask
+which domain an H vector lives in.
+
+Engines differ only in their kernels: the encoders, the prototype
+accumulator and the grouped sweep.  Below :meth:`_EngineBase.train` and
+:meth:`_EngineBase.classify_windows` there is one path — the
+associative memory stores packed prototypes and answers packed queries.
 
 Registered engines (:func:`engine_names`):
 
@@ -43,18 +48,16 @@ mid-stream checkpoint/restore across engine names.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
-    PrototypeAccumulator,
     grouped_classify_packed,
 )
-from repro.hdc.backend import pack_bits, packed_words
+from repro.hdc.backend import pack_bits, packed_words, unpack_bits
 from repro.hdc.item_memory import ItemMemory
+from repro.hdc.ops import BundleAccumulator
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal import TemporalEncoder, WindowBundler
@@ -84,71 +87,28 @@ class EngineUnavailableError(RuntimeError):
     """
 
 
-@runtime_checkable
-class ComputeEngine(Protocol):
+class _EngineBase:
     """What every registered engine provides to the layers above.
 
     An engine instance is bound to one detector's item memories and
-    window geometry.  It owns:
+    window geometry.  Subclasses supply the kernels:
 
     * the spatial encoder (:attr:`spatial`) and fresh streaming
       temporal encoders (:meth:`temporal_encoder`, whose
       ``state_dict``/``restore_state`` are the streaming-state
       export/import hooks used by checkpoints);
-    * associative-memory training (:meth:`train`, :meth:`accumulator`,
-      :meth:`store`) and querying (:meth:`classify_windows`);
-    * the packed-query bridge for the cross-session grouped sweep
-      (:meth:`pack_queries`);
-    * its checkpoint payload tag (:attr:`name` — persisted so a saved
+    * the prototype accumulator of their H form (:meth:`accumulator`)
+      and how a finalized prototype is stored (:meth:`store`);
+    * the cross-session grouped sweep (:attr:`grouped_kernel`);
+    * the checkpoint payload tag (:attr:`name` — persisted so a saved
       model reopens on the engine that wrote it).
-    """
 
-    name: str
-    dim: int
-    words: int
-    spatial: object
-
-    def temporal_encoder(self) -> WindowBundler:
-        """A fresh streaming window encoder in this engine's domain."""
-        ...
-
-    def windows_2d(self, h: np.ndarray) -> np.ndarray:
-        """Validate H vectors (either accepted form) into a 2-D batch."""
-        ...
-
-    def accumulator(self):
-        """A fresh prototype accumulator for this engine's H form."""
-        ...
-
-    def store(self, memory: AssociativeMemory, label: int,
-              prototype: np.ndarray) -> None:
-        """Store a finalized prototype in the engine's native form."""
-        ...
-
-    def train(self, memory: AssociativeMemory, label: int,
-              h_vectors: np.ndarray) -> None:
-        """Bundle an H batch (either form) into ``label``'s prototype."""
-        ...
-
-    def classify_windows(
-        self, memory: AssociativeMemory, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched nearest-prototype sweep over H vectors (either form)."""
-        ...
-
-    def pack_queries(self, h: np.ndarray) -> np.ndarray:
-        """H vectors as packed uint64 queries for the grouped sweep."""
-        ...
-
-
-class _EngineBase:
-    """Shared scaffolding: dual-form validation and AM dispatch.
-
-    The *only* place in the codebase that distinguishes window forms by
-    trailing width/dtype — every engine accepts both the unpacked
-    ``(n, d)`` uint8 and the packed ``(n, words)`` uint64 form (so
-    detectors can cross-feed windows encoded on any engine), and the
-    probe lives here rather than in any caller.
+    This class is the *only* place in the codebase that distinguishes
+    window forms by trailing width: every engine accepts both the
+    unpacked ``(n, d)`` uint8 and the packed ``(n, words)`` uint64 form
+    (so detectors can cross-feed windows encoded on any engine) and
+    converts at :meth:`windows_2d`, so training and queries below it
+    have no per-form branch.
     """
 
     #: Registry key; subclasses override.
@@ -191,14 +151,15 @@ class _EngineBase:
               prototype: np.ndarray) -> None:
         raise NotImplementedError
 
-    # -- dual-form window handling -------------------------------------
+    # -- the one path into the associative memory ----------------------
 
     def windows_2d(self, h: np.ndarray) -> np.ndarray:
-        """Validate H vectors in either form, returning a 2-D array.
+        """Validate H vectors in either form, returning this engine's form.
 
         Dispatch is by trailing width: ``d`` columns means unpacked,
         ``packed_words(d)`` columns means packed (the two can never
-        coincide for ``d >= 2``).
+        coincide for ``d >= 2``).  The 2-D batch comes back packed or
+        unpacked to match :attr:`native_packed`.
         """
         arr = np.atleast_2d(np.asarray(h))
         if arr.ndim != 2 or arr.shape[1] not in (self.dim, self.words):
@@ -207,35 +168,27 @@ class _EngineBase:
                 f"{self.words} (packed) columns, got shape {arr.shape}"
             )
         if arr.shape[1] == self.dim:
-            return arr.astype(np.uint8, copy=False)
-        return arr.astype(np.uint64, copy=False)
-
-    @staticmethod
-    def _is_packed(arr: np.ndarray) -> bool:
-        return arr.dtype == np.uint64
+            bits = arr.astype(np.uint8, copy=False)
+            return pack_bits(bits) if self.native_packed else bits
+        words = arr.astype(np.uint64, copy=False)
+        return words if self.native_packed else unpack_bits(words, self.dim)
 
     def pack_queries(self, h: np.ndarray) -> np.ndarray:
-        """Validated H vectors as ``(n, words)`` uint64 grouped queries."""
+        """Validated H vectors as ``(n, words)`` uint64 packed queries."""
         arr = self.windows_2d(h)
-        return arr if self._is_packed(arr) else pack_bits(arr)
-
-    # -- associative-memory dispatch -----------------------------------
+        return arr if self.native_packed else pack_bits(arr)
 
     def train(self, memory: AssociativeMemory, label: int,
               h_vectors: np.ndarray) -> None:
-        arr = self.windows_2d(h_vectors)
-        if self._is_packed(arr):
-            memory.train_packed(label, arr)
-        else:
-            memory.train(label, arr)
+        """Bundle an H batch (either form) into ``label``'s prototype."""
+        prototype = self.accumulator().add(self.windows_2d(h_vectors))
+        self.store(memory, label, prototype.finalize())
 
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        arr = self.windows_2d(h)
-        if self._is_packed(arr):
-            return memory.classify_packed(arr)
-        return memory.classify(arr)
+        """Batched nearest-prototype sweep over H vectors (either form)."""
+        return memory.classify_packed(self.pack_queries(h))
 
     #: Cross-session grouped-sweep implementation used when every
     #: session of a tick shares this engine; engines with a native
@@ -295,8 +248,8 @@ class UnpackedEngine(_EngineBase):
     def temporal_encoder(self) -> TemporalEncoder:
         return TemporalEncoder(self.spatial, self.spec)
 
-    def accumulator(self) -> PrototypeAccumulator:
-        return PrototypeAccumulator(self.dim)
+    def accumulator(self) -> BundleAccumulator:
+        return BundleAccumulator(self.dim)
 
     def store(self, memory: AssociativeMemory, label: int,
               prototype: np.ndarray) -> None:

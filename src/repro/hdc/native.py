@@ -1,8 +1,8 @@
 """The ``packed-native`` engine: multithreaded, GIL-releasing kernels.
 
-The two hot loops of the packed pipeline — the XOR+popcount sweep
-behind :meth:`repro.hdc.associative.AssociativeMemory.classify_packed`
-/ :func:`repro.hdc.associative.grouped_classify_packed`, and the
+The two hot loops of the packed pipeline — the XOR+popcount sweep of
+:func:`repro.hdc.associative.grouped_classify_packed` (which also
+serves one memory's queries, as a group with a single owner), and the
 carry-save bundling tree of :mod:`repro.hdc.bitsliced` — are pure
 NumPy everywhere else: single-threaded per process, so a shard worker
 cannot scale past one core.  This module re-states both kernels in a
@@ -206,37 +206,14 @@ def _popcount64(x):
     return np.int64(x & _M127)
 
 
-def _sweep_kernel(queries, protos, dists, best):
-    """Blocked XOR+popcount sweep: every query row against every prototype.
+def _grouped_sweep_kernel(queries, stack, owners, dists, best):
+    """Blocked XOR+popcount sweep: each query row against its owner's block.
 
     prange over query rows; each row computes its full distance vector
     and its argmin locally (strict ``<`` keeps the earliest-stored
     winner, matching ``np.argmin``), so rows never share mutable state
     and the result is thread-count-invariant.
     """
-    n = queries.shape[0]
-    c = protos.shape[0]
-    w = queries.shape[1]
-    for i in prange(n):
-        acc = np.int64(0)
-        for t in range(w):
-            acc += _popcount64(queries[i, t] ^ protos[0, t])
-        dists[i, 0] = acc
-        best_d = acc
-        best_j = 0
-        for j in range(1, c):
-            acc = np.int64(0)
-            for t in range(w):
-                acc += _popcount64(queries[i, t] ^ protos[j, t])
-            dists[i, j] = acc
-            if acc < best_d:
-                best_d = acc
-                best_j = j
-        best[i] = best_j
-
-
-def _grouped_sweep_kernel(queries, stack, owners, dists, best):
-    """The cross-session sweep: each query row against its owner's block."""
     n = queries.shape[0]
     c = stack.shape[1]
     w = queries.shape[1]
@@ -317,41 +294,12 @@ def _bundle_kernel(masks, planes, threshold, out):
 if numba_available():
     _popcount64 = njit(cache=True, inline="always")(_popcount64)
     _jit = njit(parallel=True, nogil=True, cache=True)
-    _sweep_kernel = _jit(_sweep_kernel)
     _grouped_sweep_kernel = _jit(_grouped_sweep_kernel)
     _count_kernel = _jit(_count_kernel)
     _bundle_kernel = _jit(_bundle_kernel)
 
 
 # -- kernel wrappers (numpy in, numpy out) ------------------------------
-
-
-def sweep_classify_packed(
-    queries: np.ndarray, protos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Native twin of the batched XOR+popcount prototype sweep.
-
-    Args:
-        queries: uint64 array ``(n, words)``.
-        protos: uint64 array ``(n_classes, words)``, ``n_classes >= 1``.
-
-    Returns:
-        ``(argmin, distances)``: int64 ``(n,)`` prototype indices (ties
-        to the earliest-stored row) and int64 ``(n, n_classes)``.
-    """
-    q = np.ascontiguousarray(np.asarray(queries, dtype=np.uint64))
-    p = np.ascontiguousarray(np.asarray(protos, dtype=np.uint64))
-    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
-        raise ValueError(
-            f"need (n, words) queries and (c, words) prototypes, got "
-            f"{q.shape} and {p.shape}"
-        )
-    if p.shape[0] == 0:
-        raise ValueError("need at least one prototype")
-    dists = np.empty((q.shape[0], p.shape[0]), dtype=np.int64)
-    best = np.empty(q.shape[0], dtype=np.int64)
-    _sweep_kernel(q, p, dists, best)
-    return best, dists
 
 
 def grouped_classify_packed_native(
@@ -460,9 +408,9 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
 class PackedNativeEngine(PackedEngine):
     """The ``packed`` engine with both hot kernels JIT-parallelised.
 
-    Replaces the sweep and the bundling tree with the nogil prange
-    kernels above and routes the cross-session grouped sweep through
-    its native twin.
+    Replaces the bundling tree with the nogil prange kernels above and
+    routes every sweep — one memory's or a cross-session group's —
+    through the native grouped kernel.
     """
 
     name = PACKED_NATIVE_ENGINE
@@ -506,10 +454,8 @@ class PackedNativeEngine(PackedEngine):
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One native sweep for a packed batch of any size."""
-        arr = self.windows_2d(h)
-        if not self._is_packed(arr):
-            return memory.classify(arr)
-        block, label_table = memory.packed_block()
-        best, dists = sweep_classify_packed(arr, block)
-        return label_table[best], dists
+        """The grouped kernel, with ``memory`` the owner of every row."""
+        queries = self.pack_queries(h)
+        block, labels = memory.packed_block()
+        owners = np.zeros(queries.shape[0], dtype=np.intp)
+        return self.grouped_kernel(queries, block[None], owners, labels[None])

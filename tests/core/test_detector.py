@@ -1,11 +1,41 @@
 """Tests for repro.core.detector (the end-to-end Laelaps pipeline)."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
-from repro.core.training import TrainingSegments
+from repro.core.training import TrainingSegments, segment_slice
+from repro.data.synthetic import (
+    SeizurePlan,
+    SynthesisParams,
+    SyntheticIEEGGenerator,
+)
+from repro.hdc.backend import hamming_distance, pack_bits
+from repro.hdc.engine import engine_names
+from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
+
+#: Lets ``packed-native`` run on its pure-Python kernel twins when
+#: numba is absent (and changes nothing when it is installed).
+_PURE_PYTHON_OK = {NATIVE_PURE_PYTHON_ENV: "1"}
+
+#: Two ictal segments and one interictal segment of ``tiny_recording``.
+TINY_SEGMENTS = TrainingSegments(
+    ictal=((20.0, 25.0), (25.0, 30.0)), interictal=(0.0, 10.0)
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_recording():
+    """40 s, 3-electrode recording: small enough for the native twins."""
+    return SyntheticIEEGGenerator(
+        3, SynthesisParams(fs=256.0), seed=5
+    ).generate(40.0, [SeizurePlan(20.0, 10.0)])
 
 
 class TestConstruction:
@@ -76,6 +106,96 @@ class TestFit:
         )
         with pytest.raises(ValueError):
             det.fit(mini_recording.data, segments)
+
+
+class TestSinglePath:
+    """Training and queries reach the associative memory one way."""
+
+    def test_fit_encodes_each_segment_once(self, tiny_recording,
+                                           monkeypatch):
+        det = LaelapsDetector(3, LaelapsConfig(dim=256, fs=256.0))
+        encode = det.encode
+        calls = []
+
+        def spy(signal):
+            calls.append(signal.shape)
+            return encode(signal)
+
+        monkeypatch.setattr(det, "encode", spy)
+        det.fit(tiny_recording.data, TINY_SEGMENTS)
+        assert len(calls) == len(TINY_SEGMENTS.ictal) + 1
+
+    @pytest.mark.parametrize("backend", engine_names())
+    def test_fit_equals_fit_from_windows(self, tiny_recording, backend):
+        config = LaelapsConfig(dim=129, fs=256.0, seed=3, backend=backend)
+        data = tiny_recording.data
+        with mock.patch.dict(os.environ, _PURE_PYTHON_OK):
+            fitted = LaelapsDetector(3, config).fit(data, TINY_SEGMENTS)
+            ref = LaelapsDetector(3, config)
+
+            def windows(segment):
+                sl = segment_slice(
+                    segment, config.fs, data.shape[0], ref.symbolizer.margin
+                )
+                return ref.encode(data[sl])
+
+            ref.fit_from_windows(
+                np.concatenate([windows(s) for s in TINY_SEGMENTS.ictal]),
+                windows(TINY_SEGMENTS.interictal),
+            )
+        assert fitted.memory.labels == ref.memory.labels == [
+            INTERICTAL, ICTAL,
+        ]
+        for label in (INTERICTAL, ICTAL):
+            np.testing.assert_array_equal(
+                fitted.memory.prototype(label), ref.memory.prototype(label)
+            )
+        assert fitted.fit_report == ref.fit_report
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        backend=st.sampled_from(engine_names()),
+        dim=st.integers(2, 200),
+        n=st.integers(0, 6),
+        packed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classify_from_windows_matches_brute_force(
+        self, backend, dim, n, packed, seed
+    ):
+        rng = np.random.default_rng(seed)
+        inter, ictal = rng.integers(0, 2, (2, dim), dtype=np.uint8)
+        queries = rng.integers(0, 2, (n, dim), dtype=np.uint8)
+        # Force a tie on every other row: agree with each prototype on
+        # half of the positions where they differ.
+        differ = np.flatnonzero(inter != ictal)
+        half = len(differ) // 2
+        for row in queries[::2]:
+            row[differ[:half]] = inter[differ[:half]]
+            row[differ[half : 2 * half]] = ictal[differ[half : 2 * half]]
+            row[differ[2 * half :]] = 0
+        with mock.patch.dict(os.environ, _PURE_PYTHON_OK):
+            det = LaelapsDetector(
+                2, LaelapsConfig(dim=dim, fs=256.0, backend=backend)
+            )
+            det.fit_from_windows(ictal[None], inter[None])
+            labels, distances, deltas = det.classify_from_windows(
+                pack_bits(queries) if packed else queries
+            )
+        expected = hamming_distance(
+            queries[:, None, :], np.stack([inter, ictal])
+        )
+        np.testing.assert_array_equal(distances, expected)
+        np.testing.assert_array_equal(
+            labels, np.array([INTERICTAL, ICTAL])[np.argmin(expected, -1)]
+        )
+        np.testing.assert_array_equal(
+            deltas, np.abs(expected[:, 0] - expected[:, 1])
+        )
+
+    def test_empty_batch_of_wrong_width_raises(self, fitted_detector):
+        with pytest.raises(ValueError, match="columns"):
+            fitted_detector.classify_from_windows(np.zeros((0, 7)))
 
 
 class TestPredictAndDetect:

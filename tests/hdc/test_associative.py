@@ -1,4 +1,9 @@
-"""Tests for repro.hdc.associative (prototype learning and queries)."""
+"""Tests for repro.hdc.associative (prototype learning and queries).
+
+Queries go through the packed sweep; expected distances come from
+:func:`repro.hdc.backend.hamming_distance` on the unpacked bits, an
+oracle that never packs or popcounts.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,6 @@ import pytest
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
-    PrototypeAccumulator,
 )
 from repro.hdc.backend import (
     hamming_distance,
@@ -14,14 +18,31 @@ from repro.hdc.backend import (
     random_bits,
     unpack_bits,
 )
+from repro.hdc.engine import build_engine
+from repro.hdc.item_memory import ItemMemory
+from repro.hdc.ops import BundleAccumulator, bundle
+from repro.signal.windows import WindowSpec
+
+
+def _classify(memory: AssociativeMemory, queries: np.ndarray):
+    """Query unpacked bits through the packed sweep."""
+    return memory.classify_packed(pack_bits(queries))
+
+
+def _oracle(protos: np.ndarray, queries: np.ndarray):
+    """Brute-force labels/distances: unpacked Hamming distance, argmin."""
+    dists = hamming_distance(queries[..., None, :], protos)
+    return np.argmin(dists, axis=-1), dists
 
 
 class TestPrototypeAccumulator:
+    """The unpacked engine's prototype accumulator (``BundleAccumulator``)."""
+
     def test_single_vector_prototype_is_vector(self, rng):
         v = random_bits(128, rng)
-        acc = PrototypeAccumulator(128).add(v)
+        acc = BundleAccumulator(128).add(v)
         np.testing.assert_array_equal(acc.finalize(), v)
-        assert acc.n_vectors == 1
+        assert acc.count == 1
 
     def test_majority_of_noisy_copies_recovers_centre(self, rng):
         centre = random_bits(2048, rng)
@@ -29,7 +50,7 @@ class TestPrototypeAccumulator:
         for row in noisy:
             flip = rng.choice(2048, size=200, replace=False)
             row[flip] ^= 1
-        prototype = PrototypeAccumulator(2048).add(noisy).finalize()
+        prototype = BundleAccumulator(2048).add(noisy).finalize()
         assert hamming_distance(prototype, centre) < 100
 
 
@@ -40,7 +61,7 @@ class TestAssociativeMemory:
         p1 = random_bits(256, rng)
         memory.store(0, p0)
         memory.store(1, p1)
-        labels, dists = memory.classify(p1)
+        labels, dists = _classify(memory, p1)
         assert labels == 1
         assert dists[1] == 0
         assert dists[0] == hamming_distance(p0, p1)
@@ -51,17 +72,23 @@ class TestAssociativeMemory:
         memory.store(0, p0)
         memory.store(1, p1)
         queries = np.stack([p0, p1, p0])
-        labels, dists = memory.classify(queries)
+        labels, dists = _classify(memory, queries)
         np.testing.assert_array_equal(labels, [0, 1, 0])
-        assert dists.shape == (3, 2)
+        np.testing.assert_array_equal(dists, _oracle(np.stack([p0, p1]),
+                                                     queries)[1])
 
     def test_train_bundles_batch(self, rng):
-        from repro.hdc.ops import bundle
-
-        memory = AssociativeMemory(128)
         h = random_bits((5, 128), rng)
-        memory.train(3, h)
-        np.testing.assert_array_equal(memory.prototype(3), bundle(h))
+        for backend in ("unpacked", "packed"):
+            engine = build_engine(
+                backend, ItemMemory(4, 128, seed=1),
+                ItemMemory(2, 128, seed=2),
+                WindowSpec.from_seconds(1.0, 0.5, 32.0),
+            )
+            memory = AssociativeMemory(128)
+            engine.train(memory, 3, h)
+            np.testing.assert_array_equal(memory.prototype(3), bundle(h),
+                                          err_msg=backend)
 
     def test_store_replaces_existing(self, rng):
         memory = AssociativeMemory(64)
@@ -71,6 +98,16 @@ class TestAssociativeMemory:
         assert memory.n_classes == 1
         np.testing.assert_array_equal(memory.prototype(0), replacement)
 
+    def test_store_leaves_handed_out_blocks_unchanged(self, rng):
+        memory = AssociativeMemory(64)
+        first = random_bits(64, rng)
+        memory.store(0, first)
+        block, labels = memory.packed_block()
+        memory.store(0, random_bits(64, rng))
+        memory.store(1, random_bits(64, rng))
+        np.testing.assert_array_equal(block, pack_bits(first)[None])
+        assert labels.tolist() == [0]
+
     def test_tie_resolves_to_first_stored_class(self, rng):
         # Equidistant query must get the first-stored (interictal) label.
         memory = AssociativeMemory(64)
@@ -79,7 +116,7 @@ class TestAssociativeMemory:
         memory.store(0, p0)
         memory.store(1, p1)
         query = np.concatenate([np.zeros(32), np.ones(32)]).astype(np.uint8)
-        labels, dists = memory.classify(query)
+        labels, dists = _classify(memory, query)
         assert dists[0] == dists[1] == 32
         assert labels == 0
 
@@ -93,7 +130,7 @@ class TestAssociativeMemory:
         noisy = p0.copy()
         flip = rng.choice(2048, size=600, replace=False)  # ~30 % noise
         noisy[flip] ^= 1
-        labels, _ = memory.classify(noisy)
+        labels, _ = _classify(memory, noisy)
         assert labels == 0
 
     def test_unknown_label_raises(self):
@@ -102,7 +139,7 @@ class TestAssociativeMemory:
 
     def test_query_without_prototypes_raises(self, rng):
         with pytest.raises(RuntimeError):
-            AssociativeMemory(16).distances(random_bits(16, rng))
+            _classify(AssociativeMemory(16), random_bits(16, rng))
 
     def test_wrong_shape_prototype_raises(self, rng):
         with pytest.raises(ValueError):
@@ -118,14 +155,16 @@ class TestPackedApi:
         v = pack_bits(random_bits(100, rng))
         acc = PackedPrototypeAccumulator(100).add(v)
         np.testing.assert_array_equal(acc.finalize(), v)
-        assert acc.n_vectors == 1
+        assert acc.count == 1
 
     def test_store_packed_round_trips(self, rng):
         memory = AssociativeMemory(100)
         p = random_bits(100, rng)
         memory.store_packed(0, pack_bits(p))
         np.testing.assert_array_equal(memory.prototype(0), p)
-        np.testing.assert_array_equal(memory.prototype_packed(0), pack_bits(p))
+        np.testing.assert_array_equal(
+            memory.packed_block()[0], pack_bits(p)[None]
+        )
 
     def test_store_packed_rejects_dirty_padding(self):
         memory = AssociativeMemory(100)
@@ -140,24 +179,21 @@ class TestPackedApi:
 
     def test_classify_packed_matches_unpacked(self, rng):
         memory = AssociativeMemory(300)
-        p0, p1 = random_bits((2, 300), rng)
-        memory.store(0, p0)
-        memory.store(1, p1)
+        protos = random_bits((2, 300), rng)
+        memory.store(0, protos[0])
+        memory.store(1, protos[1])
         queries = random_bits((17, 300), rng)
-        labels_u, dists_u = memory.classify(queries)
-        labels_p, dists_p = memory.classify_packed(pack_bits(queries))
-        np.testing.assert_array_equal(labels_p, labels_u)
-        np.testing.assert_array_equal(dists_p, dists_u)
+        labels_o, dists_o = _oracle(protos, queries)
+        labels_p, dists_p = _classify(memory, queries)
+        np.testing.assert_array_equal(labels_p, labels_o)
+        np.testing.assert_array_equal(dists_p, dists_o)
 
     def test_train_packed_matches_train(self, rng):
+        # The packed and the unpacked engine's accumulators agree.
         h = random_bits((9, 130), rng)
-        unpacked_memory = AssociativeMemory(130)
-        unpacked_memory.train(0, h)
-        packed_memory = AssociativeMemory(130)
-        packed_memory.train_packed(0, pack_bits(h))
-        np.testing.assert_array_equal(
-            packed_memory.prototype(0), unpacked_memory.prototype(0)
-        )
+        unpacked = BundleAccumulator(130).add(h).finalize()
+        packed = PackedPrototypeAccumulator(130).add(pack_bits(h)).finalize()
+        np.testing.assert_array_equal(unpack_bits(packed, 130), unpacked)
 
     def test_packed_query_without_prototypes_raises(self, rng):
         with pytest.raises(RuntimeError):
@@ -176,7 +212,7 @@ class TestPackedApi:
         packed = pack_bits(vectors)
         acc = PackedPrototypeAccumulator(77)
         acc.add(packed[:4]).add(packed[4:])
-        expected = PrototypeAccumulator(77).add(vectors).finalize()
+        expected = BundleAccumulator(77).add(vectors).finalize()
         np.testing.assert_array_equal(
             unpack_bits(acc.finalize(), 77), expected
         )

@@ -6,10 +6,10 @@ import pytest
 import repro.hdc.engine as engine_module
 from repro.core.config import BACKENDS, LaelapsConfig
 from repro.core.detector import LaelapsDetector
+from repro.hdc.associative import AssociativeMemory
 from repro.hdc.backend import pack_bits, packed_words, random_bits
 from repro.hdc.engine import (
     AUTO_ENGINE,
-    ComputeEngine,
     PackedEngine,
     UnpackedEngine,
     backend_choices,
@@ -20,6 +20,7 @@ from repro.hdc.engine import (
     resolve_engine_name,
 )
 from repro.hdc.item_memory import ItemMemory
+from repro.hdc.temporal import WindowBundler
 from repro.signal.windows import WindowSpec
 
 SPEC = WindowSpec.from_seconds(1.0, 0.5, 32.0)
@@ -84,9 +85,19 @@ class TestRegistry:
     def test_instances_satisfy_protocol(self, monkeypatch):
         from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
 
+        # Every engine implements the hooks the base class leaves open:
+        # its temporal encoder, its accumulator and how it stores.
         monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        bits = random_bits((1, 100), np.random.default_rng(0))
         for name in engine_names():
-            assert isinstance(_engine(name), ComputeEngine)
+            engine = _engine(name)
+            assert isinstance(engine.temporal_encoder(), WindowBundler)
+            assert engine.accumulator().add(engine.windows_2d(bits)).count == 1
+            memory = AssociativeMemory(100)
+            engine.train(memory, 7, bits)
+            labels, dists = engine.classify_windows(memory, bits)
+            assert labels.tolist() == [7]
+            assert dists.tolist() == [[0]]
 
     def test_mismatched_item_memories_rejected(self):
         with pytest.raises(ValueError, match="share a dimension"):
@@ -115,11 +126,14 @@ class TestCapabilities:
 
 class TestWindowForms:
     def test_windows_2d_accepts_both_forms(self):
-        engine = _engine("packed", dim=100)
-        rng = np.random.default_rng(0)
-        bits = random_bits((3, 100), rng)
-        assert engine.windows_2d(bits).dtype == np.uint8
-        assert engine.windows_2d(pack_bits(bits)).dtype == np.uint64
+        # Either form comes back in the engine's own form.
+        bits = random_bits((3, 100), np.random.default_rng(0))
+        for name, own in (("unpacked", bits), ("packed", pack_bits(bits))):
+            engine = _engine(name, dim=100)
+            for h in (bits, pack_bits(bits)):
+                out = engine.windows_2d(h)
+                assert out.dtype == own.dtype
+                np.testing.assert_array_equal(out, own)
 
     def test_windows_2d_rejects_other_widths(self):
         engine = _engine("unpacked", dim=100)

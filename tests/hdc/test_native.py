@@ -48,7 +48,6 @@ from repro.hdc.native import (
     native_bundle_exceeds,
     numba_available,
     requested_native_threads,
-    sweep_classify_packed,
 )
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal_packed import PackedTemporalEncoder
@@ -82,13 +81,23 @@ def _random_words(shape, seed) -> np.ndarray:
     return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
 
 
+def _sweep(queries, protos):
+    """One memory's sweep: the native grouped kernel with one owner."""
+    return grouped_classify_packed_native(
+        queries,
+        protos[None],
+        np.zeros(queries.shape[0], dtype=np.intp),
+        np.arange(protos.shape[0])[None],
+    )
+
+
 class TestSweepKernel:
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 200])
     def test_matches_numpy_sweep(self, dim):
         rng = np.random.default_rng(dim)
         queries = pack_bits(random_bits((9, dim), rng))
         protos = pack_bits(random_bits((4, dim), rng))
-        best, dists = sweep_classify_packed(queries, protos)
+        best, dists = _sweep(queries, protos)
         ref = popcount_words(
             queries[:, None, :] ^ protos[None, :, :]
         ).sum(axis=-1, dtype=np.int64)
@@ -99,18 +108,25 @@ class TestSweepKernel:
         queries = np.zeros((1, 1), dtype=np.uint64)
         # Both prototypes are 2 bits away; np.argmin picks index 0.
         protos = np.array([[0b0011], [0b1100]], dtype=np.uint64)
-        best, dists = sweep_classify_packed(queries, protos)
+        best, dists = _sweep(queries, protos)
         assert dists.tolist() == [[2, 2]]
         assert best.tolist() == [0]
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="prototypes"):
-            sweep_classify_packed(
+        with pytest.raises(ValueError, match="word-count mismatch"):
+            _sweep(
                 np.zeros((2, 3), dtype=np.uint64),
                 np.zeros((2, 4), dtype=np.uint64),
             )
-        with pytest.raises(ValueError, match="at least one prototype"):
-            sweep_classify_packed(
+        with pytest.raises(ValueError, match="prototypes"):
+            grouped_classify_packed_native(
+                np.zeros((2, 3), dtype=np.uint64),
+                np.zeros((2, 3), dtype=np.uint64),
+                np.zeros(2, dtype=np.intp),
+                np.zeros((1, 2), dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match="zero classes"):
+            _sweep(
                 np.zeros((2, 3), dtype=np.uint64),
                 np.zeros((0, 3), dtype=np.uint64),
             )
@@ -290,11 +306,13 @@ class TestNumbaAbsentReload:
             )
             assert native_module.prange is range
             # The identity decorator keeps the kernels callable...
-            best, dists = native_module.sweep_classify_packed(
+            labels, dists = native_module.grouped_classify_packed_native(
                 np.array([[5]], dtype=np.uint64),
-                np.array([[0], [5]], dtype=np.uint64),
+                np.array([[[0], [5]]], dtype=np.uint64),
+                np.zeros(1, dtype=np.intp),
+                np.array([[10, 20]], dtype=np.int64),
             )
-            assert best.tolist() == [1]
+            assert labels.tolist() == [20]
             assert dists.tolist() == [[2, 0]]
             # ...threads pin to 1, and the registry degrades gracefully.
             assert native_module.apply_native_threads(4) == 1
@@ -358,7 +376,7 @@ class TestThreadKnob:
         try:
             for n in (1, 2, 4):
                 apply_native_threads(n)
-                best, dists = sweep_classify_packed(queries, protos)
+                best, dists = _sweep(queries, protos)
                 bundle = native_bundle_exceeds(masks, 4)
                 if baseline is None:
                     baseline = (best, dists, bundle)

@@ -68,12 +68,13 @@ class TestPackedParityThroughLookup:
     def test_associative_queries_parity(self, lookup_popcount, dim):
         rng = np.random.default_rng(dim + 1)
         memory = AssociativeMemory(dim)
-        memory.train(0, random_bits((4, dim), rng))
-        memory.train(1, random_bits((4, dim), rng))
+        protos = random_bits((2, dim), rng)
+        memory.store(0, protos[0])
+        memory.store(1, protos[1])
         queries = random_bits((9, dim), rng)
-        labels_u, dists_u = memory.classify(queries)
+        dists_u = hamming_distance(queries[:, None, :], protos)
         labels_p, dists_p = memory.classify_packed(pack_bits(queries))
-        np.testing.assert_array_equal(labels_p, labels_u)
+        np.testing.assert_array_equal(labels_p, np.argmin(dists_u, axis=1))
         np.testing.assert_array_equal(dists_p, dists_u)
 
     @pytest.mark.parametrize("engine", ["packed", "packed-fused"])

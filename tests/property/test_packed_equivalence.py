@@ -17,9 +17,9 @@ from repro.hdc import spatial_packed
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
-    PrototypeAccumulator,
 )
 from repro.hdc.backend import (
+    hamming_distance,
     pack_bits,
     packed_words,
     permute_packed,
@@ -33,6 +33,7 @@ from repro.hdc.bitsliced import (
 )
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import NativeSpatialEncoder
+from repro.hdc.ops import BundleAccumulator
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal import TemporalEncoder
@@ -191,26 +192,30 @@ class TestAssociativeEquivalence:
         other = _bits(rng, (k_train, dim))
         queries = _bits(rng, (k_query, dim))
 
-        unpacked_memory = AssociativeMemory(dim)
-        unpacked_memory.train(0, train)
-        unpacked_memory.train(1, other)
+        protos = np.stack([
+            BundleAccumulator(dim).add(h).finalize() for h in (train, other)
+        ])
         packed_memory = AssociativeMemory(dim)
-        packed_memory.train_packed(0, pack_bits(train))
-        packed_memory.train_packed(1, pack_bits(other))
+        for label, h in enumerate((train, other)):
+            packed_memory.store_packed(
+                label,
+                PackedPrototypeAccumulator(dim).add(pack_bits(h)).finalize(),
+            )
 
         np.testing.assert_array_equal(
-            packed_memory.prototype(0), unpacked_memory.prototype(0)
+            np.stack([packed_memory.prototype(0), packed_memory.prototype(1)]),
+            protos,
         )
-        labels_u, dists_u = unpacked_memory.classify(queries)
+        dists_u = hamming_distance(queries[:, None, :], protos)
         labels_p, dists_p = packed_memory.classify_packed(pack_bits(queries))
-        np.testing.assert_array_equal(labels_p, labels_u)
+        np.testing.assert_array_equal(labels_p, np.argmin(dists_u, axis=1))
         np.testing.assert_array_equal(dists_p, dists_u)
 
     @settings(max_examples=40, deadline=None)
     @given(ODD_DIMS, st.integers(1, 15), st.integers(0, 2**32 - 1))
     def test_accumulators_agree(self, dim, k, seed):
         vectors = _bits(np.random.default_rng(seed), (k, dim))
-        unpacked = PrototypeAccumulator(dim).add(vectors).finalize()
+        unpacked = BundleAccumulator(dim).add(vectors).finalize()
         packed = (
             PackedPrototypeAccumulator(dim).add(pack_bits(vectors)).finalize()
         )
