@@ -46,7 +46,7 @@ def pytest_configure(config: pytest.Config) -> None:
     if not config.getoption("--smoke", default=False):
         return
     # Exported before bench modules import, so module-level sizes that
-    # consult smoke_mode()/bench_dim() see the reduced configuration.
+    # consult smoke_mode()/bench_seconds() see the reduced configuration.
     os.environ["REPRO_BENCH_SMOKE"] = "1"
     os.environ.setdefault("REPRO_BENCH_PATIENTS", "2")
     # Run every benched callable exactly once, without timing loops.
@@ -67,11 +67,6 @@ def bench_scale() -> float:
 def bench_patients() -> int:
     """Number of cohort patients to include."""
     return int(os.environ.get("REPRO_BENCH_PATIENTS", "18"))
-
-
-def bench_dim(default: int, smoke: int = 256) -> int:
-    """Hypervector dimension for size-aware benches."""
-    return smoke if smoke_mode() else default
 
 
 def bench_seconds(default: float, smoke: float = 2.0) -> float:

@@ -10,7 +10,7 @@ Usage::
     repro-laelaps sessions [--patients 6] [--backend auto]
     repro-laelaps serve [--workers 4] [--mode process]
     repro-laelaps serve-http [--port 0] [--checkpoint-dir DIR]
-    repro-laelaps loadtest [--sessions 256] [--out BENCH_load_slo.json]
+    repro-laelaps loadtest [--sessions 256] [--out load.json] [--check F]
     repro-laelaps synth --out DIR [--channels 64,1024] [--minutes 30]
     repro-laelaps lint [PATHS ...] [--baseline FILE] [--format json]
 
@@ -318,12 +318,31 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.evaluation.benchrec import (
+        BenchRecordError,
         read_record,
         render_comparison,
         write_record,
     )
-    from repro.serve.loadgen import LoadConfig, run_load_test
+    from repro.serve.loadgen import (
+        LOAD_RECORD_NAME,
+        LoadConfig,
+        run_load_test,
+    )
 
+    baseline = None
+    if args.check:  # refuse a bad baseline before the run, not after
+        try:
+            baseline = read_record(args.check)
+        except BenchRecordError as exc:
+            print(f"loadtest --check: {exc}", file=sys.stderr)
+            return 2
+        if baseline.name != LOAD_RECORD_NAME:
+            print(
+                f"loadtest --check: {args.check} is a {baseline.name!r} "
+                f"record, not a {LOAD_RECORD_NAME!r} one",
+                file=sys.stderr,
+            )
+            return 2
     config = LoadConfig(
         n_sessions=args.sessions,
         dim=args.dim,
@@ -350,9 +369,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.out:
         path = write_record(report.record(), args.out)
         print(f"\nbenchmark record written to {path}")
-    if args.check:
+    if baseline is not None:
         print()
-        print(render_comparison(read_record(args.check), report.record()))
+        print(render_comparison(baseline, report.record()))
         print("(deltas are report-only; see docs/benchmarking.md)")
     return 0
 
@@ -610,8 +629,8 @@ def _args_loadtest(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH",
                    help="write the run as a benchrec JSON record")
     p.add_argument("--check", metavar="BASELINE",
-                   help="compare against a committed BENCH_*.json "
-                        "baseline (report-only deltas)")
+                   help="compare against an earlier --out record "
+                        "(report-only deltas)")
 
 
 def _args_synth(p: argparse.ArgumentParser) -> None:

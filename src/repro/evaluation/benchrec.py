@@ -14,11 +14,14 @@ Reading a record re-validates it, so a stale or hand-edited baseline
 fails loudly instead of producing nonsense deltas.  Comparison
 (:func:`compare_records`) is per-metric: baseline value, fresh value,
 absolute delta and ratio, with one-sided metrics flagged rather than
-dropped.
+dropped.  A metric timed over repeats is stored by
+:func:`median_with_spread` as its median plus p25/p75 siblings; a
+delta on such a metric is *within spread* when the two medians differ
+by no more than the baseline's p75 − p25.
 
-Module CLI (used by the CI ``perf-trajectory`` job)::
+Module CLI (used by the CI ``bench-smoke`` job)::
 
-    python -m repro.evaluation.benchrec validate BENCH_load_slo.json
+    python -m repro.evaluation.benchrec validate BENCH_engine_matrix.json
     python -m repro.evaluation.benchrec compare BASELINE.json FRESH.json
 
 ``validate`` exits non-zero on any schema violation; ``compare`` prints
@@ -32,6 +35,7 @@ import json
 import numbers
 import os
 import platform
+import statistics
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -209,20 +213,58 @@ def read_record(path: str | Path) -> BenchRecord:
     return BenchRecord(**payload)
 
 
+def _spread_keys(metric: str) -> tuple[str, str]:
+    """Names of the p25 and p75 siblings that carry ``metric``'s spread."""
+    return f"{metric}_p25", f"{metric}_p75"
+
+
+def median_with_spread(metric: str, samples) -> dict[str, float]:
+    """One metric measured over repeats, as record metrics.
+
+    Returns ``{metric: median, metric_p25: p25, metric_p75: p75}``
+    (quartiles by linear interpolation), the form
+    :func:`compare_records` reads a baseline's spread from.
+
+    Args:
+        metric: Name of the metric.
+        samples: At least two measurements of it, one per repeat.
+    """
+    p25, median, p75 = statistics.quantiles(
+        samples, n=4, method="inclusive"
+    )
+    p25_key, p75_key = _spread_keys(metric)
+    return {metric: median, p25_key: p25, p75_key: p75}
+
+
 @dataclass(frozen=True)
 class MetricDelta:
-    """One metric's baseline-vs-fresh comparison row."""
+    """One metric's baseline-vs-fresh comparison row.
+
+    ``spread`` is the baseline's p75 − p25 of the metric; None on a
+    one-sided row or when the baseline recorded no repeats for it.
+    """
 
     metric: str
     baseline: float | None
     fresh: float | None
     delta: float | None
     ratio: float | None
+    spread: float | None = None
 
     @property
     def one_sided(self) -> bool:
         """The metric exists in only one of the two records."""
         return self.baseline is None or self.fresh is None
+
+    @property
+    def within_spread(self) -> bool | None:
+        """Whether the medians differ by no more than the spread.
+
+        None when there is no spread to judge by.
+        """
+        if self.spread is None:
+            return None
+        return abs(self.delta) <= self.spread
 
 
 def compare_records(
@@ -233,6 +275,8 @@ def compare_records(
     Metrics present in only one record produce a flagged
     :class:`MetricDelta` (``one_sided``) instead of being dropped —
     a metric silently vanishing from the trajectory is itself a signal.
+    The p25/p75 siblings of a repeated metric get no row of their own;
+    they fill the ``spread`` of their metric's row.
 
     Raises:
         BenchRecordError: If the records name different harnesses.
@@ -242,15 +286,25 @@ def compare_records(
             f"cannot compare records of different harnesses: "
             f"{baseline.name!r} vs {fresh.name!r}"
         )
+    metrics = baseline.metrics.keys() | fresh.metrics.keys()
+    siblings = {key for metric in metrics for key in _spread_keys(metric)}
     deltas = []
-    for metric in sorted(baseline.metrics.keys() | fresh.metrics.keys()):
+    for metric in sorted(metrics - siblings):
         base = baseline.metrics.get(metric)
         new = fresh.metrics.get(metric)
         if base is None or new is None:
             deltas.append(MetricDelta(metric, base, new, None, None))
             continue
+        p25_key, p75_key = _spread_keys(metric)
+        spread = (
+            baseline.metrics[p75_key] - baseline.metrics[p25_key]
+            if {p25_key, p75_key} <= baseline.metrics.keys()
+            else None
+        )
         ratio = new / base if base else None
-        deltas.append(MetricDelta(metric, base, new, new - base, ratio))
+        deltas.append(
+            MetricDelta(metric, base, new, new - base, ratio, spread)
+        )
     return deltas
 
 
@@ -288,7 +342,9 @@ def render_comparison(
 
     Report-only: a configuration or host-shape mismatch is named in the
     header (:func:`context_differences`) rather than refused, so the
-    deltas below it are never read as like for like by accident.
+    deltas below it are never read as like for like by accident.  A
+    metric with a spread in the baseline is labelled "within spread" or
+    "outside spread" (see :attr:`MetricDelta.within_spread`).
     """
     rows = [
         f"[benchrec] {fresh.name}: fresh {fresh.git_sha[:12]} vs "
@@ -302,9 +358,9 @@ def render_comparison(
             "  WARNING: not like for like; the deltas below mix contexts:"
         )
         rows.extend(f"    {cause}" for cause in causes)
-    width = max((len(d.metric) for d in compare_records(baseline, fresh)),
-                default=0)
-    for delta in compare_records(baseline, fresh):
+    deltas = compare_records(baseline, fresh)
+    width = max((len(d.metric) for d in deltas), default=0)
+    for delta in deltas:
         if delta.one_sided:
             side = "baseline" if delta.fresh is None else "fresh run"
             rows.append(
@@ -312,9 +368,15 @@ def render_comparison(
             )
             continue
         ratio = f"{delta.ratio:.2f}x" if delta.ratio is not None else "n/a"
+        verdict = ""
+        if delta.within_spread is not None:
+            verdict = (
+                f"  {'within' if delta.within_spread else 'outside'} "
+                f"spread (p75-p25 {delta.spread:.4f})"
+            )
         rows.append(
             f"  {delta.metric:<{width}}  {delta.baseline:>12.4f} -> "
-            f"{delta.fresh:>12.4f}  ({delta.delta:+.4f}, {ratio})"
+            f"{delta.fresh:>12.4f}  ({delta.delta:+.4f}, {ratio}){verdict}"
         )
     return "\n".join(rows)
 

@@ -19,8 +19,8 @@ the road to fleet scale (see ``docs/serving.md``):
 ``repro.serve.loadgen``
     The load harness: :class:`LoadGenerator` opens many clocked-source
     sessions against a gateway and measures p50/p99/p99.9 tick latency,
-    sustained throughput, backpressure onset and worker-loss recovery —
-    the numbers behind the committed ``BENCH_*.json`` perf trajectory.
+    sustained throughput, backpressure onset and worker-loss recovery;
+    ``repro loadtest`` runs it.
 ``repro.serve.service``
     The network front end: one asyncio TCP server speaking a
     length-prefixed JSON data plane (open/push/close/checkpoint) and a

@@ -32,8 +32,11 @@ probes need direct gateway access and are skipped in socket mode.
 
 Results convert to the versioned benchmark-record schema
 (:mod:`repro.evaluation.benchrec`) via :meth:`LoadReport.record`, which
-is how ``benchmarks/bench_load_slo.py`` and ``repro loadtest`` write
-the committed ``BENCH_*.json`` perf-trajectory artifacts.
+is how ``repro loadtest --out`` writes a record and ``--check`` reads
+one back.  This is the operator's probe of a deployment shape; the
+repo's timing harness is ``perfbench/`` (its serve-fleet and
+serve-wire workloads drive the same tick loop), and the harness
+invariants live in ``tests/serve/test_loadgen.py``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ from repro.evaluation.benchrec import (
     machine_fingerprint,
 )
 from repro.serve.gateway import Backpressure, ShardedStreamGateway
+
+#: Harness name of every load-test benchmark record.
+LOAD_RECORD_NAME = "load_slo"
 
 #: Latency percentiles the harness reports, as (metric suffix, p) pairs.
 LATENCY_PERCENTILES = (("p50", 50.0), ("p99", 99.0), ("p99_9", 99.9))
@@ -145,7 +151,7 @@ class LoadConfig:
             exported to the environment before workers spawn so
             N workers x M threads is explicit; 0 keeps the default.
         transport: ``"direct"`` calls the gateway in-process (the
-            default, and what the committed baselines measure);
+            default);
             ``"socket"`` runs every tick through the asyncio service
             over a loopback TCP connection, measuring the full network
             data plane (backpressure/elasticity probes are skipped —
@@ -219,7 +225,7 @@ class LoadReport:
         """Sessions that produced no events during the measured phase."""
         return int(self.metrics.get("dropped_sessions", -1))
 
-    def record(self, name: str = "load_slo") -> BenchRecord:
+    def record(self, name: str = LOAD_RECORD_NAME) -> BenchRecord:
         """This run as a versioned benchmark record."""
         return BenchRecord(
             name=name,

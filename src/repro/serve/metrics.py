@@ -8,7 +8,7 @@ Two exports, both file-free and side-effect-free so every transport
   counts, per-session submit-queue depths, cumulative tick/window
   counters and a cumulative-bucket latency histogram built from the
   gateway's own :class:`~repro.serve.gateway.TickStats` log (the same
-  log the load harness reads, so ``/metrics`` and ``BENCH_load_slo``
+  log the load harness reads, so ``/metrics`` and ``repro loadtest``
   numbers can never disagree about what a tick latency is);
 * :class:`JsonLogFormatter` — structured one-JSON-object-per-line
   logging for the service process, machine-parseable the way the

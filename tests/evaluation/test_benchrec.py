@@ -14,6 +14,7 @@ from repro.evaluation.benchrec import (
     current_git_sha,
     machine_fingerprint,
     main,
+    median_with_spread,
     read_record,
     render_comparison,
     validate_record,
@@ -150,6 +151,36 @@ class TestComparison:
             assert cause in text
         # Still a full, report-only delta table.
         assert "tick_latency_p99_ms" in text
+
+
+class TestSpread:
+    def test_helper_writes_median_and_quartile_siblings(self):
+        assert median_with_spread("wps", [5.0, 1.0, 4.0, 2.0, 3.0]) == {
+            "wps": 3.0, "wps_p25": 2.0, "wps_p75": 4.0,
+        }
+
+    def test_siblings_fold_into_their_metric_row(self):
+        spread = median_with_spread("wps", [90.0, 95.0, 100.0, 105.0, 110.0])
+        baseline = _record(metrics={**spread, "ratio": 2.0})
+        fresh = _record(metrics={**spread, "wps": 104.0, "ratio": 3.0})
+        deltas = {d.metric: d for d in compare_records(baseline, fresh)}
+        assert sorted(deltas) == ["ratio", "wps"]
+        assert deltas["wps"].spread == pytest.approx(10.0)
+        assert deltas["wps"].within_spread
+        assert deltas["ratio"].spread is None
+        assert deltas["ratio"].within_spread is None
+
+    def test_render_labels_within_and_outside_spread(self):
+        baseline = _record(metrics=median_with_spread(
+            "wps", [90.0, 95.0, 100.0, 105.0, 110.0]
+        ))
+        near = _record(metrics={"wps": 109.0})
+        far = _record(metrics={"wps": 111.0})
+        assert "within spread" in render_comparison(baseline, near)
+        assert "outside spread" in render_comparison(baseline, far)
+        # A record without repeats is never judged.
+        plain = render_comparison(_record(), _record())
+        assert "spread" not in plain
 
 
 class TestModuleCli:

@@ -5,12 +5,16 @@ Queries go through the packed sweep; expected distances come from
 oracle that never packs or popcounts.
 """
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.config import GOLDEN_DIM
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
+    grouped_classify_packed,
 )
 from repro.hdc.backend import (
     hamming_distance,
@@ -220,3 +224,39 @@ class TestPackedApi:
     def test_empty_accumulator_raises(self):
         with pytest.raises(ValueError):
             PackedPrototypeAccumulator(32).finalize()
+
+
+@pytest.mark.slow
+def test_grouped_sweep_triples_the_per_session_loop(rng):
+    """Serving shape: 16 sessions x 1 window per tick, 256 ticks."""
+    n_ticks, n_sessions = 256, 16
+    memories = []
+    for _ in range(n_sessions):
+        memory = AssociativeMemory(GOLDEN_DIM)
+        memory.store(0, random_bits(GOLDEN_DIM, rng))
+        memory.store(1, random_bits(GOLDEN_DIM, rng))
+        memories.append(memory)
+    queries = pack_bits(random_bits((n_ticks, n_sessions, GOLDEN_DIM), rng))
+    stack = np.stack([m.packed_block()[0] for m in memories])
+    table = np.stack([m.packed_block()[1] for m in memories])
+    owners = np.arange(n_sessions, dtype=np.intp)
+
+    def per_session_loop():
+        return [[m.classify_packed(q)[0] for m, q in zip(memories, tick)]
+                for tick in queries]
+
+    def grouped_sweep():
+        return [grouped_classify_packed(tick, stack, owners, table)[0]
+                for tick in queries]
+
+    def best_of_3(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    np.testing.assert_array_equal(per_session_loop(), grouped_sweep())
+    loop_s, grouped_s = best_of_3(per_session_loop), best_of_3(grouped_sweep)
+    assert loop_s / grouped_s >= 3.0, (loop_s, grouped_s)

@@ -8,13 +8,15 @@ is asserted against the numpy implementations either way.
 
 import importlib
 import os
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 import repro.hdc.native as native_module
 from repro.cli import main
-from repro.core.config import LaelapsConfig
+from repro.core.config import GOLDEN_DIM, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.hdc.associative import grouped_classify_packed
 from repro.hdc.backend import pack_bits, popcount_words, random_bits
@@ -409,3 +411,31 @@ class TestEngineParity:
         assert len(nat) > 0
         np.testing.assert_array_equal(nat.labels, fused.labels)
         np.testing.assert_array_equal(nat.distances, fused.distances)
+
+
+@pytest.mark.skipif(
+    not numba_available() or (os.cpu_count() or 1) < 4,
+    reason="the floor needs the compiled kernels and >= 4 cores",
+)
+def test_native_triples_packed_at_golden_dim():
+    """packed-native >= 3x packed at d = 10000: 32 electrodes, 6 s."""
+    signal = np.random.default_rng(9).standard_normal((6 * 256, 32))
+    rates = {}
+    for backend in (PACKED_ENGINE, PACKED_NATIVE_ENGINE):
+        detector = LaelapsDetector(
+            32, LaelapsConfig(dim=GOLDEN_DIM, fs=256.0, seed=7,
+                              backend=backend),
+        )
+        detector.fit_from_windows(
+            random_bits((4, GOLDEN_DIM), np.random.default_rng(1)),
+            random_bits((4, GOLDEN_DIM), np.random.default_rng(2)),
+        )
+        detector.predict(signal)  # the first call pays the JIT compile
+        elapsed = []
+        for _ in range(5):
+            start = time.perf_counter()
+            detector.predict(signal)
+            elapsed.append(time.perf_counter() - start)
+        rates[backend] = 1.0 / statistics.median(elapsed)
+    speedup = rates[PACKED_NATIVE_ENGINE] / rates[PACKED_ENGINE]
+    assert speedup >= 3.0, speedup

@@ -11,9 +11,9 @@ fills is ~0.94 GB on its own).
 
 ``tracemalloc`` counts every traced allocation (numpy registers its
 buffers) but *not* memmap pages — which is the point: mapped file pages
-are reclaimable cache, not working-set demand.  Peak RSS is recorded in
-the channel-scaling benchmark (``BENCH_channel_scaling.json``) rather
-than asserted here, because it is a process-lifetime high-water mark.
+are reclaimable cache, not working-set demand.  Peak RSS is not
+asserted, because it is a process-lifetime high-water mark; perfbench's
+``offline-highchan`` workload reports the streamed path's ``peak_mb``.
 """
 
 import gc
@@ -104,6 +104,32 @@ class TestStreamedPeakIsFlat:
         # to the whole span; 3x the duration must show up.
         assert mem_long > 1.8 * mem_short, (mem_short, mem_long)
         assert streamed_long < mem_long, (streamed_long, mem_long)
+
+
+@pytest.mark.parametrize("n_channels", [16, 32])
+def test_run_patient_stays_under_budget(n_channels, tmp_path):
+    """run_patient, disk member to predictions, under the ceiling."""
+    duration_s = 240.0
+    spec = CohortSpec(
+        f"budget-{n_channels}",
+        (MemberSpec("m0", n_channels, duration_s,
+                    default_member_plans(duration_s, 2), seed=n_channels),),
+        params=SynthesisParams(fs=256.0),
+        seed=13,
+    )
+    patient = generate_cohort(spec, tmp_path).member("m0").patient()
+    runs = []
+
+    def factory(n_electrodes, fs):
+        return LaelapsDetector(
+            n_electrodes, LaelapsConfig(dim=256, fs=fs, seed=3)
+        )
+
+    peak = _peak_mb(
+        lambda: runs.append(run_patient(factory, patient, method="laelaps"))
+    )
+    assert peak < BUDGET_MB, f"{n_channels} ch: eval peak {peak:.0f} MB"
+    assert len(runs[0].train_preds) + len(runs[0].test_preds) > 0
 
 
 class TestGenerationBudget:

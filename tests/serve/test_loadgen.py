@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evaluation.benchrec import read_record, write_record
+from repro.hdc.engine import resolve_engine_name
 from repro.serve.gateway import TickStats
 from repro.serve.loadgen import (
     LoadConfig,
@@ -205,7 +206,7 @@ class TestSmokeRun:
         assert report.metrics["worker_cycle_recovery_s"] > 0
 
     def test_engine_resolved(self, report):
-        assert report.engine in ("unpacked", "packed", "packed-fused")
+        assert report.engine == resolve_engine_name(report.config.backend)
 
     def test_report_round_trips_through_benchrec(self, report, tmp_path):
         record = report.record("load_slo")

@@ -1,7 +1,11 @@
 """Process-transport tests: the child-process shard behaves identically."""
 
+import os
+import time
+
 import pytest
 
+from repro.core.config import GOLDEN_DIM
 from repro.core.sessions import StreamSessionManager
 from repro.serve import ProcessShardWorker, ShardedStreamGateway, WorkerError
 
@@ -76,3 +80,33 @@ class TestWorkerTransport:
             assert worker.collect() == "pong"
         finally:
             worker.stop()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+                    reason="4 process workers need 4 cores to overlap")
+def test_four_process_workers_double_a_single_manager():
+    """Throughput floor: 16 sessions at d = 10000, 0.5 s ticks."""
+    detectors, signals = build_fleet(16, GOLDEN_DIM, seconds=12.0)
+
+    def timed(open_and_run):
+        start = time.perf_counter()
+        events = open_and_run()
+        return events, time.perf_counter() - start
+
+    def single():
+        manager = StreamSessionManager()
+        for sid, detector in detectors.items():
+            manager.open(sid, detector)
+        return manager.run(signals, 128)
+
+    def sharded():
+        with ShardedStreamGateway(4, mode="process") as gateway:
+            for sid, detector in detectors.items():
+                gateway.open(sid, detector)
+            return gateway.run(signals, 128)
+
+    expected, single_s = timed(single)
+    events, sharded_s = timed(sharded)
+    assert events == expected
+    assert single_s / sharded_s >= 2.0, (single_s, sharded_s)

@@ -109,7 +109,7 @@ class TestServingCommands:
     def test_loadtest_tiny_with_record_and_check(self, capsys, tmp_path):
         from repro.evaluation.benchrec import read_record
 
-        out_path = tmp_path / "BENCH_load_slo.json"
+        out_path = tmp_path / "load.json"
         assert main([
             "loadtest", "--sessions", "4", "--workers", "2",
             "--mode", "inline", "--ticks", "6", "--dim", "256",
@@ -130,6 +130,32 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "report-only" in out
         assert "throughput_windows_per_s" in out
+
+    @pytest.mark.parametrize("baseline", ["missing", "other_harness"])
+    def test_loadtest_check_refuses_bad_baseline_before_running(
+        self, baseline, capsys, tmp_path, monkeypatch
+    ):
+        from repro.evaluation.benchrec import (
+            BenchRecord,
+            machine_fingerprint,
+            write_record,
+        )
+
+        path = tmp_path / "baseline.json"
+        if baseline == "other_harness":
+            write_record(BenchRecord(
+                name="engine_matrix", machine=machine_fingerprint(),
+                git_sha="0" * 40, engine="packed", config={}, metrics={},
+            ), path)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the load test ran before --check failed")
+
+        monkeypatch.setattr("repro.serve.loadgen.run_load_test", never)
+        assert main(["loadtest", "--check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err
 
 
 class TestLintCommand:
