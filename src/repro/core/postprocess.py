@@ -51,28 +51,6 @@ def delta_scores(distances: np.ndarray) -> np.ndarray:
     return np.abs(arr[:, 0].astype(np.float64) - arr[:, 1].astype(np.float64))
 
 
-def _windowed_sum(values: np.ndarray, width: int) -> np.ndarray:
-    """Sum of each trailing window of ``width`` values; shape preserved.
-
-    Entry ``i`` sums ``values[max(0, i - width + 1) : i + 1]`` (leading
-    windows are zero-padded; the alarm machine masks them out under the
-    warm-up contract anyway).  Each window is reduced explicitly rather
-    than as a difference of running cumsums: a full window's sum then
-    depends *only* on the window's contents, never on the stream prefix,
-    which is what keeps the state machine bit-identical under arbitrary
-    chunking even for adversarially scaled float deltas (a cumsum
-    difference can absorb a tiny delta into a large prefix total).
-    """
-    if len(values) == 0:
-        return np.zeros(0, dtype=np.float64)
-    padded = np.concatenate(
-        [np.zeros(width - 1, dtype=np.float64), values]
-    )
-    return np.lib.stride_tricks.sliding_window_view(padded, width).sum(
-        axis=-1
-    )
-
-
 def alarm_flags(
     labels: np.ndarray,
     deltas: np.ndarray,
@@ -152,7 +130,9 @@ class AlarmStateMachine:
     (:func:`alarm_flags`, :meth:`Postprocessor.flags`, :func:`tune_tr`)
     and the streaming/session engines run through this class, which is
     what guarantees bit-identical alarms between ``detect()`` and
-    incremental ``push()``.
+    incremental ``push()``.  A :meth:`bank` of machines votes many
+    streams (a serving tick's sessions) in one call, through the same
+    code as a lone machine.
 
     Warm-up contract: the vote is only taken once the window is full,
     so no flag can be raised for a global window index smaller than
@@ -165,10 +145,17 @@ class AlarmStateMachine:
 
     def __init__(self, config: PostprocessConfig | None = None) -> None:
         self.config = config or PostprocessConfig()
-        self._tail_labels = np.zeros(0, dtype=np.int64)
-        self._tail_deltas = np.zeros(0, dtype=np.float64)
-        self._seen = 0
-        self._active = False
+        self._members: list[AlarmStateMachine] | None = None
+        self.reset()
+
+    @classmethod
+    def bank(cls, machines) -> "AlarmStateMachine":
+        """One machine whose rows are ``machines`` (a sessions axis): its
+        :meth:`update` votes all of them in one pass, each with its own
+        t_c, t_r and warm-up depth, exactly as if each were updated alone."""
+        bank = cls()
+        bank._members = list(machines)
+        return bank
 
     @property
     def labels_seen(self) -> int:
@@ -187,55 +174,91 @@ class AlarmStateMachine:
         self._seen = 0
         self._active = False
 
-    def update(
-        self, labels: np.ndarray, deltas: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def update(self, labels, deltas):
         """Consume a chunk of labels/deltas, continuing the stream.
 
         Args:
-            labels: int array ``(n,)`` of classifier labels.
-            deltas: float array ``(n,)`` of delta scores.
+            labels: int array ``(n,)`` of classifier labels; on a
+                :meth:`bank`, one such array per member (any lengths).
+            deltas: float array(s) of delta scores, shaped like ``labels``.
 
         Returns:
             ``(flags, rising)`` bool arrays ``(n,)``: the per-label alarm
             condition and its rising edges (True exactly where an alarm
-            *onset* occurs, carried correctly across chunk boundaries).
+            *onset* occurs, carried correctly across chunk boundaries);
+            on a bank, one list of arrays each.
         """
-        cfg = self.config
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        deltas_arr = np.asarray(deltas, dtype=np.float64)
-        if labels_arr.shape != deltas_arr.shape or labels_arr.ndim != 1:
-            raise ValueError(
-                f"labels {labels_arr.shape} and deltas {deltas_arr.shape} "
-                "must be equal-length 1-D arrays"
+        members = self._members or [self]
+        if self._members is None:
+            labels, deltas = [labels], [deltas]
+        rows = [(np.asarray(row_labels, dtype=np.int64),
+                 np.asarray(row_deltas, dtype=np.float64))
+                for row_labels, row_deltas in zip(labels, deltas, strict=True)]
+        if len(rows) != len(members) or any(
+            lab.shape != d.shape or lab.ndim != 1 for lab, d in rows
+        ):
+            raise ValueError("labels and deltas must be equal-length 1-D "
+                             "arrays, one pair per machine")
+        flags_rows = [np.zeros(len(lab), dtype=bool) for lab, _ in rows]
+        rising_rows = [flags.copy() for flags in flags_rows]
+        live = [r for r, (lab, _) in enumerate(rows) if len(lab)]
+        # Each width's members are voted together over one concatenation
+        # of every member's zero pad, carried tail and new labels.  Each
+        # window is summed explicitly rather than as a difference of
+        # running cumsums, so a sum depends only on the window's contents
+        # — never on the stream prefix, the chunking or the other members
+        # (a cumsum difference can absorb a tiny delta into a large total).
+        for width in {members[r].config.postprocess_len for r in live}:
+            group = [r for r in live
+                     if members[r].config.postprocess_len == width]
+            machines = [members[r] for r in group]
+            counts = [len(rows[r][0]) for r in group]
+            joined = [(np.concatenate([m._tail_labels, rows[r][0]]),
+                       np.concatenate([m._tail_deltas, rows[r][1]]))
+                      for m, r in zip(machines, group)]
+            pad = np.zeros(width - 1, dtype=np.float64)
+            ictal = [(lab == ICTAL).astype(np.float64) for lab, _ in joined]
+            ends = np.cumsum([width - 1 + len(lab) for lab, _ in joined])
+            # Window j covers entries [j, j + width): new label i of a
+            # member ending at `end` closes window end - n + i - width + 1.
+            index = np.concatenate(
+                [np.arange(end - n, end) for end, n in zip(ends, counts)]
+            ) - (width - 1)
+
+            def window_sums(parts):
+                return np.lib.stride_tricks.sliding_window_view(
+                    np.concatenate(parts), width).sum(axis=-1)[index]
+
+            ictal_counts = window_sums([x for i in ictal for x in (pad, i)])
+            ictal_delta_sums = window_sums(
+                [x for i, (_, d) in zip(ictal, joined) for x in (pad, i * d)]
             )
-        n = labels_arr.shape[0]
-        if n == 0:
-            empty = np.zeros(0, dtype=bool)
-            return empty, empty.copy()
-        width = cfg.postprocess_len
-        joined_labels = np.concatenate([self._tail_labels, labels_arr])
-        joined_deltas = np.concatenate([self._tail_deltas, deltas_arr])
-        carry = self._tail_labels.shape[0]
-        ictal = (joined_labels == ICTAL).astype(np.float64)
-        ictal_counts = _windowed_sum(ictal, width)[carry:]
-        ictal_delta_sums = _windowed_sum(ictal * joined_deltas, width)[carry:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_delta = np.where(
-                ictal_counts > 0, ictal_delta_sums / ictal_counts, 0.0
-            )
-        flags = (ictal_counts >= cfg.tc) & (mean_delta > cfg.tr)
-        # Warm-up: a window only votes once `width` labels exist.
-        global_index = self._seen + np.arange(n)
-        flags &= global_index >= width - 1
-        previous = np.concatenate([[self._active], flags[:-1]])
-        rising = flags & ~previous
-        self._seen += n
-        keep = min(width - 1, joined_labels.shape[0])
-        self._tail_labels = joined_labels[joined_labels.shape[0] - keep :].copy()
-        self._tail_deltas = joined_deltas[joined_deltas.shape[0] - keep :].copy()
-        self._active = bool(flags[-1])
-        return flags, rising
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mean_delta = np.where(
+                    ictal_counts > 0, ictal_delta_sums / ictal_counts, 0.0
+                )
+            per_label = [(m.config.tc, m.config.tr, m._seen) for m in machines]
+            tc, tr, seen = (np.repeat(column, counts) for column in zip(*per_label))
+            offsets = np.concatenate([np.arange(n) for n in counts])
+            flags = (ictal_counts >= tc) & (mean_delta > tr)
+            # Warm-up: a window only votes once `width` labels exist.
+            flags &= seen + offsets >= width - 1
+            starts = np.cumsum([0] + counts[:-1])
+            previous = np.empty_like(flags)
+            previous[1:] = flags[:-1]
+            previous[starts] = [m._active for m in machines]
+            rising = flags & ~previous
+            for r, m, start, n, (lab, d) in zip(group, machines, starts, counts, joined):
+                flags_rows[r] = flags[start : start + n]
+                rising_rows[r] = rising[start : start + n]
+                keep = min(width - 1, len(lab))
+                m._tail_labels = lab[len(lab) - keep :].copy()
+                m._tail_deltas = d[len(d) - keep :].copy()
+                m._seen += n
+                m._active = bool(flags[start + n - 1])
+        if self._members is None:
+            return flags_rows[0], rising_rows[0]
+        return flags_rows, rising_rows
 
     def state_dict(self) -> dict:
         """Snapshot of the live stream state (checkpointable)."""
@@ -274,13 +297,9 @@ class Postprocessor:
     def __init__(self, config: PostprocessConfig | None = None) -> None:
         self.config = config or PostprocessConfig()
 
-    def machine(self) -> AlarmStateMachine:
-        """A fresh resumable state machine at this configuration."""
-        return AlarmStateMachine(self.config)
-
     def flags(self, labels: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """Alarm condition per window (see :func:`alarm_flags`)."""
-        flags, _ = self.machine().update(labels, deltas)
+        flags, _ = AlarmStateMachine(self.config).update(labels, deltas)
         return flags
 
     def onsets(self, labels: np.ndarray, deltas: np.ndarray) -> np.ndarray:

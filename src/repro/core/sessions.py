@@ -1,22 +1,21 @@
-"""Multi-patient stream serving: many concurrent sessions, one sweep.
+"""Multi-patient stream serving: many concurrent sessions, one staged tick.
 
-The serving-scale layer above :class:`~repro.core.streaming.StreamingLaelaps`:
-a :class:`StreamSessionManager` multiplexes many live patient streams,
-each with its own fitted detector, ring-buffered raw tail and alarm
-state machine.  Per tick, raw chunks for any subset of sessions go in
-through :meth:`StreamSessionManager.push_many`; the per-session
-encoders advance independently, but the resulting H vectors of *all*
-sessions are classified by one cross-session batched XOR + popcount
-sweep (:func:`repro.hdc.associative.grouped_classify_packed`) instead
-of one small query per stream.  Events coming back are bit-identical
-to driving each stream alone — the batching is a pure transport
-optimisation.
-
-Sessions may serve different patients (different electrode counts,
-prototypes and t_r) and may mix compute engines freely — each
-session's H vectors enter the sweep through its own engine's
-``pack_queries`` bridge; only the hypervector dimension must be
-shared, so the query block lines up word for word.
+A :class:`StreamSessionManager` multiplexes many live patient streams
+(:class:`~repro.core.streaming.StreamingLaelaps`), each with its own
+fitted detector, raw tail, encoder and alarm machine.  A tick
+(:meth:`StreamSessionManager.push_many`, through :func:`push_streams`)
+runs each stage once over every session: LBP symbolise and spatial
+encode *per session*; the temporal block step *grouped per tile* — one
+carry-save tree, window adder and comparator over a bounded tile of
+many sessions' blocks (:class:`repro.hdc.temporal.BlockTiles`, whose
+fixed word budget keeps a tick's peak memory flat in the shard size);
+then one XOR + popcount sweep
+(:func:`repro.hdc.associative.grouped_classify_packed`) and one t_c /
+t_r vote over a bank of the sessions' alarm machines.  Events are
+bit-identical to driving each stream alone; a lone
+``StreamingLaelaps.push`` is the same tick with one session.  Sessions
+may differ in electrode count, prototypes, t_r and compute engine; only
+the hypervector dimension is shared, so queries line up word for word.
 
 Live state (every session's symboliser tail, encoder buffers, alarm
 machine and counters, plus each model) checkpoints to one ``.npz``
@@ -26,20 +25,21 @@ bit-exactly with :func:`repro.core.persistence.load_sessions`.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.detector import LaelapsDetector
-from repro.core.postprocess import delta_scores
+from repro.core.postprocess import AlarmStateMachine, delta_scores
 from repro.core.streaming import StreamEvent, StreamingLaelaps
 from repro.hdc.associative import grouped_classify_packed
+from repro.hdc.temporal import BlockTiles
 
 
 def validate_chunk(
     session_id: str, chunk, n_electrodes: int
 ) -> np.ndarray:
-    """Coerce one session's raw chunk to float64 and check its shape.
+    """Coerce one session's raw chunk to an array and check its shape.
 
     The single chunk-shape contract of the serving layers — the manager
     and the sharded gateway both validate through here, so they can
@@ -51,9 +51,14 @@ def validate_chunk(
         n_electrodes: The session's electrode count.
 
     Returns:
-        float64 array ``(n, n_electrodes)``.
+        Array ``(n, n_electrodes)``: floating-point input keeps its
+        dtype (LBP codes compare samples, so float32 gives the same
+        codes at half the memory and IPC bytes); anything else becomes
+        float64.
     """
-    arr = np.asarray(chunk, dtype=np.float64)
+    arr = np.asarray(chunk)
+    if not np.issubdtype(arr.dtype, np.floating):
+        arr = arr.astype(np.float64)
     if arr.ndim != 2 or arr.shape[1] != n_electrodes:
         raise ValueError(
             f"session {session_id!r} expects (n, {n_electrodes}) "
@@ -62,8 +67,10 @@ def validate_chunk(
     return arr
 
 
-def lockstep_ticks(signals: Mapping[str, np.ndarray], chunk_samples: int):
-    """Yield per-tick chunk dicts walking many recordings in lockstep.
+def run_lockstep(
+    push_many, signals: Mapping[str, np.ndarray], chunk_samples: int
+) -> dict[str, list[StreamEvent]]:
+    """Stream whole recordings through ``push_many`` in lockstep ticks.
 
     Tick ``t`` delivers samples ``[t * chunk_samples, (t + 1) *
     chunk_samples)`` of every signal that still has data (exhausted
@@ -72,17 +79,60 @@ def lockstep_ticks(signals: Mapping[str, np.ndarray], chunk_samples: int):
     :meth:`repro.serve.ShardedStreamGateway.run` so the two layers
     cannot diverge in tick semantics.
     """
-    arrays = {
-        session_id: np.asarray(signal)
-        for session_id, signal in signals.items()
-    }
+    arrays = {sid: np.asarray(signal) for sid, signal in signals.items()}
+    events: dict[str, list[StreamEvent]] = {sid: [] for sid in arrays}
     longest = max((a.shape[0] for a in arrays.values()), default=0)
     for start in range(0, longest, chunk_samples):
-        yield {
-            session_id: arr[start : start + chunk_samples]
-            for session_id, arr in arrays.items()
-            if arr.shape[0] > start
-        }
+        tick = {sid: arr[start : start + chunk_samples]
+                for sid, arr in arrays.items() if arr.shape[0] > start}
+        for sid, new_events in push_many(tick).items():
+            events[sid].extend(new_events)
+    return events
+
+
+def push_streams(
+    streams: Sequence[StreamingLaelaps], chunks: Sequence[np.ndarray]
+) -> list[list[StreamEvent]]:
+    """One serving tick over many streams, stage by stage (see module
+    docstring).  Chunks must be valid for their streams
+    (:func:`validate_chunk`); returns each stream's new events."""
+    tiles = BlockTiles()
+    h_blocks = [
+        stream.encode_chunk(chunk, tiles)
+        for stream, chunk in zip(streams, chunks)
+    ]
+    tiles.flush()
+    events: list[list[StreamEvent]] = [[] for _ in streams]
+    live = [i for i, h in enumerate(h_blocks) if h.shape[0]]
+    if not live:
+        return events
+    detectors = [streams[i].detector for i in live]
+    queries = [d.engine.pack_queries(h_blocks[i])
+               for d, i in zip(detectors, live)]
+    blocks = [d.memory.packed_block() for d in detectors]
+    # When every involved stream runs the same engine, its grouped
+    # kernel carries the tick (the packed-native engine's nogil sweep,
+    # typically); mixed fleets fall back to the shared numpy sweep —
+    # all implementations are bit-exact, so this only picks a speed.
+    kernels = {d.engine.grouped_kernel for d in detectors}
+    sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
+    sizes = [len(q) for q in queries]
+    labels, distances = sweep(
+        np.concatenate(queries, axis=0),
+        np.stack([block for block, _ in blocks]),
+        np.repeat(np.arange(len(live), dtype=np.intp), sizes),
+        np.stack([table for _, table in blocks]),
+    )
+    splits = np.cumsum(sizes)[:-1]
+    labels_rows = np.split(labels, splits)
+    deltas_rows = np.split(delta_scores(distances), splits)
+    bank = AlarmStateMachine.bank([streams[i].alarm_machine() for i in live])
+    _, rising_rows = bank.update(labels_rows, deltas_rows)
+    for i, row_labels, row_deltas, rising in zip(
+        live, labels_rows, deltas_rows, rising_rows
+    ):
+        events[i] = streams[i].emit_events(row_labels, row_deltas, rising)
+    return events
 
 
 class StreamSessionManager:
@@ -167,14 +217,7 @@ class StreamSessionManager:
     def push_many(
         self, chunks: Mapping[str, np.ndarray]
     ) -> dict[str, list[StreamEvent]]:
-        """Advance many sessions at once, classifying in one sweep.
-
-        Each session's encoder consumes its chunk independently (code
-        continuation and window bundling are inherently per-stream);
-        the completed H vectors of every session are then packed into a
-        single query block and classified against a stack of all
-        involved prototypes by one vectorized XOR + popcount sweep.
-        Results are bit-identical to pushing each session alone.
+        """Advance many sessions one tick (see :func:`push_streams`).
 
         Args:
             chunks: Mapping of session id to raw chunk
@@ -188,58 +231,13 @@ class StreamSessionManager:
         # Validate every session id and chunk shape before touching any
         # stream state: a bad entry must not leave earlier sessions with
         # half-consumed ticks (their windows would vanish unclassified).
-        order = list(chunks)
-        arrays: dict[str, np.ndarray] = {}
-        for session_id in order:
-            stream = self.session(session_id)
-            arrays[session_id] = validate_chunk(
-                session_id, chunks[session_id], stream.detector.n_electrodes
-            )
-        h_blocks: list[tuple[str, np.ndarray]] = []
-        events: dict[str, list[StreamEvent]] = {}
-        for session_id in order:
-            stream = self._sessions[session_id]
-            h_vectors = stream.encode_chunk(arrays[session_id])
-            events[session_id] = []
-            if h_vectors.shape[0]:
-                h_blocks.append((session_id, h_vectors))
-        if not h_blocks:
-            return events
-        queries = []
-        owners = []
-        protos = []
-        labels_table = []
-        kernels = set()
-        for owner, (session_id, h_vectors) in enumerate(h_blocks):
-            stream = self._sessions[session_id]
-            packed = stream.detector.engine.pack_queries(h_vectors)
-            queries.append(packed)
-            owners.append(np.full(packed.shape[0], owner, dtype=np.intp))
-            block, block_labels = stream.detector.memory.packed_block()
-            protos.append(block)
-            labels_table.append(block_labels)
-            kernels.add(stream.detector.engine.grouped_kernel)
-        # When every involved session runs the same engine, its grouped
-        # kernel carries the tick (the packed-native engine's nogil
-        # sweep, typically); mixed fleets fall back to the shared numpy
-        # sweep — all implementations are bit-exact, so this only picks
-        # a speed, never a result.
-        sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
-        labels, distances = sweep(
-            np.concatenate(queries, axis=0),
-            np.stack(protos),
-            np.concatenate(owners),
-            np.stack(labels_table),
-        )
-        deltas = delta_scores(distances)
-        offset = 0
-        for session_id, h_vectors in h_blocks:
-            n = h_vectors.shape[0]
-            events[session_id] = self._sessions[session_id].emit_events(
-                labels[offset : offset + n], deltas[offset : offset + n]
-            )
-            offset += n
-        return events
+        streams = [self.session(session_id) for session_id in chunks]
+        arrays = [
+            validate_chunk(session_id, chunks[session_id],
+                           stream.detector.n_electrodes)
+            for session_id, stream in zip(chunks, streams)
+        ]
+        return dict(zip(chunks, push_streams(streams, arrays)))
 
     def run(
         self,
@@ -255,13 +253,7 @@ class StreamSessionManager:
         """
         for session_id in signals:
             self.session(session_id)
-        events: dict[str, list[StreamEvent]] = {
-            session_id: [] for session_id in signals
-        }
-        for tick in lockstep_ticks(signals, chunk_samples):
-            for session_id, new_events in self.push_many(tick).items():
-                events[session_id].extend(new_events)
-        return events
+        return run_lockstep(self.push_many, signals, chunk_samples)
 
     # ------------------------------------------------------------------
     # Checkpointing and shard migration
@@ -304,14 +296,3 @@ class StreamSessionManager:
         payload = self.export_session(session_id)
         self.close(session_id)
         return payload
-
-    def state_dict(self) -> dict:
-        """Per-session live stream state (models excluded).
-
-        See :func:`repro.core.persistence.save_sessions` for the
-        model-inclusive checkpoint.
-        """
-        return {
-            session_id: stream.state_dict()
-            for session_id, stream in self._sessions.items()
-        }

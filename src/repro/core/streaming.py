@@ -18,12 +18,11 @@ The same tail carry is the detector's one inference core:
 :func:`predict_chunked` feeds a whole recording through
 :meth:`StreamingLaelaps.encode_chunk` a chunk at a time, which is how
 ``LaelapsDetector.predict`` and the out-of-core evaluation path score
-signals in O(chunk) memory.  Multi-patient serving is layered on top of
-:class:`StreamingLaelaps` by
-:class:`repro.core.sessions.StreamSessionManager`, which drives many
-streams through the two-phase split :meth:`StreamingLaelaps.encode_chunk`
-/ :meth:`StreamingLaelaps.emit_events` so classification can be batched
-across sessions.
+signals in O(chunk) memory.  A stream's tick is staged so that the
+stages after :meth:`StreamingLaelaps.encode_chunk` (symbolise, spatial
+encode) run grouped over many streams
+(:func:`repro.core.sessions.push_streams`); :meth:`StreamingLaelaps.push`
+is that tick for a fleet of one.
 """
 
 from __future__ import annotations
@@ -33,11 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.detector import LaelapsDetector, WindowPredictions
-from repro.core.postprocess import (
-    AlarmStateMachine,
-    PostprocessConfig,
-    delta_scores,
-)
+from repro.core.postprocess import AlarmStateMachine, delta_scores
+from repro.hdc.temporal import BlockTiles
 
 #: Raw samples per chunk of :func:`predict_chunked`.  Sized so the
 #: transient buffers (chunk + LBP codes + the engine's per-block
@@ -93,15 +89,10 @@ class StreamingLaelaps:
                 "semantics drive the chunk-boundary continuation)"
             )
         self.detector = detector
-        cfg = detector.config
         self._symbolizer = detector.symbolizer
         self._encoder = detector.temporal_encoder()
         self._raw_tail = np.zeros((0, detector.n_electrodes), dtype=np.float64)
-        self._post = AlarmStateMachine(
-            PostprocessConfig(
-                postprocess_len=cfg.postprocess_len, tc=cfg.tc, tr=detector.tr
-            )
-        )
+        self._post = AlarmStateMachine(detector.postprocessor().config)
         self._samples_seen = 0
         self._windows_emitted = 0
 
@@ -115,25 +106,18 @@ class StreamingLaelaps:
         """Analysis windows classified so far."""
         return self._windows_emitted
 
-    @property
-    def postprocessor_state(self) -> AlarmStateMachine:
-        """The live alarm state machine (shared batch/stream semantics)."""
-        return self._post
+    def encode_chunk(
+        self, chunk: np.ndarray, tiles: BlockTiles | None = None
+    ) -> np.ndarray:
+        """The per-stream stages of a tick: symbolise and spatial encode.
 
-    def encode_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        """Phase 1 of :meth:`push`: raw samples to completed H vectors.
-
-        Buffers the symboliser tail across calls and advances the
-        temporal encoder; returns the H vectors of the windows completed
-        by this chunk (possibly zero) in the backend's representation.
-        Classification is *not* performed — callers either classify
-        immediately (:meth:`push`, :func:`predict_chunked`) or batch
-        across many sessions
-        (:class:`repro.core.sessions.StreamSessionManager`).
-
-        The chunk keeps its dtype: LBP codes are signs of sample
-        differences, which no float or integer width changes, so
-        upcasting would only cost memory.
+        Carries the symboliser tail across calls and feeds the codes to
+        the temporal encoder; returns the H vectors of the windows this
+        chunk completes, in the backend's representation — filled by
+        ``tiles.flush()`` when ``tiles`` (the tick's shared block step)
+        is given.  The chunk keeps its dtype (LBP codes compare samples,
+        so upcasting would only cost memory); the carried tail is
+        float64 whatever the chunk dtype.
         """
         arr = np.asarray(chunk)
         if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:
@@ -149,40 +133,30 @@ class StreamingLaelaps:
         length = self._symbolizer.length
         if joined.shape[0] <= length:
             # A copy: ``joined`` may be a view of the caller's buffer.
-            self._raw_tail = joined.copy()
-            return self._encoder.feed(
-                np.zeros((0, self.detector.n_electrodes), dtype=np.int64)
-            )
-        codes = self._symbolizer.codes(joined)
-        # Keep the raw samples whose codes are not yet computable, and
-        # free the joined copy before the encoder's scratch peaks.
-        self._raw_tail = joined[-length:].copy()
-        del joined
-        return self._encoder.feed(codes)
+            self._raw_tail = joined.astype(np.float64)
+            codes = np.zeros((0, self.detector.n_electrodes), dtype=np.int64)
+        else:
+            codes = self._symbolizer.codes(joined)
+            # Keep the raw samples whose codes are not yet computable,
+            # and free the joined copy before the encoder's scratch peaks.
+            self._raw_tail = joined[-length:].astype(np.float64)
+            del joined
+        return self._encoder.feed(codes, tiles)
+
+    def alarm_machine(self) -> AlarmStateMachine:
+        """The stream's alarm machine, at the detector's current t_r (it
+        may be retuned mid-stream; alarms keep matching ``detect()``)."""
+        if self.detector.tr != self._post.config.tr:
+            self._post.config = self.detector.postprocessor().config
+        return self._post
 
     def emit_events(
-        self, labels: np.ndarray, deltas: np.ndarray
+        self, labels: np.ndarray, deltas: np.ndarray, rising: np.ndarray
     ) -> list[StreamEvent]:
-        """Phase 2 of :meth:`push`: classified windows to stream events.
-
-        Feeds the shared alarm state machine and stamps each window with
-        the stream clock (global window index, symboliser margin), so
-        decision times are correct for mid-stream chunks.
-        """
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        deltas_arr = np.asarray(deltas, dtype=np.float64)
-        n = labels_arr.shape[0]
-        if n == 0:
-            return []
+        """The last stage of a tick: stamps each voted window (``rising``
+        is this stream's row of the alarm vote) with the stream clock."""
+        n = len(labels)
         cfg = self.detector.config
-        # t_r lives on the detector and may be (re)tuned after this
-        # stream was opened; track it so alarms keep matching detect().
-        if self.detector.tr != self._post.config.tr:
-            self._post.config = PostprocessConfig(
-                postprocess_len=cfg.postprocess_len,
-                tc=cfg.tc,
-                tr=self.detector.tr,
-            )
         spec = cfg.window_spec
         index = self._windows_emitted + np.arange(n)
         times = (
@@ -190,30 +164,28 @@ class StreamingLaelaps:
             + spec.window_samples
             + self._symbolizer.margin
         ) / cfg.fs
-        _, rising = self._post.update(labels_arr, deltas_arr)
         self._windows_emitted += n
         return [
             StreamEvent(
                 time_s=float(times[k]),
-                label=int(labels_arr[k]),
-                delta=float(deltas_arr[k]),
+                label=int(labels[k]),
+                delta=float(deltas[k]),
                 alarm=bool(rising[k]),
             )
             for k in range(n)
         ]
 
     def push(self, chunk: np.ndarray) -> list[StreamEvent]:
-        """Consume a chunk of raw samples; return completed windows.
+        """Consume a chunk of raw samples; return completed windows (the
+        serving tick of :func:`repro.core.sessions.push_streams`, alone).
 
         Args:
             chunk: Array ``(n_samples, n_electrodes)`` continuing the
                 stream (any chunk size, including smaller than a block).
         """
-        h_vectors = self.encode_chunk(chunk)
-        if h_vectors.shape[0] == 0:
-            return []
-        labels, _, deltas = self.detector.classify_from_windows(h_vectors)
-        return self.emit_events(labels, deltas)
+        from repro.core.sessions import push_streams
+
+        return push_streams([self], [chunk])[0]
 
     def run(self, signal: np.ndarray, chunk_samples: int) -> list[StreamEvent]:
         """Convenience: stream a whole recording in fixed-size chunks."""

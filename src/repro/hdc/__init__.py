@@ -73,7 +73,7 @@ from repro.hdc.ops import (
 )
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal import TemporalEncoder, encode_recording
+from repro.hdc.temporal import TemporalEncoder
 from repro.hdc.temporal_packed import PackedTemporalEncoder
 
 __all__ = [
@@ -101,7 +101,6 @@ __all__ = [
     "SpatialEncoder",
     "PackedSpatialEncoder",
     "TemporalEncoder",
-    "encode_recording",
     "PackedTemporalEncoder",
     "AssociativeMemory",
     "PackedPrototypeAccumulator",

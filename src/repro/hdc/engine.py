@@ -93,7 +93,8 @@ class _EngineBase:
     An engine instance is bound to one detector's item memories and
     window geometry.  Subclasses supply the kernels:
 
-    * the spatial encoder (:attr:`spatial`) and fresh streaming
+    * the spatial and temporal encoder classes (:attr:`spatial_class`,
+      :attr:`temporal_class`): :attr:`spatial` and fresh streaming
       temporal encoders (:meth:`temporal_encoder`, whose
       ``state_dict``/``restore_state`` are the streaming-state
       export/import hooks used by checkpoints);
@@ -134,15 +135,16 @@ class _EngineBase:
         self.dim = code_memory.dim
         self.words = packed_words(self.dim)
         self.spec = spec
-        self.spatial = self._build_spatial(code_memory, electrode_memory)
+        self.spatial = self.spatial_class(code_memory, electrode_memory)
 
     # -- representation hooks (subclasses override) --------------------
 
-    def _build_spatial(self, code_memory, electrode_memory):
-        raise NotImplementedError
+    spatial_class: type
+    temporal_class: type[WindowBundler]
 
     def temporal_encoder(self) -> WindowBundler:
-        raise NotImplementedError
+        """A fresh streaming temporal encoder over :attr:`spatial`."""
+        return self.temporal_class(self.spatial, self.spec)
 
     def accumulator(self):
         raise NotImplementedError
@@ -242,11 +244,8 @@ class UnpackedEngine(_EngineBase):
     window_form = "uint8 (n, d)"
     summary = "reference integer-counter path; one byte per component"
 
-    def _build_spatial(self, code_memory, electrode_memory):
-        return SpatialEncoder(code_memory, electrode_memory)
-
-    def temporal_encoder(self) -> TemporalEncoder:
-        return TemporalEncoder(self.spatial, self.spec)
+    spatial_class = SpatialEncoder
+    temporal_class = TemporalEncoder
 
     def accumulator(self) -> BundleAccumulator:
         return BundleAccumulator(self.dim)
@@ -265,11 +264,8 @@ class PackedEngine(_EngineBase):
     window_form = "uint64 (n, ceil(d/64))"
     summary = "bit-parallel carry-save encoding, batched XOR+popcount sweep"
 
-    def _build_spatial(self, code_memory, electrode_memory):
-        return PackedSpatialEncoder(code_memory, electrode_memory)
-
-    def temporal_encoder(self) -> PackedTemporalEncoder:
-        return PackedTemporalEncoder(self.spatial, self.spec)
+    spatial_class = PackedSpatialEncoder
+    temporal_class = PackedTemporalEncoder
 
     def accumulator(self) -> PackedPrototypeAccumulator:
         return PackedPrototypeAccumulator(self.dim)

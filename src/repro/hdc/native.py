@@ -51,7 +51,11 @@ from repro.hdc.engine import (
 )
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal_packed import PackedTemporalEncoder
+from repro.hdc.temporal_packed import (
+    PackedBlockTile,
+    PackedTemporalEncoder,
+    stack_planes,
+)
 from repro.signal.windows import WindowSpec
 
 #: Env knob: worker thread count for the native kernels (0 = default).
@@ -380,28 +384,25 @@ class NativeSpatialEncoder(PackedSpatialEncoder):
         ).reshape(masks.shape[1:])
 
 
-class NativeTemporalEncoder(PackedTemporalEncoder):
-    """Packed temporal encoder over the native bundling tree.
+class NativeBlockTile(PackedBlockTile):
+    """Grouped block step whose carry-save tree is the native kernel
+    (the cheap window adder and comparator stay numpy)."""
 
-    Per-block digit planes come from the native carry-save kernel; the
-    cheap cross-block combine (``blocks_per_window`` plane adds on
-    ``(depth, words)`` arrays) and the checkpoint import/export stay on
-    the shared numpy path, so streaming state remains engine-independent.
-    """
+    def _reduce(self, records: np.ndarray) -> np.ndarray:
+        return native_bitsliced_counts(records).transpose(1, 0, 2)
+
+    def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
+        window = stack_planes(lags[0])
+        for lag in lags[1:]:
+            window = planes_add(window, stack_planes(lag))
+        return planes_greater_than(window, self.spec.window_samples // 2)
+
+
+class NativeTemporalEncoder(PackedTemporalEncoder):
+    """Packed temporal encoder over the native bundling tree."""
 
     spatial: NativeSpatialEncoder
-
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_packed = self.spatial.encode_packed(block_codes)
-        self._block_planes.append(native_bitsliced_counts(s_packed))
-        if len(self._block_planes) < self.blocks_per_window:
-            return None
-        window_planes = self._block_planes[0]
-        for planes in list(self._block_planes)[1:]:
-            window_planes = planes_add(window_planes, planes)
-        return planes_greater_than(
-            window_planes, self.spec.window_samples // 2
-        )
+    tile_class = NativeBlockTile
 
 
 @register_engine
@@ -445,11 +446,8 @@ class PackedNativeEngine(PackedEngine):
         # magnitude slower than packed: never auto-select them.
         return numba_available()
 
-    def _build_spatial(self, code_memory, electrode_memory):
-        return NativeSpatialEncoder(code_memory, electrode_memory)
-
-    def temporal_encoder(self) -> NativeTemporalEncoder:
-        return NativeTemporalEncoder(self.spatial, self.spec)
+    spatial_class = NativeSpatialEncoder
+    temporal_class = NativeTemporalEncoder
 
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray

@@ -63,13 +63,16 @@ class PackedSpatialEncoder:
             packed_electrodes[:, None, :] ^ packed_codes[None, :, :]
         )
 
-    def encode_packed(self, codes: np.ndarray) -> np.ndarray:
+    def encode_packed(
+        self, codes: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``.
 
         Vectorised over the samples of each L2-sized tile: gathers the
         tile's bound masks electrode-major, ``(n_electrodes, tile,
         words)`` and contiguous, and reduces the electrode axis with
-        :meth:`_majority` — no per-sample Python loop.
+        :meth:`_majority` — no per-sample Python loop.  ``out`` (any
+        strides) receives the records instead of a new array.
         """
         arr = np.asarray(codes)
         if arr.ndim == 1:
@@ -79,7 +82,8 @@ class PackedSpatialEncoder:
                 f"expected (n_samples, {self.n_electrodes}), got {arr.shape}"
             )
         n_samples = arr.shape[0]
-        out = np.empty((n_samples, self.words), dtype=np.uint64)
+        if out is None:
+            out = np.empty((n_samples, self.words), dtype=np.uint64)
         if n_samples == 0:
             return out
         if arr.min() < 0 or arr.max() >= self.n_codes:

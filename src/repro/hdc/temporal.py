@@ -8,7 +8,8 @@ The implementation mirrors the GPU dataflow of Fig. 2: the per-component
 sums of the ``S`` vectors are accumulated per 0.5 s *block* and one window
 is the sum of adjacent blocks, so a recording of any length streams
 through in O(d) memory and every ``S`` is encoded exactly once even though
-windows overlap.
+windows overlap.  A :class:`BlockTile` runs that block step for many
+blocks at once: every stream's of a serving tick, in bounded tiles.
 """
 
 from __future__ import annotations
@@ -22,15 +23,95 @@ from repro.hdc.spatial import SpatialEncoder
 from repro.signal.windows import WindowSpec
 
 
+#: Word budget of one grouped block tile: 256 KiB of spatial records
+#: (8 blocks of 128 samples x 32 words at d = 2000).  Bounded, so a
+#: tick's peak memory does not grow with the number of streams.
+_TILE_WORDS = 32_768
+
+
+class BlockTile:
+    """Many streams' 0.5 s blocks, reduced in one pass per tile.
+
+    Row ``r`` of ``records`` ``(step, rows, width)`` holds one block's
+    spatial records; :meth:`flush` reduces every staged row at once,
+    sums each completed window from its stream's block state and writes
+    the H vector into the row its stream reserved.  Subclasses supply
+    the record ``dtype`` and kernels: ``_encode(encoder, block, dest)``,
+    ``_reduce(records)`` (per-row block state) and ``_windows(lags)``
+    (H vectors of windows whose blocks, oldest first, are ``lags``).
+    """
+
+    dtype: type = np.uint8
+
+    def __init__(self, encoder: "WindowBundler", max_rows: int) -> None:
+        self.spec = encoder.spec
+        step, width = self.spec.step_samples, encoder.window_width
+        row_bytes = step * width * np.dtype(self.dtype).itemsize
+        rows = max(1, min(max_rows, _TILE_WORDS * 8 // row_bytes))
+        self.records = np.empty((step, rows, width), dtype=self.dtype)
+        self._staged: list[tuple[WindowBundler, np.ndarray, int]] = []
+
+    def stage(self, encoder, block: np.ndarray, out: np.ndarray,
+              index: int) -> None:
+        """Encode one block into the next free row; ``out[index]`` gets
+        the H vector of the window it completes (none if ``index < 0``)."""
+        if len(self._staged) == self.records.shape[1]:
+            self.flush()
+        self._encode(encoder, block, self.records[:, len(self._staged)])
+        self._staged.append((encoder, out, index))
+
+    def flush(self) -> None:
+        if not self._staged:
+            return
+        states = self._reduce(self.records[:, : len(self._staged)])
+        k = self.spec.window_samples // self.spec.step_samples
+        history: dict[int, list[np.ndarray]] = {}
+        lags, dests = [], []
+        for row, (encoder, out, index) in enumerate(self._staged):
+            blocks = history.setdefault(id(encoder), list(encoder._blocks))
+            blocks.append(states[row])
+            if index >= 0:
+                lags.append(blocks[-k:])
+                dests.append((out, index))
+        if dests:
+            windows = self._windows([list(lag) for lag in zip(*lags)])
+            for (out, index), window in zip(dests, windows):
+                out[index] = window
+        for row, (encoder, _, _) in enumerate(self._staged):
+            encoder._blocks.append(states[row].copy())
+        self._staged.clear()
+
+
+class BlockTiles:
+    """One tick's grouped block step, a :class:`BlockTile` per encoder
+    kind: pass it to every stream's ``feed`` (once each), then flush."""
+
+    def __init__(self, max_rows: int = _TILE_WORDS) -> None:
+        self.max_rows = max_rows
+        self._tiles: dict[tuple, BlockTile] = {}
+
+    def stage(self, encoder, block: np.ndarray, out: np.ndarray,
+              index: int) -> None:
+        key = (type(encoder), encoder.spec, encoder.dim)
+        if key not in self._tiles:
+            self._tiles[key] = encoder.tile_class(encoder, self.max_rows)
+        self._tiles[key].stage(encoder, block, out, index)
+
+    def flush(self) -> None:
+        """Reduce every staged block, filling the arrays ``feed`` returned."""
+        for tile in self._tiles.values():
+            tile.flush()
+
+
 class WindowBundler:
     """Streaming scaffold shared by both temporal-encoder backends.
 
-    Buffers per-sample codes across ``feed`` calls, tiles them into
-    exact 0.5 s blocks, and hands each full block to the backend hook
-    ``_consume_block``.  Subclasses own the per-block state (integer
-    counters or bit-sliced planes) and the output representation —
+    Buffers per-sample codes across ``feed`` calls and cuts them into
+    exact 0.5 s blocks for the backend's :attr:`tile_class`, grouped
+    with every other stream fed into the same :class:`BlockTiles`.  The
+    live block state (integer counters or bit-sliced planes) stays here;
     keeping the chunk-boundary bookkeeping in one place is what makes
-    the two backends provably equivalent under arbitrary chunking.
+    the backends provably equivalent under any chunking and grouping.
 
     Args:
         spatial: The spatial encoder producing per-sample records; must
@@ -39,6 +120,8 @@ class WindowBundler:
             integer multiple of ``step_samples`` (the paper uses 512/256)
             so windows tile exactly into blocks.
     """
+
+    tile_class: type[BlockTile]
 
     def __init__(self, spatial, spec: WindowSpec) -> None:
         if spec.window_samples % spec.step_samples != 0:
@@ -50,32 +133,26 @@ class WindowBundler:
         self.spec = spec
         self.blocks_per_window = spec.window_samples // spec.step_samples
         self.dim = spatial.dim
-        self._pending = np.zeros((0, spatial.n_electrodes), dtype=np.int64)
-        self._reset_blocks()
+        self.reset()
 
     def reset(self) -> None:
         """Drop buffered samples and block state (start of a new record)."""
         self._pending = np.zeros((0, self.spatial.n_electrodes), dtype=np.int64)
-        self._reset_blocks()
+        self._blocks: deque[np.ndarray] = deque(maxlen=self.blocks_per_window)
 
-    def _reset_blocks(self) -> None:
-        """(Re)initialise the per-block accumulation state."""
-        raise NotImplementedError
+    @property
+    def window_width(self) -> int:
+        """Trailing width of a record or H vector in this representation."""
+        return self.dim
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        """Encode one full block; return an H vector once enough blocks exist."""
-        raise NotImplementedError
-
-    def _empty_windows(self) -> np.ndarray:
-        """A zero-window output array in the backend's representation."""
-        raise NotImplementedError
-
-    def feed(self, codes: np.ndarray) -> np.ndarray:
+    def feed(self, codes: np.ndarray, tiles: BlockTiles | None = None) -> np.ndarray:
         """Push a chunk of per-sample codes; return completed H vectors.
 
         Args:
             codes: Integer array ``(n_samples, n_electrodes)`` — any chunk
                 size; samples are buffered across calls.
+            tiles: The tick's shared block step; the returned array is
+                then filled by ``tiles.flush()``.
 
         Returns:
             Array ``(n_new_windows, ...)`` of H vectors completed by this
@@ -90,17 +167,19 @@ class WindowBundler:
         if self._pending.size:
             arr = np.concatenate([self._pending, arr], axis=0)
         step = self.spec.step_samples
-        outputs = []
-        offset = 0
-        while arr.shape[0] - offset >= step:
-            h = self._consume_block(arr[offset : offset + step])
-            if h is not None:
-                outputs.append(h)
-            offset += step
-        self._pending = arr[offset:].copy()
-        if not outputs:
-            return self._empty_windows()
-        return np.stack(outputs)
+        n_blocks = arr.shape[0] // step
+        self._pending = arr[n_blocks * step :].copy()
+        skip = max(0, self.blocks_per_window - 1 - len(self._blocks))
+        out = np.empty(
+            (max(0, n_blocks - skip), self.window_width),
+            dtype=self.tile_class.dtype,
+        )
+        group = BlockTiles(n_blocks) if tiles is None else tiles
+        for j in range(n_blocks):
+            group.stage(self, arr[j * step : (j + 1) * step], out, j - skip)
+        if tiles is None:
+            group.flush()
+        return out
 
     def encode_all(self, codes: np.ndarray) -> np.ndarray:
         """Encode a complete code stream into all its H vectors.
@@ -115,40 +194,25 @@ class WindowBundler:
     # Checkpointing (live-stream session state)
     # ------------------------------------------------------------------
 
-    def _state_blocks(self) -> list[np.ndarray]:
-        """Per-block state as canonical ``(d,)`` integer count vectors.
+    def _export_block(self, block: np.ndarray) -> np.ndarray:
+        """One block's state as its canonical ``(d,)`` integer counts,
+        the same for every backend, so checkpoints cross engines."""
+        return block.astype(np.int64)
 
-        Every backend exports the same form — the per-component sums of
-        the spatial records accumulated in each live block — so a
-        checkpoint written by one compute engine restores onto any
-        other.
-        """
-        raise NotImplementedError
-
-    def _restore_blocks(self, blocks: list[np.ndarray]) -> None:
-        """Rebuild the backend state from canonical count vectors."""
-        raise NotImplementedError
+    def _import_block(self, counts: np.ndarray) -> np.ndarray:
+        return counts.astype(np.int32)
 
     def state_dict(self) -> dict:
-        """Snapshot of the streaming state: pending codes + block state.
-
-        The snapshot is plain numpy data (checkpointable to ``.npz``)
-        in an engine-independent form; :meth:`restore_state` on *any*
-        registered engine's encoder resumes the stream bit-exactly.
-        """
+        """Pending codes + block state as plain, engine-independent numpy
+        data: :meth:`restore_state` on *any* engine resumes bit-exactly."""
         return {
             "pending": self._pending.copy(),
-            "blocks": [block.copy() for block in self._state_blocks()],
+            "blocks": [self._export_block(block) for block in self._blocks],
         }
 
     def restore_state(self, state: dict) -> "WindowBundler":
-        """Resume from a :meth:`state_dict` snapshot.
-
-        Accepts the canonical count-vector block form from any engine,
-        plus the legacy form written by packed encoders before the
-        engine registry (bit-sliced digit planes), which is decoded on
-        the way in.
-        """
+        """Resume from a :meth:`state_dict` snapshot (or the legacy one
+        of pre-registry packed encoders, whose digit planes are decoded)."""
         from repro.hdc.bitsliced import planes_to_counts
 
         pending = np.asarray(state["pending"], dtype=np.int64)
@@ -157,26 +221,40 @@ class WindowBundler:
                 f"pending codes must be (n, {self.spatial.n_electrodes}), "
                 f"got {pending.shape}"
             )
-        blocks = []
-        for block in state["blocks"]:
-            arr = np.asarray(block)
-            if arr.ndim == 2 and arr.dtype == np.uint64:
-                arr = planes_to_counts(arr, self.dim)
-            elif arr.ndim != 1 or arr.shape[0] != self.dim:
+        blocks = [np.asarray(block) for block in state["blocks"]]
+        blocks = [planes_to_counts(b, self.dim)
+                  if b.ndim == 2 and b.dtype == np.uint64 else b for b in blocks]
+        for block in blocks:
+            if block.shape != (self.dim,):
                 raise ValueError(
                     f"block state must be ({self.dim},) counts or legacy "
-                    f"digit planes, got shape {arr.shape}"
+                    f"digit planes, got shape {block.shape}"
                 )
-            blocks.append(arr.astype(np.int64, copy=False))
         if len(blocks) > self.blocks_per_window:
             raise ValueError(
                 f"{len(blocks)} blocks exceed the window's "
                 f"{self.blocks_per_window}"
             )
+        self.reset()
         self._pending = pending.copy()
-        self._reset_blocks()
-        self._restore_blocks(blocks)
+        self._blocks.extend(
+            self._import_block(block.astype(np.int64)) for block in blocks
+        )
         return self
+
+
+class CountBlockTile(BlockTile):
+    """Integer-counter block step over unpacked uint8 records."""
+
+    def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
+        dest[...] = encoder.spatial.encode(block)
+
+    def _reduce(self, records: np.ndarray) -> np.ndarray:
+        return records.sum(axis=0, dtype=np.int32)
+
+    def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
+        window_counts = np.sum([np.stack(lag) for lag in lags], axis=0)
+        return majority_from_counts(window_counts, self.spec.window_samples)
 
 
 class TemporalEncoder(WindowBundler):
@@ -188,43 +266,4 @@ class TemporalEncoder(WindowBundler):
     """
 
     spatial: SpatialEncoder
-
-    def _reset_blocks(self) -> None:
-        self._block_sums: deque[np.ndarray] = deque(
-            maxlen=self.blocks_per_window
-        )
-
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_bits = self.spatial.encode(block_codes)
-        self._block_sums.append(s_bits.sum(axis=0, dtype=np.int32))
-        if len(self._block_sums) < self.blocks_per_window:
-            return None
-        window_counts = np.sum(self._block_sums, axis=0)
-        return majority_from_counts(window_counts, self.spec.window_samples)
-
-    def _empty_windows(self) -> np.ndarray:
-        return np.zeros((0, self.dim), dtype=np.uint8)
-
-    def _state_blocks(self) -> list[np.ndarray]:
-        return [block.astype(np.int64) for block in self._block_sums]
-
-    def _restore_blocks(self, blocks: list[np.ndarray]) -> None:
-        for block in blocks:
-            self._block_sums.append(np.asarray(block, dtype=np.int32).copy())
-
-
-def encode_recording(
-    codes: np.ndarray, spatial: SpatialEncoder, spec: WindowSpec
-) -> np.ndarray:
-    """One-shot encoding of a multichannel code stream into H vectors.
-
-    Args:
-        codes: Integer array ``(n_samples, n_electrodes)``.
-        spatial: Configured spatial encoder.
-        spec: Window geometry (window a multiple of step).
-
-    Returns:
-        uint8 array ``(n_windows, d)``; window ``i`` covers code samples
-        ``[i * step, i * step + window)``.
-    """
-    return TemporalEncoder(spatial, spec).encode_all(codes)
+    tile_class = CountBlockTile

@@ -9,14 +9,13 @@ majority is a bitwise magnitude comparator — the Fig. 2 dataflow with no
 unpacked intermediate anywhere, bit-exact against the integer-counter
 encoder.
 
-The chunk-buffering scaffold is shared with the unpacked encoder
+:class:`PackedBlockTile` runs the tree, adder and comparator once per
+``(step, blocks, words)`` tile of many streams' blocks.  The chunk-buffering scaffold is shared with the unpacked encoder
 (:class:`repro.hdc.temporal.WindowBundler`), so every spatial record is
 encoded exactly once even though windows overlap, and memory stays O(d).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -28,8 +27,36 @@ from repro.hdc.bitsliced import (
     planes_to_counts,
 )
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal import WindowBundler
-from repro.signal.windows import WindowSpec
+from repro.hdc.temporal import BlockTile, WindowBundler
+
+
+def stack_planes(planes: list[np.ndarray]) -> np.ndarray:
+    """``(depth, words)`` digit planes as one ``(depth, n, words)`` batch,
+    zero-padded to the deepest (a zero digit leaves a count unchanged)."""
+    depth = max(p.shape[0] for p in planes)
+    out = np.zeros((depth, len(planes), planes[0].shape[-1]), dtype=np.uint64)
+    for i, p in enumerate(planes):
+        out[: p.shape[0], i] = p
+    return out
+
+
+class PackedBlockTile(BlockTile):
+    """Bit-sliced block step over packed uint64 records."""
+
+    dtype = np.uint64
+
+    def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
+        encoder.spatial.encode_packed(block, out=dest)
+
+    def _reduce(self, records: np.ndarray) -> np.ndarray:
+        # (depth, n, words) planes; row r's block state is [:, r].
+        return bitsliced_counts(records).transpose(1, 0, 2)
+
+    def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
+        window = stack_planes(lags[0])
+        for lag in lags[1:]:
+            window = planes_add(window, stack_planes(lag))
+        return planes_greater_than(window, self.spec.window_samples // 2)
 
 
 class PackedTemporalEncoder(WindowBundler):
@@ -45,41 +72,20 @@ class PackedTemporalEncoder(WindowBundler):
     """
 
     spatial: PackedSpatialEncoder
+    tile_class = PackedBlockTile
 
-    def __init__(self, spatial: PackedSpatialEncoder, spec: WindowSpec) -> None:
-        super().__init__(spatial, spec)
-        self.words = spatial.words
+    @property
+    def words(self) -> int:
+        """Packed word count of one H vector."""
+        return self.spatial.words
 
-    def _reset_blocks(self) -> None:
-        self._block_planes: deque[np.ndarray] = deque(
-            maxlen=self.blocks_per_window
-        )
+    window_width = words
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_packed = self.spatial.encode_packed(block_codes)
-        self._block_planes.append(bitsliced_counts(s_packed))
-        if len(self._block_planes) < self.blocks_per_window:
-            return None
-        window_planes = self._block_planes[0]
-        for planes in list(self._block_planes)[1:]:
-            window_planes = planes_add(window_planes, planes)
-        return planes_greater_than(
-            window_planes, self.spec.window_samples // 2
-        )
-
-    def _empty_windows(self) -> np.ndarray:
-        return np.zeros((0, self.words), dtype=np.uint64)
-
-    def _state_blocks(self) -> list[np.ndarray]:
-        # Exported in the engine-independent integer form; the digit
-        # planes are rebuilt on restore (their depth only depends on the
+    def _export_block(self, block: np.ndarray) -> np.ndarray:
+        # Digit planes leave in the engine-independent integer form and
+        # are rebuilt on restore (their depth only depends on the
         # decoded counts, so the round trip is bit-exact downstream).
-        return [
-            planes_to_counts(planes, self.dim)
-            for planes in self._block_planes
-        ]
+        return planes_to_counts(block, self.dim)
 
-    def _restore_blocks(self, blocks: list[np.ndarray]) -> None:
-        for counts in blocks:
-            self._block_planes.append(planes_from_counts(counts, self.dim))
-
+    def _import_block(self, counts: np.ndarray) -> np.ndarray:
+        return planes_from_counts(counts, self.dim)

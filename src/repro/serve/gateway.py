@@ -45,7 +45,7 @@ from repro.core.persistence import (
     read_fleet_manifest,
     write_fleet_manifest,
 )
-from repro.core.sessions import lockstep_ticks, validate_chunk
+from repro.core.sessions import run_lockstep, validate_chunk
 from repro.core.streaming import StreamEvent
 from repro.serve.hashing import HashRing
 from repro.serve.worker import (
@@ -253,6 +253,34 @@ class ShardedStreamGateway:
                 }
         return report
 
+    def _round(self, requests: dict[str, tuple[str, dict]]) -> dict:
+        """Dispatch every worker's command, then collect every reply.
+
+        With process workers the shards run concurrently.  Every
+        dispatched worker is collected even when one fails — an unread
+        reply would wedge that worker for good — and the first failure
+        is re-raised afterwards.
+        """
+        dispatched: list[str] = []
+        first_error: Exception | None = None
+        for worker_id, (op, payload) in requests.items():
+            try:
+                self._workers[worker_id].dispatch(op, payload)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                first_error = exc
+                break
+            dispatched.append(worker_id)
+        replies = {}
+        for worker_id in dispatched:
+            try:
+                replies[worker_id] = self._workers[worker_id].collect()
+            except Exception as exc:  # noqa: BLE001 - first one wins
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
+        return replies
+
     def _route(self, session_id: str) -> str:
         try:
             return self._routes[session_id]
@@ -400,11 +428,6 @@ class ShardedStreamGateway:
     # Streaming
     # ------------------------------------------------------------------
 
-    def _validate_chunk(self, session_id: str, chunk) -> np.ndarray:
-        return validate_chunk(
-            session_id, chunk, self._electrodes[session_id]
-        )
-
     def push(self, session_id: str, chunk) -> list[StreamEvent]:
         """Push one chunk into one session (see :meth:`push_many`)."""
         return self.push_many({session_id: chunk})[session_id]
@@ -450,30 +473,16 @@ class ShardedStreamGateway:
         per_worker: dict[str, dict[str, np.ndarray]] = {}
         for session_id in chunks:
             worker_id = self._route(session_id)
-            arr = self._validate_chunk(session_id, chunks[session_id])
+            arr = validate_chunk(
+                session_id, chunks[session_id], self._electrodes[session_id]
+            )
             per_worker.setdefault(worker_id, {})[session_id] = arr
-        dispatched: list[str] = []
-        first_error: Exception | None = None
-        for worker_id, shard_chunks in per_worker.items():
-            try:
-                self._workers[worker_id].dispatch(
-                    "push_many", {"chunks": shard_chunks}
-                )
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                first_error = exc
-                break
-            dispatched.append(worker_id)
         events: dict[str, list[StreamEvent]] = {}
-        # Collect from every dispatched worker even when one fails —
-        # leaving replies unread would wedge those workers for good.
-        for worker_id in dispatched:
-            try:
-                events.update(self._workers[worker_id].collect())
-            except Exception as exc:  # noqa: BLE001 - first one wins
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+        for shard_events in self._round({
+            worker_id: ("push_many", {"chunks": shard_chunks})
+            for worker_id, shard_chunks in per_worker.items()
+        }).values():
+            events.update(shard_events)
         self.tick_stats.record(
             time.perf_counter() - tick_start,
             len(chunks),
@@ -490,7 +499,7 @@ class ShardedStreamGateway:
                 consumer must drain) before more data is accepted.
         """
         self._route(session_id)
-        arr = self._validate_chunk(session_id, chunk)
+        arr = validate_chunk(session_id, chunk, self._electrodes[session_id])
         queue = self._queues[session_id]
         if len(queue) >= self._max_pending:
             raise Backpressure(
@@ -545,13 +554,7 @@ class ShardedStreamGateway:
         """
         for session_id in signals:
             self._route(session_id)
-        events: dict[str, list[StreamEvent]] = {
-            session_id: [] for session_id in signals
-        }
-        for tick in lockstep_ticks(signals, chunk_samples):
-            for session_id, new_events in self.push_many(tick).items():
-                events[session_id].extend(new_events)
-        return events
+        return run_lockstep(self.push_many, signals, chunk_samples)
 
     # ------------------------------------------------------------------
     # Fleet checkpointing
@@ -588,31 +591,14 @@ class ShardedStreamGateway:
             for worker_id, sessions in self.shard_map().items()
             if sessions
         }
-        dispatched: list[str] = []
-        first_error: Exception | None = None
-        for worker_id in occupied:
-            try:
-                self._workers[worker_id].dispatch(
-                    "checkpoint",
-                    {"path": str(directory / f"shard-{worker_id}.npz")},
-                )
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                first_error = exc
-                break
-            dispatched.append(worker_id)
-        shards: dict[str, str] = {}
-        # Collect every dispatched worker even when one fails (an
-        # unread reply would wedge that worker), then re-raise.
-        for worker_id in dispatched:
-            try:
-                shards[worker_id] = Path(
-                    self._workers[worker_id].collect()
-                ).name
-            except Exception as exc:  # noqa: BLE001 - first one wins
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+        shards = {
+            worker_id: Path(path).name
+            for worker_id, path in self._round({
+                worker_id: ("checkpoint",
+                            {"path": str(directory / f"shard-{worker_id}.npz")})
+                for worker_id in occupied
+            }).items()
+        }
         return write_fleet_manifest(
             directory / FLEET_MANIFEST,
             shards=shards,

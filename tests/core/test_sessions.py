@@ -5,8 +5,13 @@ import pytest
 
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
-from repro.core.persistence import load_sessions, save_sessions
-from repro.core.sessions import StreamSessionManager
+from repro.core.persistence import (
+    detector_from_payload,
+    detector_payload,
+    load_sessions,
+    save_sessions,
+)
+from repro.core.sessions import StreamSessionManager, validate_chunk
 from repro.core.streaming import StreamingLaelaps
 from repro.core.training import TrainingSegments
 from repro.data.synthetic import (
@@ -190,6 +195,101 @@ class TestBatchedParity:
         )
         for sid, expected in reference.items():
             assert events[sid] == expected
+
+    def test_staged_tick_matches_solo_streams(self, fleet, tmp_path,
+                                              monkeypatch):
+        """One tick completes 0, 1 and >= 2 blocks across sessions of
+        mixed engines and electrode counts, over more sessions than one
+        block tile holds, through a mid-block checkpoint and a t_r
+        retuned mid-stream: events equal solo streams'."""
+        from repro.hdc import temporal
+
+        # Three packed sessions per tile at d = 1000 (an unpacked tile
+        # holds one), so the tick spans many tiles.
+        monkeypatch.setattr(temporal, "_TILE_WORDS", 3 * 128 * 16)
+        detectors, signals = fleet
+        models = dict(detectors)
+        for i in range(3):
+            recording = SyntheticIEEGGenerator(
+                6, SynthesisParams(fs=FS), seed=500 + i
+            ).generate(70.0, [SeizurePlan(30.0, 20.0)])
+            unpacked = LaelapsDetector(6, LaelapsConfig(
+                dim=1_000, fs=FS, seed=90 + i, backend="unpacked", tc=6))
+            unpacked.fit(recording.data, TrainingSegments(
+                ictal=((30.0, 50.0),), interictal=(2.0, 28.0)))
+            models[f"unpacked-{i}"] = unpacked
+            signals = {**signals, f"unpacked-{i}": recording.data}
+        rng = np.random.default_rng(3)
+        offsets = dict.fromkeys(models, 0)
+        ticks = []
+        while any(offsets[sid] < signals[sid].shape[0] for sid in models):
+            tick = {}
+            for sid in models:
+                size = int(rng.choice([0, 50, 128, 300, 700]))
+                if offsets[sid] < signals[sid].shape[0] and size:
+                    tick[sid] = signals[sid][offsets[sid]:offsets[sid] + size]
+                    offsets[sid] += size
+            ticks.append(tick)
+        retune_at, retuned = len(ticks) // 2, list(models)[::3]
+
+        def clone(detector):
+            return detector_from_payload(detector_payload(detector))
+
+        reference = {}
+        for sid, detector in models.items():
+            stream = StreamingLaelaps(clone(detector))
+            reference[sid] = []
+            for index, tick in enumerate(ticks):
+                if index == retune_at and sid in retuned:
+                    stream.detector.tr = 0.0
+                if sid in tick:
+                    reference[sid] += stream.push(tick[sid])
+        manager = StreamSessionManager()
+        for sid, detector in models.items():
+            manager.open(sid, clone(detector))
+        events = {sid: [] for sid in models}
+        block_counts = set()
+        for index, tick in enumerate(ticks):
+            if index == len(ticks) // 3:
+                pending = [manager.session(sid)._encoder._pending.shape[0]
+                           for sid in models]
+                assert any(pending)  # the checkpoint lands mid-block
+                manager = load_sessions(
+                    save_sessions(manager, tmp_path / "mid.npz")
+                )
+            if index == retune_at:
+                for sid in retuned:
+                    manager.session(sid).detector.tr = 0.0
+            for sid, new in manager.push_many(tick).items():
+                events[sid] += new
+                # Past warm-up, each completed block completes a window.
+                block_counts.add(len(new))
+        assert {0, 1} <= block_counts and max(block_counts) >= 2
+        assert events == reference
+        assert any(event.alarm for stream in events.values()
+                   for event in stream)
+
+    def test_float32_ticks_match_float64(self, fleet):
+        detectors, signals = fleet
+        ids = list(detectors)[:4]
+        events = {}
+        for dtype in (np.float32, np.float64):
+            manager = StreamSessionManager()
+            for sid in ids:
+                manager.open(sid, detectors[sid])
+            events[dtype] = manager.run(
+                {sid: signals[sid].astype(dtype) for sid in ids}, 300
+            )
+            raw_tail = manager.session(ids[0]).state_dict()["raw_tail"]
+            assert raw_tail.dtype == np.float64
+        assert events[np.float32] == events[np.float64]
+
+    def test_validate_chunk_keeps_floats_and_upcasts_the_rest(self):
+        chunk = np.zeros((4, 2), dtype=np.float32)
+        assert validate_chunk("s", chunk, 2) is chunk
+        assert validate_chunk("s", [[1, 2]], 2).dtype == np.float64
+        with pytest.raises(ValueError, match="expects"):
+            validate_chunk("s", chunk, 3)
 
 
 class TestCheckpointing:

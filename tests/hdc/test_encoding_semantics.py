@@ -11,10 +11,14 @@ import pytest
 from repro.hdc.backend import hamming_distance
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
-from repro.hdc.temporal import encode_recording
+from repro.hdc.temporal import TemporalEncoder
 from repro.signal.windows import WindowSpec
 
 DIM = 2_048
+
+
+def _encode(codes, spatial, spec):
+    return TemporalEncoder(spatial, spec).encode_all(codes)
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +39,8 @@ class TestHistogramSemantics:
         # Two windows with i.i.d. codes from the same distribution get
         # similar H vectors even though every sample differs.
         spec = WindowSpec(64, 64)
-        h1 = encode_recording(_random_codes(rng, 64), encoder, spec)[0]
-        h2 = encode_recording(_random_codes(rng, 64), encoder, spec)[0]
+        h1 = _encode(_random_codes(rng, 64), encoder, spec)[0]
+        h2 = _encode(_random_codes(rng, 64), encoder, spec)[0]
         assert hamming_distance(h1, h2) < 0.35 * DIM
 
     def test_dominant_code_shifts_h(self, encoder, rng):
@@ -49,15 +53,15 @@ class TestHistogramSemantics:
         mixed_a = np.where(rng.random((64, 16)) < 0.8, dominant, noise_a)
         mixed_b = np.where(rng.random((64, 16)) < 0.8, dominant, noise_b)
         uniform = _random_codes(rng, 64)
-        h_a = encode_recording(mixed_a, encoder, spec)[0]
-        h_b = encode_recording(mixed_b, encoder, spec)[0]
-        h_u = encode_recording(uniform, encoder, spec)[0]
+        h_a = _encode(mixed_a, encoder, spec)[0]
+        h_b = _encode(mixed_b, encoder, spec)[0]
+        h_u = _encode(uniform, encoder, spec)[0]
         assert hamming_distance(h_a, h_b) < hamming_distance(h_a, h_u)
 
     def test_different_dominant_codes_differ(self, encoder):
         spec = WindowSpec(64, 64)
-        h_42 = encode_recording(np.full((64, 16), 42), encoder, spec)[0]
-        h_17 = encode_recording(np.full((64, 16), 17), encoder, spec)[0]
+        h_42 = _encode(np.full((64, 16), 42), encoder, spec)[0]
+        h_17 = _encode(np.full((64, 16), 17), encoder, spec)[0]
         assert hamming_distance(h_42, h_17) > 0.35 * DIM
 
 

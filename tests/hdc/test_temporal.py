@@ -6,7 +6,7 @@ import pytest
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.ops import majority_from_counts
 from repro.hdc.spatial import SpatialEncoder
-from repro.hdc.temporal import TemporalEncoder, encode_recording
+from repro.hdc.temporal import TemporalEncoder
 from repro.signal.windows import WindowSpec
 
 
@@ -25,7 +25,7 @@ class TestTemporalEncoder:
     def test_matches_reference_per_window(self, spatial, rng):
         spec = WindowSpec(16, 8)
         codes = rng.integers(0, 64, size=(64, 3))
-        h = encode_recording(codes, spatial, spec)
+        h = TemporalEncoder(spatial, spec).encode_all(codes)
         assert h.shape == (7, 256)
         for i in range(7):
             window = codes[i * 8 : i * 8 + 16]
@@ -34,7 +34,7 @@ class TestTemporalEncoder:
     def test_streaming_chunks_match_one_shot(self, spatial, rng):
         spec = WindowSpec(16, 8)
         codes = rng.integers(0, 64, size=(100, 3))
-        one_shot = encode_recording(codes, spatial, spec)
+        one_shot = TemporalEncoder(spatial, spec).encode_all(codes)
         enc = TemporalEncoder(spatial, spec)
         pieces = [enc.feed(chunk) for chunk in np.array_split(codes, 7)]
         streamed = np.concatenate([p for p in pieces if p.size], axis=0)
@@ -46,7 +46,7 @@ class TestTemporalEncoder:
         spec = WindowSpec(16, 8)
         for n in [15, 16, 17, 48, 50]:
             codes = rng.integers(0, 64, size=(n, 3))
-            h = encode_recording(codes, spatial, spec)
+            h = TemporalEncoder(spatial, spec).encode_all(codes)
             # Trailing samples that do not fill a block are discarded, so
             # the count equals the block-aligned window count.
             aligned = (n // 8) * 8
@@ -59,7 +59,9 @@ class TestTemporalEncoder:
         enc.reset()
         codes = rng.integers(0, 64, size=(32, 3))
         h = enc.feed(codes)
-        np.testing.assert_array_equal(h, encode_recording(codes, spatial, spec))
+        np.testing.assert_array_equal(
+            h, TemporalEncoder(spatial, spec).encode_all(codes)
+        )
 
     def test_rejects_non_multiple_window(self, spatial):
         with pytest.raises(ValueError):
@@ -75,7 +77,7 @@ class TestTemporalEncoder:
         # every H must equal that S.
         codes = np.tile(np.array([[7, 13, 40]]), (40, 1))
         spec = WindowSpec(16, 8)
-        h = encode_recording(codes, spatial, spec)
+        h = TemporalEncoder(spatial, spec).encode_all(codes)
         s = spatial.encode_sample(np.array([7, 13, 40]))
         for row in h:
             np.testing.assert_array_equal(row, s)

@@ -7,7 +7,7 @@ from repro.hdc.backend import unpack_bits
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal import encode_recording
+from repro.hdc.temporal import TemporalEncoder
 from repro.hdc.temporal_packed import PackedTemporalEncoder
 from repro.signal.windows import WindowSpec
 
@@ -47,9 +47,9 @@ class TestConstruction:
 
 class TestEquivalence:
     def test_matches_unpacked_recording(self, memories, spec, codes):
-        h_unpacked = encode_recording(
-            codes, SpatialEncoder(*memories), spec
-        )
+        h_unpacked = TemporalEncoder(
+            SpatialEncoder(*memories), spec
+        ).encode_all(codes)
         h_packed = PackedTemporalEncoder(
             PackedSpatialEncoder(*memories), spec
         ).encode_all(codes)

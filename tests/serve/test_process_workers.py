@@ -3,6 +3,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import GOLDEN_DIM
@@ -28,6 +29,23 @@ class TestProcessGateway:
             for sid, detector in detectors.items():
                 gateway.open(sid, detector)
             assert gateway.run(signals, 128) == expected
+
+    def test_float32_ticks_match_float64(self, small_fleet):
+        """float32 chunks cross the pipe as float32 and give the events
+        their float64 upcast gives a single manager."""
+        detectors, signals = small_fleet
+        manager = StreamSessionManager()
+        for sid, detector in detectors.items():
+            manager.open(sid, detector)
+        expected = manager.run(
+            {sid: s.astype(np.float64) for sid, s in signals.items()}, 100
+        )
+        with ShardedStreamGateway(2, mode="process") as gateway:
+            for sid, detector in detectors.items():
+                gateway.open(sid, detector)
+            assert gateway.run(
+                {sid: s.astype(np.float32) for sid, s in signals.items()}, 100
+            ) == expected
 
     def test_checkpoint_written_by_children(self, small_fleet, tmp_path):
         detectors, signals = small_fleet
