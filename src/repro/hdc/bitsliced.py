@@ -9,9 +9,11 @@ register per binary digit, so adding a d-bit mask costs
 thresholding (the majority test) is a bitwise magnitude comparator —
 no unpacking anywhere.
 
-Used by :class:`repro.hdc.spatial_packed.PackedSpatialEncoder`, which
-is word-exact against the plain integer-counter encoder and mirrors the
-embedded implementation's data layout.
+The bulk tree (:func:`bitsliced_counts`) counts the temporal block
+step's and the prototype accumulator's record stacks.
+:class:`repro.hdc.spatial_packed.PackedSpatialEncoder` streams its
+electrodes through its own carry-save counter and shares the
+comparator (:func:`planes_greater_than`).
 """
 
 from __future__ import annotations

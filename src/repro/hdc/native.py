@@ -66,6 +66,11 @@ NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
 #: magnitude slower than ``packed`` — so ``auto`` ignores it.
 NATIVE_PURE_PYTHON_ENV = "REPRO_NATIVE_PURE_PYTHON"
 
+#: Word budget per native spatial tile (about 2 MiB of gathered masks,
+#: one core's L2 cache): the kernel re-reads each tile's masks per word
+#: column from cache.
+_TILE_WORDS = 250_000
+
 _NUMBA_IMPORT_ERROR: str | None
 try:  # the availability guard required by lint rule RPR010
     from numba import config as _numba_config
@@ -373,15 +378,31 @@ def native_bundle_exceeds(masks: np.ndarray, threshold: int) -> np.ndarray:
 
 
 class NativeSpatialEncoder(PackedSpatialEncoder):
-    """Packed spatial encoder whose majority runs in the native kernel."""
+    """Packed spatial encoder whose majority runs in the native kernel.
 
-    def _majority(self, masks: np.ndarray) -> np.ndarray:
-        # The electrode-major tile is contiguous, so (n_electrodes,
-        # n * words) is a view and the kernel reduces axis 0 per word
-        # column without a copy, fusing count and majority.
-        return native_bundle_exceeds(
-            masks.reshape(self.n_electrodes, -1), self.n_electrodes // 2
-        ).reshape(masks.shape[1:])
+    The fused kernel reduces a whole electrode stack per word column,
+    so this encoder gathers each sample tile electrode-major,
+    ``(n_electrodes, tile, words)`` and contiguous, sized by
+    ``_TILE_WORDS`` to stay in L2 cache, instead of streaming triples.
+    """
+
+    def encode_packed(
+        self, codes: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        arr, out = self._checked(codes, out)
+        flat, first_row = self._rows()
+        tile = max(1, _TILE_WORDS // (self.n_electrodes * self.words))
+        for start in range(0, arr.shape[0], tile):
+            stop = min(start + tile, arr.shape[0])
+            rows = np.add(first_row[:, None], arr[start:stop].T,
+                          dtype=np.intp)
+            masks = np.take(flat, rows, axis=0)
+            # (n_electrodes, n * words) is a view of the contiguous
+            # tile: the kernel reduces axis 0 per word column.
+            out[start:stop] = native_bundle_exceeds(
+                masks.reshape(self.n_electrodes, -1), self.n_electrodes // 2
+            ).reshape(masks.shape[1:])
+        return out
 
 
 class NativeBlockTile(PackedBlockTile):

@@ -1,5 +1,8 @@
 """Tests for the packed spatial encoder and its per-sample oracle."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,3 +125,22 @@ class TestPackedSpatialEncoder:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             PackedSpatialEncoder(ItemMemory(4, 64, 1), ItemMemory(4, 128, 2))
+
+    def test_working_set_stays_a_few_planes(self, rng):
+        # The streamed counter keeps O(log n_electrodes) (tile, words)
+        # planes live; gathering the (n_electrodes, tile, words) masks
+        # (4 MiB here) or one (n_electrodes, tile) index array per tile
+        # (2 MiB) would break the budget.
+        encoder = PackedSpatialEncoder(
+            ItemMemory(64, 1000, seed=1), ItemMemory(1024, 1000, seed=2)
+        )
+        codes = rng.integers(0, 64, size=(256, 1024))
+        out = np.empty((256, encoder.words), dtype=np.uint64)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            encoder.encode_packed(codes, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, f"peak {peak / 1e6:.2f} MB"

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc import spatial_packed
+from repro.hdc import native, spatial_packed
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
@@ -135,9 +135,9 @@ class TestEncoderEquivalence:
             unpacked.encode(codes),
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([1, 2, 3, 4, 7, 32]),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 14, 15, 32]),
         st.sampled_from([1, 63, 64, 65, 200]),
         st.sampled_from([0, 1, 2, 3]),
         st.integers(1, 4),
@@ -147,11 +147,19 @@ class TestEncoderEquivalence:
     def test_spatial_across_tile_edges(
         self, n_electrodes, dim, tile, n_tiles, offset, seed
     ):
-        # A budget of ``tile`` samples' masks, or (tile 0) one word less
-        # than one sample's, which must still advance one sample a tile;
-        # the batch ends one sample before, on or after a tile edge.
-        sample_words = n_electrodes * packed_words(dim)
-        budget = tile * sample_words if tile else sample_words - 1
+        # Budgets of ``tile`` samples' planes (numpy counter) and masks
+        # (native kernel), or (tile 0) one word less than one sample's,
+        # which must still advance one sample a tile; the batch ends one
+        # sample before, on or after a tile edge.  Electrode counts not
+        # a multiple of 3 end on a part triple.  Before its half adders
+        # the counter holds one plane on every digit at 1, 3, 7 and 15
+        # electrodes, two on one digit at 2, 4, 5 and 32, and at 6 and
+        # 14 a half adder's carry lands on a digit holding two, which
+        # compresses again (at 14 through every digit).
+        words = packed_words(dim)
+        plane_budget = tile * words if tile else words - 1
+        sample_words = n_electrodes * words
+        mask_budget = tile * sample_words if tile else sample_words - 1
         n_samples = max(1, max(tile, 1) * n_tiles + offset)
         code_memory = ItemMemory(16, dim, seed=3)
         electrode_memory = ItemMemory(n_electrodes, dim, seed=4)
@@ -159,7 +167,8 @@ class TestEncoderEquivalence:
             0, 16, (n_samples, n_electrodes)
         )
         expected = SpatialEncoder(code_memory, electrode_memory).encode(codes)
-        with mock.patch.object(spatial_packed, "_TILE_WORDS", budget):
+        with mock.patch.object(spatial_packed, "_PLANE_WORDS", plane_budget), \
+                mock.patch.object(native, "_TILE_WORDS", mask_budget):
             for encoder_cls in (PackedSpatialEncoder, NativeSpatialEncoder):
                 encoder = encoder_cls(code_memory, electrode_memory)
                 np.testing.assert_array_equal(
