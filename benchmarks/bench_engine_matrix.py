@@ -32,7 +32,7 @@ import numpy as np
 from benchmarks.conftest import bench_seconds, smoke_mode
 from repro.core.config import GOLDEN_DIM, LaelapsConfig
 from repro.core.detector import LaelapsDetector
-from repro.hdc.backend import random_bits
+from repro.hdc.backend import pack_bits, random_bits
 from repro.hdc.engine import (
     AUTO_ENGINE,
     PACKED_ENGINE,
@@ -67,8 +67,8 @@ def _fitted(backend: str, dim: int) -> LaelapsDetector:
         LaelapsConfig(dim=dim, fs=FS, seed=7, backend=backend),
     )
     detector.fit_from_windows(
-        random_bits((4, dim), np.random.default_rng(1)),
-        random_bits((4, dim), np.random.default_rng(2)),
+        pack_bits(random_bits((4, dim), np.random.default_rng(1))),
+        pack_bits(random_bits((4, dim), np.random.default_rng(2))),
     )
     return detector
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.evaluation.report import render_table
-from repro.hdc.engine import UNPACKED_ENGINE, backend_choices
+from repro.hdc.engine import AUTO_ENGINE, backend_choices
 
 #: Default lint targets, mirroring the CI static-analysis job.
 LINT_DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
@@ -384,20 +384,13 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         resolve_engine_name,
     )
 
-    caps = engine_capabilities(args.dim)
+    caps = engine_capabilities()
     rows = [
-        [
-            cap["name"],
-            cap["window_form"],
-            cap["width_at_dim"],
-            "yes" if cap["available"] else "no",
-            cap["summary"],
-        ]
+        [cap["name"], "yes" if cap["available"] else "no", cap["summary"]]
         for cap in caps
     ]
     table = render_table(
-        ["Engine", "Window form", f"width@d={args.dim}", "Avail",
-         "Capabilities"],
+        ["Engine", "Avail", "Capabilities"],
         rows,
         title="Registered compute engines (LaelapsConfig.backend values)",
     )
@@ -534,7 +527,7 @@ def _args_table1(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=1_000)
     p.add_argument("--methods", default="laelaps,svm,cnn,lstm")
     p.add_argument("--backend", choices=backend_choices(),
-                   default=UNPACKED_ENGINE,
+                   default=AUTO_ENGINE,
                    help="Laelaps compute engine (bit-exact on every "
                         "engine; see `repro backends`)")
     p.add_argument("--verbose", action="store_true")
@@ -542,11 +535,6 @@ def _args_table1(p: argparse.ArgumentParser) -> None:
 
 def _args_fig3(p: argparse.ArgumentParser) -> None:
     p.add_argument("--electrodes", type=int, default=64)
-
-
-def _args_backends(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=10_000,
-                   help="dimension for the reported window widths")
 
 
 def _args_sessions(p: argparse.ArgumentParser) -> None:
@@ -686,8 +674,8 @@ COMMANDS: tuple[CommandSpec, ...] = (
                 _cmd_fig3, _args_fig3),
     CommandSpec("scaling", "electrode-count scaling sweep", _cmd_scaling),
     CommandSpec("backends",
-                "list registered compute engines (capabilities, word layout)",
-                _cmd_backends, _args_backends),
+                "list registered compute engines (availability, capabilities)",
+                _cmd_backends),
     CommandSpec("sessions",
                 "multi-patient stream-serving demo (batched sweeps)",
                 _cmd_sessions, _args_sessions),

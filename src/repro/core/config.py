@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.hdc.engine import (
-    UNPACKED_ENGINE,
+    AUTO_ENGINE,
     backend_choices,
     resolve_engine_name,
 )
@@ -27,8 +27,8 @@ MIN_DIM = 1_000
 #: follows the *live* registry (an engine registered later is accepted
 #: even though this snapshot omits it); ``repro backends`` or
 #: :func:`repro.hdc.engine.backend_choices` always reflect the current
-#: set.  All engines are bit-exact against each other; they differ only
-#: in representation and speed.
+#: set.  All engines are bit-exact against each other and hand up the
+#: same packed H vectors; they differ only in their kernels and speed.
 BACKENDS = backend_choices()
 
 
@@ -55,11 +55,11 @@ class LaelapsConfig:
         seed: Master seed; item-memory seeds are derived from it, so a
             config fully determines the model.
         backend: Name of the compute engine running the pipeline — any
-            name registered in :mod:`repro.hdc.engine` (``unpacked``,
-            the word-domain ``packed``, the numba-backed
-            ``packed-native``), the retired alias ``packed-fused`` of
-            ``packed``, or ``auto`` to pick the fastest at detector
-            construction.
+            name registered in :mod:`repro.hdc.engine` (the
+            integer-counter reference ``unpacked``, the bit-sliced
+            ``packed``, the numba-backed ``packed-native``), the retired
+            alias ``packed-fused`` of ``packed``, or ``auto`` (the
+            default) to pick the fastest at detector construction.
             Every engine produces bit-identical labels and confidence
             scores; see :data:`BACKENDS` and the ``repro backends``
             command.
@@ -74,7 +74,7 @@ class LaelapsConfig:
     tc: int = 10
     tr: float = 0.0
     seed: int = 0x1AE1A95
-    backend: str = UNPACKED_ENGINE
+    backend: str = AUTO_ENGINE
 
     def __post_init__(self) -> None:
         if self.dim < 2:

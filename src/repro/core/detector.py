@@ -2,9 +2,9 @@
 
 ``LaelapsDetector`` owns the two item memories, a named compute engine
 (:mod:`repro.hdc.engine` — the single dispatch point for the encoder and
-associative-memory representations), the two-prototype associative
-memory and the postprocessor.  It is trained from explicit time segments
-(one or two seizures plus 30 s of interictal signal) and then classifies
+bundling kernels), the two-prototype associative memory and the
+postprocessor.  It is trained from explicit time segments (one or two
+seizures plus 30 s of interictal signal) and then classifies
 arbitrarily long recordings at the 0.5 s label rate.
 """
 
@@ -142,15 +142,16 @@ class LaelapsDetector:
         return arr
 
     def temporal_encoder(self) -> WindowBundler:
-        """A fresh streaming window encoder in the engine's domain."""
+        """A fresh streaming window encoder on the engine's kernels."""
         return self.engine.temporal_encoder()
 
     def encode(self, signal: np.ndarray) -> np.ndarray:
-        """Encode a recording into engine-native H vectors.
+        """Encode a recording into packed H vectors.
 
-        The output shape and dtype are the engine's native window form
-        (see ``repro backends``); every form is accepted by
-        :meth:`predict_from_windows`, whichever engine produced it.
+        Returns uint64 ``(n_windows, packed_words(dim))`` words, the
+        same on every engine (read bits with
+        :func:`~repro.hdc.backend.unpack_bits`), so any detector of the
+        same dimension accepts them in :meth:`predict_from_windows`.
         """
         arr = self._validate_signal(signal)
         codes = self.symbolizer.codes(arr)
@@ -179,14 +180,14 @@ class LaelapsDetector:
     ) -> "LaelapsDetector":
         """Train the associative memory from already-encoded H vectors.
 
-        Accepts windows in any engine's window form (unpacked uint8
-        ``(k, d)`` or word-packed uint64 ``(k, words)``), matching
-        whatever :meth:`encode` produced.  The interictal prototype is
-        stored first, so a query equidistant from both prototypes is
-        labelled interictal.
+        Takes packed uint64 ``(k, words)`` windows, as :meth:`encode`
+        produces them; unpacked bits go through
+        :func:`~repro.hdc.backend.pack_bits` first.  The interictal
+        prototype is stored first, so a query equidistant from both
+        prototypes is labelled interictal.
         """
-        ictal_arr = self.engine.windows_2d(ictal_h)
-        inter_arr = self.engine.windows_2d(interictal_h)
+        ictal_arr = self.engine.windows(ictal_h)
+        inter_arr = self.engine.windows(interictal_h)
         if ictal_arr.shape[0] == 0 or inter_arr.shape[0] == 0:
             raise ValueError("both classes need at least one H vector")
         self.engine.train(self.memory, INTERICTAL, inter_arr)
@@ -282,7 +283,7 @@ class LaelapsDetector:
         """
         if not self.is_fitted:
             raise RuntimeError("detector must be fitted before predicting")
-        h_arr = self.engine.windows_2d(h)
+        h_arr = self.engine.windows(h)
         if h_arr.shape[0] == 0:
             return (
                 np.zeros(0, dtype=np.int64),
@@ -295,10 +296,10 @@ class LaelapsDetector:
     def predict_from_windows(self, h: np.ndarray) -> WindowPredictions:
         """Classify already-encoded H vectors in one batched sweep.
 
-        Accepts any engine's window form (unpacked ``(n, d)`` uint8 or
-        word-packed ``(n, words)`` uint64); the whole batch is scored
-        against both prototypes in a single vectorized Hamming query,
-        never one window at a time.  Decision times are those of a
+        Takes packed uint64 ``(n, words)`` windows from any engine's
+        :meth:`encode`; the whole batch is scored against both
+        prototypes in a single vectorized Hamming query, never one
+        window at a time.  Decision times are those of a
         recording starting at window zero — mid-stream chunks must use
         :meth:`classify_from_windows` and their own clock.
         """

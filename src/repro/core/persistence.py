@@ -11,9 +11,10 @@ The compute engine travels as an explicit ``engine`` tag next to the
 persisted config: the tag holds the *resolved* engine name (a detector
 configured with ``backend="auto"`` saves the concrete engine it ran
 on), so a model reopens on the engine that wrote it regardless of what
-``auto`` would pick on the loading host.  Prototypes are serialised in
-the unpacked inspection form either way — the word forms are re-derived
-on load, and all engines are bit-exact, so archives move freely between
+``auto`` would pick on the loading host.  The associative memory holds
+prototypes packed on every engine; they are serialised in the unpacked
+inspection form of ``AssociativeMemory.prototype`` and packed again on
+load, and all engines are bit-exact, so archives move freely between
 engines.  Payloads from before the engine registry carry no tag and
 fall back to the config's legacy backend field.
 

@@ -107,8 +107,7 @@ def push_streams(
     if not live:
         return events
     detectors = [streams[i].detector for i in live]
-    queries = [d.engine.pack_queries(h_blocks[i])
-               for d, i in zip(detectors, live)]
+    queries = [h_blocks[i] for i in live]
     blocks = [d.memory.packed_block() for d in detectors]
     # When every involved stream runs the same engine, its grouped
     # kernel carries the tick (the packed-native engine's nogil sweep,

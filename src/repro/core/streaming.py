@@ -112,12 +112,12 @@ class StreamingLaelaps:
         """The per-stream stages of a tick: symbolise and spatial encode.
 
         Carries the symboliser tail across calls and feeds the codes to
-        the temporal encoder; returns the H vectors of the windows this
-        chunk completes, in the backend's representation — filled by
-        ``tiles.flush()`` when ``tiles`` (the tick's shared block step)
-        is given.  The chunk keeps its dtype (LBP codes compare samples,
-        so upcasting would only cost memory); the carried tail is
-        float64 whatever the chunk dtype.
+        the temporal encoder; returns the packed uint64 H vectors of the
+        windows this chunk completes — filled by ``tiles.flush()`` when
+        ``tiles`` (the tick's shared block step) is given.  The chunk
+        keeps its dtype (LBP codes compare samples, so upcasting would
+        only cost memory); the carried tail is float64 whatever the
+        chunk dtype.
         """
         arr = np.asarray(chunk)
         if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:

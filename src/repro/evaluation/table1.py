@@ -37,7 +37,7 @@ from repro.evaluation.runner import (
     run_patient,
     tune_run_tr,
 )
-from repro.hdc.engine import UNPACKED_ENGINE
+from repro.hdc.engine import AUTO_ENGINE
 
 #: Name of the method whose t_r is tuned (all others run at t_r = 0).
 LAELAPS = "laelaps"
@@ -63,7 +63,7 @@ def default_methods(
     dim: int = 1_000,
     seed: int = 0,
     include: Sequence[str] = (LAELAPS, "svm", "cnn", "lstm"),
-    backend: str = UNPACKED_ENGINE,
+    backend: str = AUTO_ENGINE,
 ) -> list[MethodSpec]:
     """The paper's four methods with sensible reproduction settings.
 

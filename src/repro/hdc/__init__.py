@@ -3,12 +3,12 @@
 Binary hypervectors are represented in two interchangeable forms:
 
 * **unpacked** — ``uint8`` arrays of 0/1 with one byte per component; the
-  working representation of the encoders because bundling needs exact
-  per-component counters, and
+  working representation of the reference integer-counter encoders and
+  of inspection, and
 * **packed** — ``uint64`` arrays with 64 components per word (mirroring the
-  32-bit word packing of the paper's GPU implementation); the storage and
-  similarity-search representation, using hardware popcounts via
-  ``numpy.bitwise_count``.
+  32-bit word packing of the paper's GPU implementation); the one form of
+  H vectors and prototypes above the spatial encoder, searched with
+  hardware popcounts via ``numpy.bitwise_count``.
 
 ``repro.hdc.ops`` implements the two HD arithmetic operations of the paper
 (binding = XOR, bundling = componentwise majority) plus permutation and
@@ -21,13 +21,14 @@ owns the word layout, ``repro.hdc.bitsliced`` the carry-save counting,
 and ``repro.hdc.spatial_packed``/``repro.hdc.temporal_packed`` mirror the
 encoders bit-exactly in the word domain.
 
-``repro.hdc.engine`` is the single dispatch point between the forms: a
-named registry of engines (``unpacked``, ``packed``, the numba-backed
-``packed-native`` and the ``auto`` selector) that every layer above —
-detector, streaming, sessions, persistence, serving, CLI — routes
-through instead of branching on a backend string or probing array
-widths.  Engines differ only in their kernels; the associative memory
-they all feed holds packed prototypes and answers packed queries.
+``repro.hdc.engine`` is the single dispatch point between the kernels: a
+named registry of engines (the ``unpacked`` reference, ``packed``, the
+numba-backed ``packed-native`` and the ``auto`` selector) that every
+layer above — detector, streaming, sessions, persistence, serving, CLI —
+routes through instead of branching on a backend string.  Engines
+differ only in their kernels; every one hands up packed H vectors, and
+the associative memory they all feed holds packed prototypes and
+answers packed queries.
 """
 
 from repro.hdc.associative import (

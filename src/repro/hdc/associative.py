@@ -8,8 +8,8 @@ and returns the argmin label; the distances themselves feed the
 postprocessor's confidence score delta = |eta(H, P1) - eta(H, P2)|.
 
 The memory holds its prototypes once, packed, and answers every query
-with the packed sweep; each engine (:mod:`repro.hdc.engine`) packs its
-queries and finalizes prototypes with its own accumulator.
+with the packed sweep; each engine (:mod:`repro.hdc.engine`) bundles
+packed H vectors into a packed prototype with its own kernel.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hdc.backend import (
-    WORD_BITS,
     hamming_distance_packed,
     pack_bits,
     packed_words,
+    padding_set,
     unpack_bits,
 )
 from repro.hdc.bitsliced import (
@@ -142,8 +142,7 @@ class AssociativeMemory:
                 f"packed prototype must have shape ({self.words},), "
                 f"got {arr.shape}"
             )
-        tail = self.dim - (self.words - 1) * WORD_BITS
-        if tail < WORD_BITS and int(arr[-1] >> np.uint64(tail)):
+        if padding_set(arr, self.dim):
             raise ValueError("padding bits beyond dim must be zero")
         self._insert(label, arr)
 

@@ -122,6 +122,13 @@ def unpack_bits(words: np.ndarray, dim: int) -> np.ndarray:
     return bits[..., :dim]
 
 
+def padding_set(words: np.ndarray, dim: int) -> bool:
+    """Whether any bit beyond ``dim`` is set in ``(..., packed_words(dim))``
+    uint64 words (:func:`pack_bits` always leaves them zero)."""
+    tail = dim - (packed_words(dim) - 1) * WORD_BITS
+    return tail < WORD_BITS and bool(np.any(words[..., -1] >> np.uint64(tail)))
+
+
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamming distance between unpacked hypervectors.
 

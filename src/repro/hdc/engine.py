@@ -6,22 +6,25 @@ constructor, trainer and classifier, and the session manager, the
 persistence formats, the shard workers and the CLI each carried their
 own copy of the switch.  This module collapses all of that into one
 object: an engine (a subclass of :class:`_EngineBase`) owns the spatial
-and temporal encoders of its representation, feeds and queries the
-associative memory, packs queries for the cross-session grouped sweep,
-and tags checkpoint payloads — so callers hold an engine and never ask
-which domain an H vector lives in.
+and temporal encoders of its kernels, feeds and queries the
+associative memory, and tags checkpoint payloads.
 
-Engines differ only in their kernels: the encoders, the prototype
-accumulator and the grouped sweep.  Below :meth:`_EngineBase.train` and
-:meth:`_EngineBase.classify_windows` there is one path — the
-associative memory stores packed prototypes and answers packed queries.
+Above the spatial encoder an H vector has one form on every engine:
+packed ``(n, packed_words(d))`` uint64 words, the word layout of the
+paper's GPU kernels (Sec. V-B).  Every temporal encoder emits it, the
+associative memory stores and answers it, and :meth:`_EngineBase.windows`
+is the one check on H vectors that come from outside.  Engines differ
+only in their kernels: the encoders, :meth:`_EngineBase.bundle` and the
+grouped sweep.
 
 Registered engines (:func:`engine_names`):
 
-* ``unpacked`` — uint8 0/1 component arrays, the reference
-  integer-counter path;
-* ``packed`` — uint64 words end to end (the word layout of the paper's
-  GPU kernels, Sec. V-B), batched XOR + popcount queries;
+* ``unpacked`` — the integer-counter reference: it counts spatial
+  records and bundles prototypes in integers and packs each result, so
+  it checks the packed kernels independently (read its H vectors with
+  :func:`~repro.hdc.backend.unpack_bits`);
+* ``packed`` — bit-sliced carry-save encoding (the paper's GPU
+  dataflow, Sec. V-B), batched XOR + popcount queries;
 * ``packed-native`` — the packed pipeline with both hot kernels
   (XOR+popcount sweep, carry-save bundling tree) JIT-compiled to
   multithreaded nogil machine code via the optional numba dependency
@@ -55,7 +58,7 @@ from repro.hdc.associative import (
     PackedPrototypeAccumulator,
     grouped_classify_packed,
 )
-from repro.hdc.backend import pack_bits, packed_words, unpack_bits
+from repro.hdc.backend import pack_bits, packed_words, padding_set, unpack_bits
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.ops import BundleAccumulator
 from repro.hdc.spatial import SpatialEncoder
@@ -98,26 +101,18 @@ class _EngineBase:
       temporal encoders (:meth:`temporal_encoder`, whose
       ``state_dict``/``restore_state`` are the streaming-state
       export/import hooks used by checkpoints);
-    * the prototype accumulator of their H form (:meth:`accumulator`)
-      and how a finalized prototype is stored (:meth:`store`);
+    * :meth:`bundle`, which turns a class's H vectors into its packed
+      prototype;
     * the cross-session grouped sweep (:attr:`grouped_kernel`);
     * the checkpoint payload tag (:attr:`name` — persisted so a saved
       model reopens on the engine that wrote it).
 
-    This class is the *only* place in the codebase that distinguishes
-    window forms by trailing width: every engine accepts both the
-    unpacked ``(n, d)`` uint8 and the packed ``(n, words)`` uint64 form
-    (so detectors can cross-feed windows encoded on any engine) and
-    converts at :meth:`windows_2d`, so training and queries below it
-    have no per-form branch.
+    Every engine's H vectors are packed ``(n, words)`` uint64, so
+    windows encoded on any engine feed any other.
     """
 
     #: Registry key; subclasses override.
     name = "base"
-    #: Whether H vectors natively live in packed uint64 words.
-    native_packed = False
-    #: Human-readable native window form, for the capability listing.
-    window_form = "?"
     #: One-line capability summary, for the capability listing.
     summary = ""
 
@@ -137,7 +132,7 @@ class _EngineBase:
         self.spec = spec
         self.spatial = self.spatial_class(code_memory, electrode_memory)
 
-    # -- representation hooks (subclasses override) --------------------
+    # -- kernel hooks (subclasses override) ----------------------------
 
     spatial_class: type
     temporal_class: type[WindowBundler]
@@ -146,51 +141,40 @@ class _EngineBase:
         """A fresh streaming temporal encoder over :attr:`spatial`."""
         return self.temporal_class(self.spatial, self.spec)
 
-    def accumulator(self):
-        raise NotImplementedError
-
-    def store(self, memory: AssociativeMemory, label: int,
-              prototype: np.ndarray) -> None:
+    def bundle(self, h: np.ndarray) -> np.ndarray:
+        """The packed ``(words,)`` majority prototype of ``(k, words)`` H."""
         raise NotImplementedError
 
     # -- the one path into the associative memory ----------------------
 
-    def windows_2d(self, h: np.ndarray) -> np.ndarray:
-        """Validate H vectors in either form, returning this engine's form.
+    def windows(self, h: np.ndarray) -> np.ndarray:
+        """Validate H vectors from outside as a ``(n, words)`` uint64 batch.
 
-        Dispatch is by trailing width: ``d`` columns means unpacked,
-        ``packed_words(d)`` columns means packed (the two can never
-        coincide for ``d >= 2``).  The 2-D batch comes back packed or
-        unpacked to match :attr:`native_packed`.
+        Raises:
+            ValueError: For any other dtype or width (unpacked uint8
+                bits included), or when a padding bit beyond ``dim``
+                is set.
         """
         arr = np.atleast_2d(np.asarray(h))
-        if arr.ndim != 2 or arr.shape[1] not in (self.dim, self.words):
+        if arr.ndim != 2 or arr.shape[1] != self.words or arr.dtype != np.uint64:
             raise ValueError(
-                f"H vectors must have {self.dim} (unpacked) or "
-                f"{self.words} (packed) columns, got shape {arr.shape}"
+                f"H vectors must be packed (n, {self.words}) uint64 words "
+                f"(pack_bits), got {arr.dtype} {arr.shape}"
             )
-        if arr.shape[1] == self.dim:
-            bits = arr.astype(np.uint8, copy=False)
-            return pack_bits(bits) if self.native_packed else bits
-        words = arr.astype(np.uint64, copy=False)
-        return words if self.native_packed else unpack_bits(words, self.dim)
-
-    def pack_queries(self, h: np.ndarray) -> np.ndarray:
-        """Validated H vectors as ``(n, words)`` uint64 packed queries."""
-        arr = self.windows_2d(h)
-        return arr if self.native_packed else pack_bits(arr)
+        if padding_set(arr, self.dim):
+            raise ValueError("padding bits beyond dim must be zero")
+        return arr
 
     def train(self, memory: AssociativeMemory, label: int,
               h_vectors: np.ndarray) -> None:
-        """Bundle an H batch (either form) into ``label``'s prototype."""
-        prototype = self.accumulator().add(self.windows_2d(h_vectors))
-        self.store(memory, label, prototype.finalize())
+        """Bundle an H batch into ``label``'s prototype."""
+        memory.store_packed(label, self.bundle(self.windows(h_vectors)))
 
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched nearest-prototype sweep over H vectors (either form)."""
-        return memory.classify_packed(self.pack_queries(h))
+        """Batched nearest-prototype sweep over H vectors."""
+        return memory.classify_packed(self.windows(h))
 
     #: Cross-session grouped-sweep implementation used when every
     #: session of a tick shares this engine; engines with a native
@@ -214,13 +198,11 @@ class _EngineBase:
         return cls.available()[0]
 
     @classmethod
-    def describe(cls, dim: int = 10_000) -> dict:
-        """Capability/word-layout row for the ``repro backends`` CLI."""
+    def describe(cls) -> dict:
+        """Capability row for the ``repro backends`` CLI."""
         ok, why = cls.available()
         return {
             "name": cls.name,
-            "window_form": cls.window_form,
-            "width_at_dim": packed_words(dim) if cls.native_packed else dim,
             "available": ok,
             "unavailable_reason": why,
             "summary": cls.summary,
@@ -238,51 +220,37 @@ def register_engine(cls: type[_EngineBase]) -> type[_EngineBase]:
 
 @register_engine
 class UnpackedEngine(_EngineBase):
-    """Reference integer-counter engine over uint8 component arrays."""
+    """Reference engine: integer counters throughout, packed at the end."""
 
     name = UNPACKED_ENGINE
-    window_form = "uint8 (n, d)"
-    summary = "reference integer-counter path; one byte per component"
+    summary = "integer-counter reference; read H with unpack_bits"
 
     spatial_class = SpatialEncoder
     temporal_class = TemporalEncoder
 
-    def accumulator(self) -> BundleAccumulator:
-        return BundleAccumulator(self.dim)
-
-    def store(self, memory: AssociativeMemory, label: int,
-              prototype: np.ndarray) -> None:
-        memory.store(label, prototype)
+    def bundle(self, h: np.ndarray) -> np.ndarray:
+        bits = unpack_bits(h, self.dim)
+        return pack_bits(BundleAccumulator(self.dim).add(bits).finalize())
 
 
 @register_engine
 class PackedEngine(_EngineBase):
-    """Word-domain engine: uint64 H vectors end to end (Sec. V-B)."""
+    """Word-domain engine: bit-sliced kernels end to end (Sec. V-B)."""
 
     name = PACKED_ENGINE
-    native_packed = True
-    window_form = "uint64 (n, ceil(d/64))"
     summary = "bit-parallel carry-save encoding, batched XOR+popcount sweep"
 
     spatial_class = PackedSpatialEncoder
     temporal_class = PackedTemporalEncoder
 
-    def accumulator(self) -> PackedPrototypeAccumulator:
-        return PackedPrototypeAccumulator(self.dim)
-
-    def store(self, memory: AssociativeMemory, label: int,
-              prototype: np.ndarray) -> None:
-        memory.store_packed(label, prototype)
+    def bundle(self, h: np.ndarray) -> np.ndarray:
+        return PackedPrototypeAccumulator(self.dim).add(h).finalize()
 
 
 #: Fastest-first preference order used by the ``auto`` pseudo-engine;
 #: candidates whose :meth:`_EngineBase.auto_eligible` says no on this
-#: host (e.g. ``packed-native`` without numba) are skipped.
-_AUTO_PREFERENCE = (
-    PACKED_NATIVE_ENGINE,
-    PACKED_ENGINE,
-    UNPACKED_ENGINE,
-)
+#: host (``packed-native`` without numba) are skipped.
+_AUTO_PREFERENCE = (PACKED_NATIVE_ENGINE, PACKED_ENGINE)
 
 
 def engine_names() -> tuple[str, ...]:
@@ -344,16 +312,15 @@ def build_engine(
     )
 
 
-def engine_capabilities(dim: int = 10_000) -> list[dict]:
-    """Capability/word-layout rows for every registered engine.
+def engine_capabilities() -> list[dict]:
+    """Capability rows for every registered engine.
 
     The data behind the ``repro backends`` CLI listing: one dict per
-    engine (name, native window form, trailing width at ``dim``,
-    availability with reason, summary).  The ``auto``
+    engine (name, availability with reason, summary).  The ``auto``
     pseudo-engine is not listed — ask :func:`resolve_engine_name` what
     it currently resolves to.
     """
-    return [cls.describe(dim) for cls in _REGISTRY.values()]
+    return [cls.describe() for cls in _REGISTRY.values()]
 
 
 # Importing the native module registers the ``packed-native`` engine

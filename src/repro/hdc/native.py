@@ -42,7 +42,11 @@ from repro.hdc.associative import (
     AssociativeMemory,
     _validate_grouped,
 )
-from repro.hdc.bitsliced import plane_depth, planes_add, planes_greater_than
+
+# ``planes_add`` and ``planes_greater_than`` are unused here; the names
+# stay importable from this module because perfbench's tracer wraps them
+# here.
+from repro.hdc.bitsliced import plane_depth, planes_add, planes_greater_than  # noqa: F401
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
     EngineUnavailableError,
@@ -51,11 +55,7 @@ from repro.hdc.engine import (
 )
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal_packed import (
-    PackedBlockTile,
-    PackedTemporalEncoder,
-    stack_planes,
-)
+from repro.hdc.temporal_packed import PackedBlockTile, PackedTemporalEncoder
 from repro.signal.windows import WindowSpec
 
 #: Env knob: worker thread count for the native kernels (0 = default).
@@ -412,12 +412,6 @@ class NativeBlockTile(PackedBlockTile):
     def _reduce(self, records: np.ndarray) -> np.ndarray:
         return native_bitsliced_counts(records).transpose(1, 0, 2)
 
-    def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
-        window = stack_planes(lags[0])
-        for lag in lags[1:]:
-            window = planes_add(window, stack_planes(lag))
-        return planes_greater_than(window, self.spec.window_samples // 2)
-
 
 class NativeTemporalEncoder(PackedTemporalEncoder):
     """Packed temporal encoder over the native bundling tree."""
@@ -474,7 +468,7 @@ class PackedNativeEngine(PackedEngine):
         self, memory: AssociativeMemory, h: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The grouped kernel, with ``memory`` the owner of every row."""
-        queries = self.pack_queries(h)
+        queries = self.windows(h)
         block, labels = memory.packed_block()
         owners = np.zeros(queries.shape[0], dtype=np.intp)
         return self.grouped_kernel(queries, block[None], owners, labels[None])

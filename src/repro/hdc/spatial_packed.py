@@ -196,10 +196,3 @@ class PackedSpatialEncoder:
             out[start:stop] = planes_greater_than(planes, threshold)
             free.extend(planes)
         return out
-
-    def encode(self, codes: np.ndarray) -> np.ndarray:
-        """Unpacked uint8 records, drop-in compatible with the default
-        encoder (used by the equivalence tests)."""
-        from repro.hdc.backend import unpack_bits
-
-        return unpack_bits(self.encode_packed(codes), self.dim)

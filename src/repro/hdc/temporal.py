@@ -10,6 +10,8 @@ is the sum of adjacent blocks, so a recording of any length streams
 through in O(d) memory and every ``S`` is encoded exactly once even though
 windows overlap.  A :class:`BlockTile` runs that block step for many
 blocks at once: every stream's of a serving tick, in bounded tiles.
+Whatever a backend's block state, its H vectors leave packed,
+``(n_windows, packed_words(d))`` uint64.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.ops import majority_from_counts
 from repro.hdc.spatial import SpatialEncoder
 from repro.signal.windows import WindowSpec
@@ -36,16 +39,22 @@ class BlockTile:
     spatial records; :meth:`flush` reduces every staged row at once,
     sums each completed window from its stream's block state and writes
     the H vector into the row its stream reserved.  Subclasses supply
-    the record ``dtype`` and kernels: ``_encode(encoder, block, dest)``,
-    ``_reduce(records)`` (per-row block state) and ``_windows(lags)``
-    (H vectors of windows whose blocks, oldest first, are ``lags``).
+    the record ``dtype`` and :meth:`record_width` and the kernels
+    ``_encode(encoder, block, dest)``, ``_reduce(records)`` (per-row
+    block state) and ``_windows(lags)`` (packed H vectors of windows
+    whose blocks, oldest first, are ``lags``).
     """
 
-    dtype: type = np.uint8
+    dtype: type = np.uint64
+
+    @staticmethod
+    def record_width(dim: int) -> int:
+        """Trailing width of one spatial record at dimension ``dim``."""
+        return packed_words(dim)
 
     def __init__(self, encoder: "WindowBundler", max_rows: int) -> None:
         self.spec = encoder.spec
-        step, width = self.spec.step_samples, encoder.window_width
+        step, width = self.spec.step_samples, self.record_width(encoder.dim)
         row_bytes = step * width * np.dtype(self.dtype).itemsize
         rows = max(1, min(max_rows, _TILE_WORDS * 8 // row_bytes))
         self.records = np.empty((step, rows, width), dtype=self.dtype)
@@ -133,17 +142,14 @@ class WindowBundler:
         self.spec = spec
         self.blocks_per_window = spec.window_samples // spec.step_samples
         self.dim = spatial.dim
+        #: Packed word count of one H vector.
+        self.words = packed_words(self.dim)
         self.reset()
 
     def reset(self) -> None:
         """Drop buffered samples and block state (start of a new record)."""
         self._pending = np.zeros((0, self.spatial.n_electrodes), dtype=np.int64)
         self._blocks: deque[np.ndarray] = deque(maxlen=self.blocks_per_window)
-
-    @property
-    def window_width(self) -> int:
-        """Trailing width of a record or H vector in this representation."""
-        return self.dim
 
     def feed(self, codes: np.ndarray, tiles: BlockTiles | None = None) -> np.ndarray:
         """Push a chunk of per-sample codes; return completed H vectors.
@@ -155,8 +161,8 @@ class WindowBundler:
                 then filled by ``tiles.flush()``.
 
         Returns:
-            Array ``(n_new_windows, ...)`` of H vectors completed by this
-            chunk (possibly empty), in the backend's representation.
+            uint64 array ``(n_new_windows, words)`` of the packed H
+            vectors completed by this chunk (possibly empty).
         """
         arr = np.asarray(codes)
         if arr.ndim != 2 or arr.shape[1] != self.spatial.n_electrodes:
@@ -170,10 +176,7 @@ class WindowBundler:
         n_blocks = arr.shape[0] // step
         self._pending = arr[n_blocks * step :].copy()
         skip = max(0, self.blocks_per_window - 1 - len(self._blocks))
-        out = np.empty(
-            (max(0, n_blocks - skip), self.window_width),
-            dtype=self.tile_class.dtype,
-        )
+        out = np.empty((max(0, n_blocks - skip), self.words), dtype=np.uint64)
         group = BlockTiles(n_blocks) if tiles is None else tiles
         for j in range(n_blocks):
             group.stage(self, arr[j * step : (j + 1) * step], out, j - skip)
@@ -244,7 +247,14 @@ class WindowBundler:
 
 
 class CountBlockTile(BlockTile):
-    """Integer-counter block step over unpacked uint8 records."""
+    """Integer-counter block step over unpacked uint8 records; only the
+    window majority is packed."""
+
+    dtype = np.uint8
+
+    @staticmethod
+    def record_width(dim: int) -> int:
+        return dim
 
     def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
         dest[...] = encoder.spatial.encode(block)
@@ -254,7 +264,9 @@ class CountBlockTile(BlockTile):
 
     def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
         window_counts = np.sum([np.stack(lag) for lag in lags], axis=0)
-        return majority_from_counts(window_counts, self.spec.window_samples)
+        return pack_bits(
+            majority_from_counts(window_counts, self.spec.window_samples)
+        )
 
 
 class TemporalEncoder(WindowBundler):

@@ -10,9 +10,12 @@ unpacked intermediate anywhere, bit-exact against the integer-counter
 encoder.
 
 :class:`PackedBlockTile` runs the tree, adder and comparator once per
-``(step, blocks, words)`` tile of many streams' blocks.  The chunk-buffering scaffold is shared with the unpacked encoder
+``(step, blocks, words)`` tile of many streams' blocks.  The
+chunk-buffering scaffold is shared with the integer-counter encoder
 (:class:`repro.hdc.temporal.WindowBundler`), so every spatial record is
 encoded exactly once even though windows overlap, and memory stays O(d).
+Both encoders emit the same packed ``(n_windows, words)`` uint64 H
+vectors.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ def stack_planes(planes: list[np.ndarray]) -> np.ndarray:
 class PackedBlockTile(BlockTile):
     """Bit-sliced block step over packed uint64 records."""
 
-    dtype = np.uint64
-
     def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
         encoder.spatial.encode_packed(block, out=dest)
 
@@ -62,9 +63,9 @@ class PackedBlockTile(BlockTile):
 class PackedTemporalEncoder(WindowBundler):
     """Streaming window bundler over packed spatial records.
 
-    Drop-in behavioural twin of
-    :class:`repro.hdc.temporal.TemporalEncoder` whose outputs are packed
-    uint64 H vectors of shape ``(n_windows, words)``.
+    Bit-exact twin of :class:`repro.hdc.temporal.TemporalEncoder`: the
+    same packed ``(n_windows, words)`` uint64 H vectors, with no
+    unpacked intermediate.
 
     Args:
         spatial: The packed spatial encoder producing per-sample records.
@@ -73,13 +74,6 @@ class PackedTemporalEncoder(WindowBundler):
 
     spatial: PackedSpatialEncoder
     tile_class = PackedBlockTile
-
-    @property
-    def words(self) -> int:
-        """Packed word count of one H vector."""
-        return self.spatial.words
-
-    window_width = words
 
     def _export_block(self, block: np.ndarray) -> np.ndarray:
         # Digit planes leave in the engine-independent integer form and

@@ -9,9 +9,9 @@ packed sweep, so the per-tick cost per worker stays one XOR+popcount
 sweep regardless of how many of its sessions received data.  Events
 returned through the gateway are bit-identical to driving a single
 in-process manager (property-tested over ragged chunkings and mixed
-electrode counts/compute engines — every session enters a shard's sweep
-through its own engine's ``pack_queries`` bridge) — sharding, like
-batching, is a pure transport optimisation.
+electrode counts/compute engines — every engine hands the shard's
+sweep the same packed H vectors) — sharding, like batching, is a pure
+transport optimisation.
 
 The gateway adds three things a bare manager does not have:
 

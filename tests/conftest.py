@@ -51,8 +51,9 @@ def mini_segments() -> TrainingSegments:
 
 @pytest.fixture(scope="session")
 def small_config() -> LaelapsConfig:
-    """Laelaps config with a reduced dimension for fast tests."""
-    return LaelapsConfig(dim=1_000, fs=TEST_FS, seed=7)
+    """Laelaps config with a reduced dimension for fast tests, on the
+    integer-counter reference engine the parity suites compare against."""
+    return LaelapsConfig(dim=1_000, fs=TEST_FS, seed=7, backend="unpacked")
 
 
 @pytest.fixture(scope="session")

@@ -72,26 +72,23 @@ class TestNativeWindowForms:
         assert h.dtype == np.uint64
         assert h.shape[1] == packed_words(fitted_packed_detector.config.dim)
 
-    def test_predict_accepts_either_form(
+    def test_predict_takes_packed_words_only(
         self, fitted_detector, fitted_packed_detector, mini_recording
     ):
         segment = mini_recording.data[: 256 * 20]
-        h_unpacked = fitted_detector.encode(segment)
+        h_reference = fitted_detector.encode(segment)
         h_packed = fitted_packed_detector.encode(segment)
-        dim = fitted_detector.config.dim
-        np.testing.assert_array_equal(
-            unpack_bits(h_packed, dim), h_unpacked
-        )
-        # Cross-feeding: each detector classifies both forms identically.
+        np.testing.assert_array_equal(h_reference, h_packed)
+        # Cross-feeding: each detector classifies the other's windows
+        # as its own, and neither takes unpacked bits.
+        bits = unpack_bits(h_packed, fitted_detector.config.dim)
         for detector in (fitted_detector, fitted_packed_detector):
-            from_unpacked = detector.predict_from_windows(h_unpacked)
-            from_packed = detector.predict_from_windows(h_packed)
-            np.testing.assert_array_equal(
-                from_unpacked.labels, from_packed.labels
-            )
-            np.testing.assert_array_equal(
-                from_unpacked.distances, from_packed.distances
-            )
+            own = detector.predict_from_windows(detector.encode(segment))
+            other = detector.predict_from_windows(h_packed)
+            np.testing.assert_array_equal(own.labels, other.labels)
+            np.testing.assert_array_equal(own.distances, other.distances)
+            with pytest.raises(ValueError, match="uint64"):
+                detector.predict_from_windows(bits)
 
     def test_single_packed_window(self, fitted_packed_detector, mini_recording):
         h = fitted_packed_detector.encode(mini_recording.data[: 256 * 20])

@@ -75,8 +75,8 @@ class TestDerivedSeedsAndCopies:
         assert cfg.backend == "packed"
         assert cfg.dim == LaelapsConfig().dim
 
-    def test_default_backend_unpacked(self):
-        assert LaelapsConfig().backend == "unpacked"
+    def test_default_backend_auto(self):
+        assert LaelapsConfig().backend == "auto"
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from repro.data.synthetic import (
     SynthesisParams,
     SyntheticIEEGGenerator,
 )
-from repro.hdc.backend import hamming_distance, pack_bits
+from repro.hdc.backend import hamming_distance, pack_bits, packed_words
 from repro.hdc.engine import engine_names
 from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
 
@@ -65,8 +65,8 @@ class TestConstruction:
 class TestEncoding:
     def test_encode_shape(self, fitted_detector, mini_recording):
         h = fitted_detector.encode(mini_recording.data[: 256 * 10])
-        assert h.shape[1] == fitted_detector.config.dim
-        assert h.dtype == np.uint8
+        assert h.shape[1] == packed_words(fitted_detector.config.dim)
+        assert h.dtype == np.uint64
 
     def test_encode_rejects_wrong_channels(self, fitted_detector):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestFit:
         det = LaelapsDetector(4, small_config)
         ictal = rng.integers(0, 2, 1_000, dtype=np.uint8)
         inter = rng.integers(0, 2, 1_000, dtype=np.uint8)
-        det.fit_from_windows(ictal, inter)
+        det.fit_from_windows(pack_bits(ictal), pack_bits(inter))
         np.testing.assert_array_equal(det.memory.prototype(ICTAL), ictal)
         np.testing.assert_array_equal(det.memory.prototype(INTERICTAL), inter)
 
@@ -157,11 +157,10 @@ class TestSinglePath:
         backend=st.sampled_from(engine_names()),
         dim=st.integers(2, 200),
         n=st.integers(0, 6),
-        packed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_classify_from_windows_matches_brute_force(
-        self, backend, dim, n, packed, seed
+        self, backend, dim, n, seed
     ):
         rng = np.random.default_rng(seed)
         inter, ictal = rng.integers(0, 2, (2, dim), dtype=np.uint8)
@@ -178,9 +177,9 @@ class TestSinglePath:
             det = LaelapsDetector(
                 2, LaelapsConfig(dim=dim, fs=256.0, backend=backend)
             )
-            det.fit_from_windows(ictal[None], inter[None])
+            det.fit_from_windows(pack_bits(ictal[None]), pack_bits(inter[None]))
             labels, distances, deltas = det.classify_from_windows(
-                pack_bits(queries) if packed else queries
+                pack_bits(queries)
             )
         expected = hamming_distance(
             queries[:, None, :], np.stack([inter, ictal])
@@ -194,7 +193,7 @@ class TestSinglePath:
         )
 
     def test_empty_batch_of_wrong_width_raises(self, fitted_detector):
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="uint64"):
             fitted_detector.classify_from_windows(np.zeros((0, 7)))
 
 
@@ -239,9 +238,9 @@ class TestPredictAndDetect:
         )
 
     def test_empty_prediction(self, fitted_detector):
-        preds = fitted_detector.predict_from_windows(
-            np.zeros((0, fitted_detector.config.dim), dtype=np.uint8)
-        )
+        preds = fitted_detector.predict_from_windows(np.zeros(
+            (0, packed_words(fitted_detector.config.dim)), dtype=np.uint64
+        ))
         assert len(preds) == 0
 
 

@@ -19,6 +19,7 @@ from repro.data.synthetic import (
     SynthesisParams,
     SyntheticIEEGGenerator,
 )
+from repro.hdc.backend import pack_bits
 
 FS = 256.0
 N_SESSIONS = 8
@@ -79,8 +80,8 @@ class TestLifecycle:
         manager.open("a", next(iter(detectors.values())))
         other = LaelapsDetector(4, LaelapsConfig(dim=2_000, fs=FS, seed=1))
         other.fit_from_windows(
-            np.ones((1, 2_000), dtype=np.uint8),
-            np.zeros((1, 2_000), dtype=np.uint8),
+            pack_bits(np.ones((1, 2_000), dtype=np.uint8)),
+            pack_bits(np.zeros((1, 2_000), dtype=np.uint8)),
         )
         with pytest.raises(ValueError):
             manager.open("b", other)

@@ -120,6 +120,7 @@ class TestLongTerm:
         # The loader's output must plug into the pipeline unmodified.
         from repro.core.config import LaelapsConfig
         from repro.core.detector import LaelapsDetector
+        from repro.hdc.backend import packed_words
 
         hours, info, fs = long_term_files
         rec = load_long_term_hours(hours, info)
@@ -130,4 +131,4 @@ class TestLongTerm:
             LaelapsConfig(dim=1_000, fs=fs, lbp_length=5, seed=1),
         )
         h = det.encode(rec.data[: int(10 * fs)])
-        assert h.shape[1] == 1_000
+        assert h.shape[1] == packed_words(1_000)

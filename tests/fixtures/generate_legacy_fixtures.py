@@ -52,15 +52,15 @@ def build_legacy_model():
     """The fitted packed-era detector and its evaluation signal."""
     from repro.core.config import LaelapsConfig
     from repro.core.detector import LaelapsDetector
-    from repro.hdc.backend import random_bits
+    from repro.hdc.backend import pack_bits, random_bits
 
     detector = LaelapsDetector(
         N_ELECTRODES,
         LaelapsConfig(dim=DIM, fs=FS, seed=MODEL_SEED, backend="packed"),
     )
     detector.fit_from_windows(
-        random_bits((5, DIM), np.random.default_rng(101)),
-        random_bits((5, DIM), np.random.default_rng(102)),
+        pack_bits(random_bits((5, DIM), np.random.default_rng(101))),
+        pack_bits(random_bits((5, DIM), np.random.default_rng(102))),
     )
     detector.tr = MODEL_TR
     signal = np.random.default_rng(2024).standard_normal(
@@ -74,7 +74,7 @@ def build_legacy_sessions():
     from repro.core.config import LaelapsConfig
     from repro.core.detector import LaelapsDetector
     from repro.core.sessions import StreamSessionManager
-    from repro.hdc.backend import random_bits
+    from repro.hdc.backend import pack_bits, random_bits
 
     manager = StreamSessionManager()
     signals = {}
@@ -85,10 +85,10 @@ def build_legacy_sessions():
                 dim=DIM, fs=FS, seed=spec["seed"], backend=spec["backend"]
             ),
         )
-        detector.fit_from_windows(
-            random_bits((4, DIM), np.random.default_rng(spec["seed"] + 100)),
-            random_bits((4, DIM), np.random.default_rng(spec["seed"] + 200)),
-        )
+        detector.fit_from_windows(*(
+            pack_bits(random_bits((4, DIM), np.random.default_rng(seed)))
+            for seed in (spec["seed"] + 100, spec["seed"] + 200)
+        ))
         detector.tr = SESSION_TR
         manager.open(spec["id"], detector)
         signals[spec["id"]] = np.random.default_rng(

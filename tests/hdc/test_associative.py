@@ -90,7 +90,7 @@ class TestAssociativeMemory:
                 WindowSpec.from_seconds(1.0, 0.5, 32.0),
             )
             memory = AssociativeMemory(128)
-            engine.train(memory, 3, h)
+            engine.train(memory, 3, pack_bits(h))
             np.testing.assert_array_equal(memory.prototype(3), bundle(h),
                                           err_msg=backend)
 

@@ -88,7 +88,8 @@ class TestPackedSpatialEncoder:
         default, packed = encoders
         codes = rng.integers(0, 64, size=(25, 7))
         np.testing.assert_array_equal(
-            packed.encode(codes), default.encode(codes)
+            unpack_bits(packed.encode_packed(codes), 300),
+            default.encode(codes),
         )
 
     def test_single_sample(self, encoders, rng):
@@ -110,7 +111,8 @@ class TestPackedSpatialEncoder:
         packed = PackedSpatialEncoder(codes_im, elec_im)
         codes = rng.integers(0, 16, size=(40, 8))
         np.testing.assert_array_equal(
-            packed.encode(codes), default.encode(codes)
+            unpack_bits(packed.encode_packed(codes), 256),
+            default.encode(codes),
         )
 
     def test_rejects_bad_codes(self, encoders):

@@ -8,7 +8,7 @@ input/output contracts.
 import numpy as np
 import pytest
 
-from repro.hdc.backend import hamming_distance
+from repro.hdc.backend import hamming_distance, unpack_bits
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.temporal import TemporalEncoder
@@ -18,7 +18,7 @@ DIM = 2_048
 
 
 def _encode(codes, spatial, spec):
-    return TemporalEncoder(spatial, spec).encode_all(codes)
+    return unpack_bits(TemporalEncoder(spatial, spec).encode_all(codes), DIM)
 
 
 @pytest.fixture(scope="module")

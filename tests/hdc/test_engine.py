@@ -20,6 +20,7 @@ from repro.hdc.engine import (
     resolve_engine_name,
 )
 from repro.hdc.item_memory import ItemMemory
+from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
 from repro.hdc.temporal import WindowBundler
 from repro.signal.windows import WindowSpec
 
@@ -83,19 +84,17 @@ class TestRegistry:
         assert "dummy-test-engine" not in engine_names()
 
     def test_instances_satisfy_protocol(self, monkeypatch):
-        from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
-
         # Every engine implements the hooks the base class leaves open:
-        # its temporal encoder, its accumulator and how it stores.
+        # its temporal encoder and its bundling kernel.
         monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
-        bits = random_bits((1, 100), np.random.default_rng(0))
+        h = pack_bits(random_bits((1, 100), np.random.default_rng(0)))
         for name in engine_names():
             engine = _engine(name)
             assert isinstance(engine.temporal_encoder(), WindowBundler)
-            assert engine.accumulator().add(engine.windows_2d(bits)).count == 1
+            np.testing.assert_array_equal(engine.bundle(h), h[0])
             memory = AssociativeMemory(100)
-            engine.train(memory, 7, bits)
-            labels, dists = engine.classify_windows(memory, bits)
+            engine.train(memory, 7, h)
+            labels, dists = engine.classify_windows(memory, h)
             assert labels.tolist() == [7]
             assert dists.tolist() == [[0]]
 
@@ -108,53 +107,110 @@ class TestRegistry:
 
 class TestCapabilities:
     def test_rows_cover_every_engine(self):
-        rows = engine_capabilities(dim=10_000)
+        rows = engine_capabilities()
         assert [row["name"] for row in rows] == list(engine_names())
         for row in rows:
             assert set(row) == {
-                "name", "window_form", "width_at_dim",
-                "available", "unavailable_reason", "summary",
+                "name", "available", "unavailable_reason", "summary",
             }
             assert row["available"] == (row["unavailable_reason"] is None)
 
-    def test_word_layout_widths(self):
-        by_name = {row["name"]: row for row in engine_capabilities(130)}
-        assert by_name["unpacked"]["width_at_dim"] == 130
-        assert by_name["packed"]["width_at_dim"] == packed_words(130) == 3
-        assert by_name["packed-native"]["width_at_dim"] == 3
+    def test_word_layout_widths(self, monkeypatch):
+        # One word layout for every engine: ceil(130 / 64) = 3 words.
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        for name in engine_names():
+            h = _engine(name, dim=130).temporal_encoder().feed(
+                np.zeros((0, 4), dtype=np.int64)
+            )
+            assert h.shape == (0, packed_words(130)) == (0, 3)
 
 
 class TestWindowForms:
-    def test_windows_2d_accepts_both_forms(self):
-        # Either form comes back in the engine's own form.
-        bits = random_bits((3, 100), np.random.default_rng(0))
-        for name, own in (("unpacked", bits), ("packed", pack_bits(bits))):
-            engine = _engine(name, dim=100)
-            for h in (bits, pack_bits(bits)):
-                out = engine.windows_2d(h)
-                assert out.dtype == own.dtype
-                np.testing.assert_array_equal(out, own)
+    def test_encode_is_packed_and_identical_across_engines(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        signal = np.random.default_rng(0).standard_normal((160, 4))
+        encoded = [
+            LaelapsDetector(
+                4, LaelapsConfig(dim=129, fs=32.0, lbp_length=3, backend=name)
+            ).encode(signal)
+            for name in engine_names()
+        ]
+        for h in encoded:
+            assert h.dtype == np.uint64
+            assert h.shape == (encoded[0].shape[0], packed_words(129))
+            np.testing.assert_array_equal(h, encoded[0])
+        assert encoded[0].shape[0] > 0
 
-    def test_windows_2d_rejects_other_widths(self):
+    def test_windows_returns_packed_batch(self):
         engine = _engine("unpacked", dim=100)
-        with pytest.raises(ValueError, match="100 .* or 2"):
-            engine.windows_2d(np.zeros((3, 7), dtype=np.uint8))
+        h = pack_bits(random_bits((4, 100), np.random.default_rng(1)))
+        np.testing.assert_array_equal(engine.windows(h), h)
+        np.testing.assert_array_equal(engine.windows(h[0]), h[:1])
 
-    def test_pack_queries_round_trips(self):
-        engine = _engine("packed", dim=100)
-        bits = random_bits((4, 100), np.random.default_rng(1))
-        packed = engine.pack_queries(bits)
-        np.testing.assert_array_equal(packed, pack_bits(bits))
-        # Already-packed queries pass through unchanged.
-        np.testing.assert_array_equal(engine.pack_queries(packed), packed)
+    def test_windows_rejects_every_other_form(self):
+        forms = [
+            ((3, 100), np.uint8),  # unpacked bits
+            ((3, 100), np.uint64),
+            ((3, 2), np.uint8),
+            ((3, 2), np.int64),
+            ((3, 1), np.uint64),
+            ((3, 3), np.uint64),
+            ((2, 3, 2), np.uint64),
+        ]
+        for name in ("unpacked", "packed"):
+            engine = _engine(name, dim=100)  # 2 words
+            for shape, dtype in forms:
+                with pytest.raises(ValueError, match=r"\(n, 2\) uint64"):
+                    engine.windows(np.zeros(shape, dtype=dtype))
 
     def test_native_encoders(self):
-        assert _engine("unpacked").temporal_encoder().feed(
-            np.zeros((0, 4), dtype=np.int64)
-        ).dtype == np.uint8
-        assert _engine("packed").temporal_encoder().feed(
-            np.zeros((0, 4), dtype=np.int64)
-        ).dtype == np.uint64
+        for name in ("unpacked", "packed"):
+            assert _engine(name).temporal_encoder().feed(
+                np.zeros((0, 4), dtype=np.int64)
+            ).dtype == np.uint64
+
+
+@pytest.mark.parametrize("name", engine_names())
+class TestPaddingBits:
+    """Packed H vectors come from outside; a set bit beyond ``dim`` would
+    shift every distance on the word kernels, so every engine rejects it."""
+
+    DIM = 129  # 3 words, 63 padding bits in the last
+
+    def _detector(self, name, monkeypatch) -> LaelapsDetector:
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        return LaelapsDetector(
+            3, LaelapsConfig(dim=self.DIM, fs=32.0, lbp_length=3,
+                             backend=name)
+        )
+
+    def _windows(self, seed: int, dirty: bool = False) -> np.ndarray:
+        h = pack_bits(
+            random_bits((3, self.DIM), np.random.default_rng(seed))
+        )
+        if dirty:
+            h[-1, -1] |= np.uint64(1 << 63)
+        return h
+
+    def test_predict_rejects_padding_bits(self, name, monkeypatch):
+        detector = self._detector(name, monkeypatch)
+        detector.fit_from_windows(self._windows(1), self._windows(2))
+        with pytest.raises(ValueError, match="padding bits"):
+            detector.predict_from_windows(self._windows(3, dirty=True))
+
+    def test_fit_rejects_padding_bits(self, name, monkeypatch):
+        detector = self._detector(name, monkeypatch)
+        with pytest.raises(ValueError, match="padding bits"):
+            detector.fit_from_windows(
+                self._windows(1, dirty=True), self._windows(2)
+            )
+        with pytest.raises(ValueError, match="padding bits"):
+            detector.fit_from_windows(
+                self._windows(1), self._windows(2, dirty=True)
+            )
+        assert not detector.is_fitted
 
 
 class TestDetectorIntegration:

@@ -402,8 +402,8 @@ class TestEngineParity:
                 4, LaelapsConfig(dim=129, fs=128.0, seed=5, backend=backend)
             )
             detector.fit_from_windows(
-                random_bits((3, 129), np.random.default_rng(1)),
-                random_bits((3, 129), np.random.default_rng(2)),
+                pack_bits(random_bits((3, 129), np.random.default_rng(1))),
+                pack_bits(random_bits((3, 129), np.random.default_rng(2))),
             )
             predictions[backend] = detector.predict(signal)
         fused = predictions["packed-fused"]
@@ -427,8 +427,8 @@ def test_native_triples_packed_at_golden_dim():
                               backend=backend),
         )
         detector.fit_from_windows(
-            random_bits((4, GOLDEN_DIM), np.random.default_rng(1)),
-            random_bits((4, GOLDEN_DIM), np.random.default_rng(2)),
+            pack_bits(random_bits((4, GOLDEN_DIM), np.random.default_rng(1))),
+            pack_bits(random_bits((4, GOLDEN_DIM), np.random.default_rng(2))),
         )
         detector.predict(signal)  # the first call pays the JIT compile
         elapsed = []

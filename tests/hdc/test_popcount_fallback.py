@@ -89,8 +89,8 @@ class TestPackedParityThroughLookup:
                 4, LaelapsConfig(dim=129, fs=128.0, seed=5, backend=backend)
             )
             detector.fit_from_windows(
-                random_bits((3, 129), np.random.default_rng(1)),
-                random_bits((3, 129), np.random.default_rng(2)),
+                pack_bits(random_bits((3, 129), np.random.default_rng(1))),
+                pack_bits(random_bits((3, 129), np.random.default_rng(2))),
             )
             predictions[backend] = detector.predict(signal)
         np.testing.assert_array_equal(

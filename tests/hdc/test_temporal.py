@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hdc.backend import unpack_bits
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.ops import majority_from_counts
 from repro.hdc.spatial import SpatialEncoder
@@ -25,7 +26,7 @@ class TestTemporalEncoder:
     def test_matches_reference_per_window(self, spatial, rng):
         spec = WindowSpec(16, 8)
         codes = rng.integers(0, 64, size=(64, 3))
-        h = TemporalEncoder(spatial, spec).encode_all(codes)
+        h = unpack_bits(TemporalEncoder(spatial, spec).encode_all(codes), 256)
         assert h.shape == (7, 256)
         for i in range(7):
             window = codes[i * 8 : i * 8 + 16]
@@ -77,7 +78,7 @@ class TestTemporalEncoder:
         # every H must equal that S.
         codes = np.tile(np.array([[7, 13, 40]]), (40, 1))
         spec = WindowSpec(16, 8)
-        h = TemporalEncoder(spatial, spec).encode_all(codes)
+        h = unpack_bits(TemporalEncoder(spatial, spec).encode_all(codes), 256)
         s = spatial.encode_sample(np.array([7, 13, 40]))
         for row in h:
             np.testing.assert_array_equal(row, s)

@@ -28,7 +28,7 @@ from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
-from repro.hdc.backend import random_bits, unpack_bits
+from repro.hdc.backend import pack_bits, random_bits
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
     engine_names,
@@ -61,20 +61,20 @@ FS = 32.0  # 32-sample windows, 16-sample blocks: fast under hypothesis
 
 def _fitted(engine: str, dim: int, rng: np.random.Generator,
             n_electrodes: int = 3) -> LaelapsDetector:
-    """A fitted detector on ``engine``, trained from shared unpacked H.
+    """A fitted detector on ``engine``, trained from shared packed H.
 
-    Every engine accepts the unpacked window form, so training all
-    engines from the same uint8 windows checks the training dispatch
-    (``engine.train``) as well as the query path.
+    Training all engines from the same packed windows checks each
+    engine's bundling kernel (``engine.bundle``) as well as the query
+    path.
     """
     detector = LaelapsDetector(
         n_electrodes,
         LaelapsConfig(dim=dim, fs=FS, lbp_length=3, seed=11, backend=engine),
     )
-    detector.fit_from_windows(
-        random_bits((4, dim), np.random.default_rng(rng.integers(2**31))),
-        random_bits((4, dim), np.random.default_rng(rng.integers(2**31))),
-    )
+    detector.fit_from_windows(*(
+        pack_bits(random_bits((4, dim), np.random.default_rng(seed)))
+        for seed in rng.integers(2**31, size=2)
+    ))
     detector.tr = 1.0
     return detector
 
@@ -88,18 +88,18 @@ class TestBatchEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(ODD_DIMS, st.integers(0, 2**31 - 1))
     def test_encode_matches_across_engines(self, dim, seed):
-        """H vectors agree component for component after unpacking."""
+        """Every engine encodes the same packed uint64 words."""
         signal = _signal(np.random.default_rng(seed + 1), 3.0)
         reference = None
         for engine in ENGINES:
             h = _fitted(engine, dim, np.random.default_rng(seed)).encode(
                 signal
             )
-            as_bits = h if h.dtype == np.uint8 else unpack_bits(h, dim)
+            assert h.dtype == np.uint64
             if reference is None:
-                reference = as_bits
+                reference = h
             else:
-                np.testing.assert_array_equal(as_bits, reference)
+                np.testing.assert_array_equal(h, reference)
         assert reference is not None and reference.shape[0] > 0
 
     @settings(max_examples=20, deadline=None)
@@ -136,12 +136,13 @@ class TestBatchEquivalence:
             engine: _fitted(engine, dim, np.random.default_rng(seed))
             for engine in ENGINES
         }
-        windows = random_bits((n_windows, dim), rng)
-        forms = [windows, detectors["packed"].engine.pack_queries(windows)]
-        reference = None
-        for detector in detectors.values():
-            for form in forms:
-                labels, dists, deltas = detector.classify_from_windows(form)
+        signal = _signal(rng, 1.0 + n_windows / 2)
+        encoded = [d.encode(signal) for d in detectors.values()]
+        encoded.append(pack_bits(random_bits((n_windows, dim), rng)))
+        for h in encoded:
+            reference = None
+            for detector in detectors.values():
+                labels, dists, deltas = detector.classify_from_windows(h)
                 if reference is None:
                     reference = (labels, dists, deltas)
                 else:

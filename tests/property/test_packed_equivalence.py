@@ -188,7 +188,7 @@ class TestEncoderEquivalence:
         h_packed = PackedTemporalEncoder(
             PackedSpatialEncoder(code_memory, electrode_memory), spec
         ).encode_all(codes)
-        np.testing.assert_array_equal(unpack_bits(h_packed, dim), h_unpacked)
+        np.testing.assert_array_equal(h_packed, h_unpacked)
 
 
 class TestAssociativeEquivalence:

@@ -7,6 +7,7 @@ from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.persistence import read_fleet_manifest
 from repro.core.sessions import StreamSessionManager
+from repro.hdc.backend import pack_bits
 from repro.serve import Backpressure, ShardedStreamGateway
 
 from tests.serve.conftest import FS
@@ -52,8 +53,8 @@ class TestLifecycle:
         detectors, _ = fleet
         other = LaelapsDetector(4, LaelapsConfig(dim=1024, fs=FS, seed=1))
         other.fit_from_windows(
-            np.ones((1, 1024), dtype=np.uint8),
-            np.zeros((1, 1024), dtype=np.uint8),
+            pack_bits(np.ones((1, 1024), dtype=np.uint8)),
+            pack_bits(np.zeros((1, 1024), dtype=np.uint8)),
         )
         with ShardedStreamGateway(2) as gateway:
             gateway.open("a", next(iter(detectors.values())))

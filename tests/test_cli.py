@@ -63,20 +63,13 @@ class TestBackendsCommand:
         assert "auto" in out  # reports what the selector resolves to
         assert "bit-identical" in out
 
-    def test_reports_word_layout_at_dim(self, capsys):
-        assert main(["backends", "--dim", "130"]) == 0
-        out = capsys.readouterr().out
-        assert "d=130" in out
-        packed_row = next(
-            line for line in out.splitlines() if line.startswith("packed ")
-        )
-        # ceil(130 / 64) = 3 words; the unpacked row reports raw width.
-        assert " 3 " in packed_row
-        unpacked_row = next(
-            line for line in out.splitlines()
-            if line.startswith("unpacked ")
-        )
-        assert " 130 " in unpacked_row
+    def test_dim_option_is_rejected(self, capsys):
+        # Every engine shares one word layout, so there is no width to
+        # report at a dimension.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["backends", "--dim", "130"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --dim" in capsys.readouterr().err
 
     def test_unknown_backend_value_exits_2_naming_choices(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
