@@ -10,13 +10,14 @@ single ``.npz`` file; the reloaded detector is bit-exact.
 The compute engine travels as an explicit ``engine`` tag next to the
 persisted config: the tag holds the *resolved* engine name (a detector
 configured with ``backend="auto"`` saves the concrete engine it ran
-on), so a model reopens on the engine that wrote it regardless of what
-``auto`` would pick on the loading host.  The associative memory holds
-prototypes packed on every engine; they are serialised in the unpacked
-inspection form of ``AssociativeMemory.prototype`` and packed again on
-load, and all engines are bit-exact, so archives move freely between
-engines.  Payloads from before the engine registry carry no tag and
-fall back to the config's legacy backend field.
+on), so a model reopens on the engine that wrote it if that engine can
+run on the loading host, and on ``auto`` if it cannot (a
+``packed-native`` tag on a host without numba).  The associative memory
+holds prototypes packed on every engine; they are serialised in the
+unpacked inspection form of ``AssociativeMemory.prototype`` and packed
+again on load, and all engines are bit-exact, so archives move freely
+between engines.  Payloads from before the engine registry carry no tag
+and fall back to the config's legacy backend field.
 
 ``save_sessions``/``load_sessions`` extend the same idea to a live
 :class:`~repro.core.sessions.StreamSessionManager`: one ``.npz`` holds
@@ -44,6 +45,7 @@ import numpy as np
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.symbolizers import HVGSymbolizer, LBPSymbolizer
+from repro.hdc.engine import AUTO_ENGINE, engine_available
 
 _FORMAT_VERSION = 1
 _SESSIONS_FORMAT_VERSION = 1
@@ -85,8 +87,8 @@ def _model_meta(detector: LaelapsDetector) -> dict:
     return {
         "n_electrodes": detector.n_electrodes,
         "config": asdict(detector.config),
-        # The resolved engine name (never "auto"): reload is pinned to
-        # the engine that actually ran, on any host.
+        # The resolved engine name (never "auto"): reload runs on the
+        # engine that actually ran, wherever that engine is available.
         "engine": detector.engine.name,
         "tr": detector.tr,
         "symbolizer": _symbolizer_spec(detector.symbolizer),
@@ -106,6 +108,10 @@ def _rebuild_detector(
     engine = spec.get("engine")
     if engine is None:
         engine = config_spec.get("backend", "unpacked")
+    # Every engine is bit-exact, so a tag this host cannot run (say
+    # packed-native without numba) reopens on whatever auto picks.
+    if not engine_available(engine):
+        engine = AUTO_ENGINE
     config_spec["backend"] = engine
     detector = LaelapsDetector(
         spec["n_electrodes"],

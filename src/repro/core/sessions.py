@@ -287,7 +287,11 @@ class StreamSessionManager:
         from repro.core.persistence import detector_from_payload
 
         stream = self.open(session_id, detector_from_payload(payload["model"]))
-        stream.restore_state(payload["state"])
+        try:
+            stream.restore_state(payload["state"])
+        except Exception:
+            self.close(session_id)
+            raise
         return stream
 
     def pop_session(self, session_id: str) -> dict:

@@ -8,8 +8,10 @@ and returns the argmin label; the distances themselves feed the
 postprocessor's confidence score delta = |eta(H, P1) - eta(H, P2)|.
 
 The memory holds its prototypes once, packed, and answers every query
-with the packed sweep; each engine (:mod:`repro.hdc.engine`) bundles
-packed H vectors into a packed prototype with its own kernel.
+with the packed sweep.  Each prototype is bundled once, from all of its
+class's H vectors (10-30 s of signal, so nothing needs streaming): the
+packed engines call :func:`bundle_packed`, the unpacked reference
+counts in integers (:mod:`repro.hdc.engine`).
 """
 
 from __future__ import annotations
@@ -23,62 +25,28 @@ from repro.hdc.backend import (
     padding_set,
     unpack_bits,
 )
-from repro.hdc.bitsliced import (
-    bitsliced_counts,
-    planes_add,
-    planes_greater_than,
-)
+from repro.hdc.bitsliced import bitsliced_counts, planes_greater_than
+
+# ``planes_add`` is unused here; the name stays importable from this
+# module because perfbench's tracer wraps it here.
+from repro.hdc.bitsliced import planes_add  # noqa: F401
 
 
-class PackedPrototypeAccumulator:
-    """Streaming trainer for one class prototype, packed end to end.
+def bundle_packed(h: np.ndarray) -> np.ndarray:
+    """The packed ``(words,)`` majority prototype of ``(k, words)`` H.
 
-    The packed twin of :class:`repro.hdc.ops.BundleAccumulator`: H
-    vectors arrive as uint64 words, per-batch counts come from the
-    carry-save compressor tree, batches combine through the packed
-    ripple adder, and the final majority is the bitwise magnitude
-    comparator — the prototype never exists in unpacked form and is
-    bit-exact against the integer-counter path.
+    The packed engines' one-shot bundler: the carry-save tree counts
+    all ``k`` vectors at once and the magnitude comparator keeps the
+    positions set in strictly more than ``k // 2`` of them, bit-exact
+    against :func:`repro.hdc.ops.bundle` on the unpacked bits.
+
+    Raises:
+        ValueError: For an empty or non-2-D stack.
     """
-
-    def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self.words = packed_words(dim)
-        self._planes: np.ndarray | None = None
-        self._n = 0
-
-    @property
-    def count(self) -> int:
-        """Number of H vectors accumulated."""
-        return self._n
-
-    def add(self, h_vectors: np.ndarray) -> "PackedPrototypeAccumulator":
-        """Accumulate one ``(words,)`` vector or a ``(k, words)`` batch."""
-        arr = np.asarray(h_vectors, dtype=np.uint64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.words:
-            raise ValueError(
-                f"expected (k, {self.words}) packed batch, got {arr.shape}"
-            )
-        if arr.shape[0] == 0:
-            return self
-        planes = bitsliced_counts(arr)
-        self._planes = (
-            planes
-            if self._planes is None
-            else planes_add(self._planes, planes)
-        )
-        self._n += arr.shape[0]
-        return self
-
-    def finalize(self) -> np.ndarray:
-        """Produce the majority-thresholded prototype, uint64 ``(words,)``."""
-        if self._planes is None:
-            raise ValueError("cannot finalize an empty bundle")
-        return planes_greater_than(self._planes, self._n // 2)
+    h = np.asarray(h, dtype=np.uint64)
+    if h.ndim != 2:
+        raise ValueError(f"expected (k, words) packed H, got {h.shape}")
+    return planes_greater_than(bitsliced_counts(h), h.shape[0] // 2)
 
 
 class AssociativeMemory:

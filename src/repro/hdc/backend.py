@@ -8,7 +8,10 @@ Hypervectors live in two forms:
   beyond ``d`` are always zero, which keeps XOR/popcount exact.
 
 Packed form mirrors the word-packing of the paper's GPU kernels (which use
-32-bit words); 64-bit words simply halve the word count on a CPU.
+32-bit words); 64-bit words simply halve the word count on a CPU.  This
+module owns that layout: packing, popcount and Hamming distance.  It has
+no word-domain algebra beyond XOR, because Laelaps only binds and
+bundles (Sec. II-B).
 """
 
 from __future__ import annotations
@@ -158,71 +161,3 @@ def hamming_distance_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"word-count mismatch: {a_arr.shape[-1]} vs {b_arr.shape[-1]}"
         )
     return _popcount(a_arr ^ b_arr).sum(axis=-1, dtype=np.int64)
-
-
-def _shift_up(words: np.ndarray, shift: int, dim: int) -> np.ndarray:
-    """Logical shift of the d-bit field toward higher component indices.
-
-    Bits shifted past ``dim`` are dropped; vacated low bits are zero.
-    """
-    n_words = words.shape[-1]
-    shift_words, shift_bits = divmod(shift, WORD_BITS)
-    out = np.zeros_like(words)
-    kept = n_words - shift_words
-    if shift_bits == 0:
-        out[..., shift_words:] = words[..., :kept]
-    else:
-        low = np.uint64(shift_bits)
-        high = np.uint64(WORD_BITS - shift_bits)
-        out[..., shift_words:] = words[..., :kept] << low
-        out[..., shift_words + 1 :] |= words[..., : kept - 1] >> high
-    tail = dim - (n_words - 1) * WORD_BITS
-    if tail < WORD_BITS:
-        out[..., -1] &= np.uint64((1 << tail) - 1)
-    return out
-
-
-def _shift_down(words: np.ndarray, shift: int) -> np.ndarray:
-    """Logical shift of the d-bit field toward lower component indices."""
-    n_words = words.shape[-1]
-    shift_words, shift_bits = divmod(shift, WORD_BITS)
-    out = np.zeros_like(words)
-    kept = n_words - shift_words
-    if shift_bits == 0:
-        out[..., :kept] = words[..., shift_words:]
-    else:
-        low = np.uint64(shift_bits)
-        high = np.uint64(WORD_BITS - shift_bits)
-        out[..., :kept] = words[..., shift_words:] >> low
-        out[..., : kept - 1] |= words[..., shift_words + 1 :] << high
-    return out
-
-
-def permute_packed(words: np.ndarray, dim: int, shift: int = 1) -> np.ndarray:
-    """Cyclic permutation of packed hypervectors without unpacking.
-
-    Word-wise shifts with cross-word bit carries replace ``np.roll`` on
-    the unpacked form: ``unpack_bits(permute_packed(pack_bits(v), d, s),
-    d)`` equals ``np.roll(v, s)`` for any 0/1 vector ``v`` of length
-    ``d``, including dimensions that are not word multiples (the padding
-    bits of the top word stay zero).
-
-    Args:
-        words: uint64 array ``(..., packed_words(dim))``.
-        dim: Number of valid components.
-        shift: Signed rotation amount (positive moves components toward
-            higher indices, matching :func:`repro.hdc.ops.permute`).
-
-    Returns:
-        A new uint64 array of the same shape.
-    """
-    arr = np.asarray(words, dtype=np.uint64)
-    if arr.shape[-1] != packed_words(dim):
-        raise ValueError(
-            f"expected {packed_words(dim)} words for dim={dim}, "
-            f"got {arr.shape[-1]}"
-        )
-    offset = shift % dim
-    if offset == 0:
-        return arr.copy()
-    return _shift_up(arr, offset, dim) | _shift_down(arr, dim - offset)

@@ -10,7 +10,8 @@ thresholding (the majority test) is a bitwise magnitude comparator —
 no unpacking anywhere.
 
 The bulk tree (:func:`bitsliced_counts`) counts the temporal block
-step's and the prototype accumulator's record stacks.
+step's record stacks and a class's H vectors when the packed engine
+bundles its prototype.
 :class:`repro.hdc.spatial_packed.PackedSpatialEncoder` streams its
 electrodes through its own carry-save counter and shares the
 comparator (:func:`planes_greater_than`).
@@ -108,9 +109,8 @@ def planes_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Both inputs are ``(depth, ..., words)`` planes as produced by
     :func:`bitsliced_counts`; the sum is computed one digit deeper than
     the deeper input so the final carry can never be lost, then trailing
-    all-zero planes are trimmed — repeated accumulation (the streaming
-    prototype trainer) keeps ``O(log n)`` depth instead of growing by
-    one per call.
+    all-zero planes are trimmed, so repeated accumulation keeps
+    ``O(log n)`` depth instead of growing by one per call.
     """
     a_arr = np.asarray(a, dtype=np.uint64)
     b_arr = np.asarray(b, dtype=np.uint64)
@@ -169,21 +169,27 @@ def planes_to_counts(planes: np.ndarray, dim: int) -> np.ndarray:
     return total
 
 
-def planes_from_counts(counts: np.ndarray, dim: int) -> np.ndarray:
+def planes_from_counts(
+    counts: np.ndarray, dim: int, depth: int | None = None
+) -> np.ndarray:
     """Encode plain integer counts into digit planes.
 
-    Inverse of :func:`planes_to_counts`: the streaming-state import hook
-    of the packed temporal encoder, which checkpoints its per-block
-    counts in the engine-independent integer form.  Depth is the minimum
-    needed for the largest count (downstream plane arithmetic only
-    depends on the decoded counts, so depth differences are harmless).
+    Inverse of :func:`planes_to_counts`: the block-state import hook of
+    the packed block step, whose checkpoints hold per-block counts in
+    the engine-independent integer form.
 
     Args:
         counts: Non-negative integer array ``(..., dim)``.
         dim: Number of counted positions (hypervector components).
+        depth: Digit planes to emit; by default the minimum needed for
+            the largest count.
 
     Returns:
         uint64 array ``(depth, ..., packed_words(dim))``.
+
+    Raises:
+        ValueError: For negative counts or counts that need more than
+            ``depth`` digits.
     """
     arr = np.asarray(counts)
     if arr.ndim < 1 or arr.shape[-1] != dim:
@@ -191,7 +197,11 @@ def planes_from_counts(counts: np.ndarray, dim: int) -> np.ndarray:
     arr = arr.astype(np.int64)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("counts must be non-negative")
-    depth = max(int(arr.max()).bit_length(), 1) if arr.size else 1
+    needed = max(int(arr.max()).bit_length(), 1) if arr.size else 1
+    if depth is None:
+        depth = needed
+    elif needed > depth:
+        raise ValueError(f"counts need {needed} digit planes, not {depth}")
     return np.stack(
         [pack_bits(((arr >> j) & 1).astype(np.uint8)) for j in range(depth)]
     )

@@ -5,17 +5,25 @@ packed-vs-unpacked fork by hand — the detector branched in its
 constructor, trainer and classifier, and the session manager, the
 persistence formats, the shard workers and the CLI each carried their
 own copy of the switch.  This module collapses all of that into one
-object: an engine (a subclass of :class:`_EngineBase`) owns the spatial
-and temporal encoders of its kernels, feeds and queries the
-associative memory, and tags checkpoint payloads.
+object: an engine (a subclass of :class:`_EngineBase`) is its four
+kernels, and everything else is shared:
+
+* :attr:`~_EngineBase.spatial_class` — the spatial encoder;
+* :attr:`~_EngineBase.tile_class` — the
+  :class:`~repro.hdc.temporal.BlockTile` that runs the temporal block
+  step and alone knows the block state's form (integer counts or digit
+  planes), checkpoint hooks included;
+* :meth:`~_EngineBase.bundle` — one class's H vectors to its packed
+  prototype, in one call;
+* :attr:`~_EngineBase.grouped_kernel` — the cross-session sweep.
 
 Above the spatial encoder an H vector has one form on every engine:
 packed ``(n, packed_words(d))`` uint64 words, the word layout of the
-paper's GPU kernels (Sec. V-B).  Every temporal encoder emits it, the
-associative memory stores and answers it, and :meth:`_EngineBase.windows`
-is the one check on H vectors that come from outside.  Engines differ
-only in their kernels: the encoders, :meth:`_EngineBase.bundle` and the
-grouped sweep.
+paper's GPU kernels (Sec. V-B).  The one streaming encoder,
+:class:`~repro.hdc.temporal.WindowBundler`, emits it over any tile
+class, the associative memory stores and answers it, and
+:meth:`_EngineBase.windows` is the one check on H vectors that come
+from outside.  The engine name tags checkpoint payloads.
 
 Registered engines (:func:`engine_names`):
 
@@ -53,18 +61,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hdc import ops
 from repro.hdc.associative import (
     AssociativeMemory,
-    PackedPrototypeAccumulator,
+    bundle_packed,
     grouped_classify_packed,
 )
 from repro.hdc.backend import pack_bits, packed_words, padding_set, unpack_bits
 from repro.hdc.item_memory import ItemMemory
-from repro.hdc.ops import BundleAccumulator
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal import TemporalEncoder, WindowBundler
-from repro.hdc.temporal_packed import PackedTemporalEncoder
+from repro.hdc.temporal import BlockTile, CountBlockTile, WindowBundler
+from repro.hdc.temporal_packed import PackedBlockTile
 from repro.signal.windows import WindowSpec
 
 #: Registry name of the auto-selecting pseudo-engine.
@@ -94,18 +102,20 @@ class _EngineBase:
     """What every registered engine provides to the layers above.
 
     An engine instance is bound to one detector's item memories and
-    window geometry.  Subclasses supply the kernels:
+    window geometry.  Subclasses supply the four kernels:
 
-    * the spatial and temporal encoder classes (:attr:`spatial_class`,
-      :attr:`temporal_class`): :attr:`spatial` and fresh streaming
-      temporal encoders (:meth:`temporal_encoder`, whose
+    * :attr:`spatial_class`, built once as :attr:`spatial`;
+    * :attr:`tile_class`, the block step of every fresh streaming
+      encoder (:meth:`temporal_encoder`, whose
       ``state_dict``/``restore_state`` are the streaming-state
       export/import hooks used by checkpoints);
     * :meth:`bundle`, which turns a class's H vectors into its packed
-      prototype;
+      prototype in one call;
     * the cross-session grouped sweep (:attr:`grouped_kernel`);
-    * the checkpoint payload tag (:attr:`name` — persisted so a saved
-      model reopens on the engine that wrote it).
+
+    plus the checkpoint payload tag (:attr:`name`, persisted so a saved
+    model reopens on the engine that wrote it when that engine can run
+    on the loading host).
 
     Every engine's H vectors are packed ``(n, words)`` uint64, so
     windows encoded on any engine feed any other.
@@ -135,11 +145,11 @@ class _EngineBase:
     # -- kernel hooks (subclasses override) ----------------------------
 
     spatial_class: type
-    temporal_class: type[WindowBundler]
+    tile_class: type[BlockTile]
 
     def temporal_encoder(self) -> WindowBundler:
         """A fresh streaming temporal encoder over :attr:`spatial`."""
-        return self.temporal_class(self.spatial, self.spec)
+        return WindowBundler(self.spatial, self.spec, self.tile_class)
 
     def bundle(self, h: np.ndarray) -> np.ndarray:
         """The packed ``(words,)`` majority prototype of ``(k, words)`` H."""
@@ -226,11 +236,10 @@ class UnpackedEngine(_EngineBase):
     summary = "integer-counter reference; read H with unpack_bits"
 
     spatial_class = SpatialEncoder
-    temporal_class = TemporalEncoder
+    tile_class = CountBlockTile
 
     def bundle(self, h: np.ndarray) -> np.ndarray:
-        bits = unpack_bits(h, self.dim)
-        return pack_bits(BundleAccumulator(self.dim).add(bits).finalize())
+        return pack_bits(ops.bundle(unpack_bits(h, self.dim)))
 
 
 @register_engine
@@ -241,10 +250,10 @@ class PackedEngine(_EngineBase):
     summary = "bit-parallel carry-save encoding, batched XOR+popcount sweep"
 
     spatial_class = PackedSpatialEncoder
-    temporal_class = PackedTemporalEncoder
+    tile_class = PackedBlockTile
 
     def bundle(self, h: np.ndarray) -> np.ndarray:
-        return PackedPrototypeAccumulator(self.dim).add(h).finalize()
+        return bundle_packed(h)
 
 
 #: Fastest-first preference order used by the ``auto`` pseudo-engine;
@@ -286,6 +295,15 @@ def resolve_engine_name(name: str) -> str:
             f"{backend_choices()}"
         )
     return name
+
+
+def engine_available(name: str) -> bool:
+    """Whether the engine ``name`` resolves to can be constructed here.
+
+    Raises:
+        ValueError: For unknown names, listing the valid choices.
+    """
+    return _REGISTRY[resolve_engine_name(name)].available()[0]
 
 
 def build_engine(

@@ -55,7 +55,7 @@ from repro.hdc.engine import (
 )
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal_packed import PackedBlockTile, PackedTemporalEncoder
+from repro.hdc.temporal_packed import PackedBlockTile
 from repro.signal.windows import WindowSpec
 
 #: Env knob: worker thread count for the native kernels (0 = default).
@@ -413,13 +413,6 @@ class NativeBlockTile(PackedBlockTile):
         return native_bitsliced_counts(records).transpose(1, 0, 2)
 
 
-class NativeTemporalEncoder(PackedTemporalEncoder):
-    """Packed temporal encoder over the native bundling tree."""
-
-    spatial: NativeSpatialEncoder
-    tile_class = NativeBlockTile
-
-
 @register_engine
 class PackedNativeEngine(PackedEngine):
     """The ``packed`` engine with both hot kernels JIT-parallelised.
@@ -462,7 +455,7 @@ class PackedNativeEngine(PackedEngine):
         return numba_available()
 
     spatial_class = NativeSpatialEncoder
-    temporal_class = NativeTemporalEncoder
+    tile_class = NativeBlockTile
 
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray

@@ -1,6 +1,7 @@
-"""HD arithmetic: binding, bundling, permutation, similarity.
+"""HD arithmetic: binding and bundling, on unpacked bits.
 
-The paper uses exactly two combining operations (Sec. II-B):
+The paper uses exactly two combining operations (Sec. II-B), and this
+module is all of its algebra:
 
 * **binding** — componentwise XOR; produces a vector dissimilar to its
   inputs, used to pair an electrode-name vector with an LBP-code vector;
@@ -12,7 +13,9 @@ The paper uses exactly two combining operations (Sec. II-B):
 The majority convention follows the paper verbatim: the result component
 is 0 when at least half of the ``k`` inputs are 0, i.e. 1 only when
 *strictly more* than ``k // 2`` inputs are 1 (ties on an even number of
-inputs break to 0).
+inputs break to 0).  :func:`bundle` is the unpacked engine's one-shot
+prototype bundler; the packed engines bundle in the word domain
+(:func:`repro.hdc.associative.bundle_packed`).
 """
 
 from __future__ import annotations
@@ -73,84 +76,3 @@ def bundle(vectors: np.ndarray | list[np.ndarray]) -> np.ndarray:
     k = arr.shape[0]
     counts = arr.sum(axis=0, dtype=np.int64)
     return majority_from_counts(counts, k)
-
-
-def permute(vector: np.ndarray, shift: int = 1) -> np.ndarray:
-    """Cyclically permute an unpacked hypervector.
-
-    Permutation generates a vector nearly orthogonal to its input and is
-    the standard HD mechanism for encoding sequence position.  Laelaps
-    itself does not need it (the LBP code already encodes local order) but
-    it is part of the substrate's algebra and used in tests.
-
-    Args:
-        vector: Array ``(..., d)`` of 0/1 components.
-        shift: Signed rotation amount along the last axis (positive
-            moves components toward higher indices).
-
-    Returns:
-        The rolled array (same shape); see
-        :func:`repro.hdc.backend.permute_packed` for the packed twin.
-    """
-    arr = np.asarray(vector)
-    return np.roll(arr, shift, axis=-1)
-
-
-def normalized_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance divided by the dimension, in ``[0, 1]``.
-
-    Random unrelated hypervectors concentrate tightly around 0.5.
-    """
-    a_arr = np.asarray(a)
-    b_arr = np.asarray(b)
-    if a_arr.shape[-1] != b_arr.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {a_arr.shape[-1]} vs {b_arr.shape[-1]}"
-        )
-    dim = a_arr.shape[-1]
-    return np.count_nonzero(a_arr != b_arr, axis=-1) / dim
-
-
-class BundleAccumulator:
-    """Streaming bundler: add unpacked vectors one batch at a time.
-
-    Keeps exact integer per-component counters so the final majority is
-    identical to materialising all inputs at once — this is how prototype
-    vectors are trained from long H streams without holding them in memory.
-    """
-
-    def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self._counts = np.zeros(dim, dtype=np.int64)
-        self._n = 0
-
-    @property
-    def count(self) -> int:
-        """Number of vectors bundled so far."""
-        return self._n
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-component 1-counts accumulated so far (read-only copy)."""
-        return self._counts.copy()
-
-    def add(self, vectors: np.ndarray) -> "BundleAccumulator":
-        """Add one vector ``(d,)`` or a batch ``(k, d)``; returns self."""
-        arr = np.asarray(vectors)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError(
-                f"expected (k, {self.dim}) batch, got shape {arr.shape}"
-            )
-        self._counts += arr.sum(axis=0, dtype=np.int64)
-        self._n += arr.shape[0]
-        return self
-
-    def finalize(self) -> np.ndarray:
-        """Majority-threshold the accumulated counts into a uint8 vector."""
-        if self._n == 0:
-            raise ValueError("cannot finalize an empty bundle")
-        return majority_from_counts(self._counts, self._n)

@@ -8,9 +8,12 @@ The implementation mirrors the GPU dataflow of Fig. 2: the per-component
 sums of the ``S`` vectors are accumulated per 0.5 s *block* and one window
 is the sum of adjacent blocks, so a recording of any length streams
 through in O(d) memory and every ``S`` is encoded exactly once even though
-windows overlap.  A :class:`BlockTile` runs that block step for many
+windows overlap.  :class:`WindowBundler` is the one streaming encoder of
+every engine; the engine's :class:`BlockTile` class is the only place
+that knows its block state (integer counts here, digit planes in
+:mod:`repro.hdc.temporal_packed`) and runs the block step for many
 blocks at once: every stream's of a serving tick, in bounded tiles.
-Whatever a backend's block state, its H vectors leave packed,
+Whatever the block state, H vectors leave packed,
 ``(n_windows, packed_words(d))`` uint64.
 """
 
@@ -22,7 +25,6 @@ import numpy as np
 
 from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.ops import majority_from_counts
-from repro.hdc.spatial import SpatialEncoder
 from repro.signal.windows import WindowSpec
 
 
@@ -39,10 +41,14 @@ class BlockTile:
     spatial records; :meth:`flush` reduces every staged row at once,
     sums each completed window from its stream's block state and writes
     the H vector into the row its stream reserved.  Subclasses supply
-    the record ``dtype`` and :meth:`record_width` and the kernels
+    the record ``dtype`` and :meth:`record_width`, the kernels
     ``_encode(encoder, block, dest)``, ``_reduce(records)`` (per-row
     block state) and ``_windows(lags)`` (packed H vectors of windows
-    whose blocks, oldest first, are ``lags``).
+    whose blocks, oldest first, are ``lags``), and the checkpoint
+    hooks ``export_block(state, dim)`` (one block's state as its
+    canonical ``(d,)`` int64 counts, the same on every engine, so
+    checkpoints cross engines) and ``import_block(counts, step)``
+    (the inverse, for counts in ``[0, step]``).
     """
 
     dtype: type = np.uint64
@@ -92,8 +98,8 @@ class BlockTile:
 
 
 class BlockTiles:
-    """One tick's grouped block step, a :class:`BlockTile` per encoder
-    kind: pass it to every stream's ``feed`` (once each), then flush."""
+    """One tick's grouped block step, a :class:`BlockTile` per tile
+    class: pass it to every stream's ``feed`` (once each), then flush."""
 
     def __init__(self, max_rows: int = _TILE_WORDS) -> None:
         self.max_rows = max_rows
@@ -101,7 +107,7 @@ class BlockTiles:
 
     def stage(self, encoder, block: np.ndarray, out: np.ndarray,
               index: int) -> None:
-        key = (type(encoder), encoder.spec, encoder.dim)
+        key = (encoder.tile_class, encoder.spec, encoder.dim)
         if key not in self._tiles:
             self._tiles[key] = encoder.tile_class(encoder, self.max_rows)
         self._tiles[key].stage(encoder, block, out, index)
@@ -113,26 +119,27 @@ class BlockTiles:
 
 
 class WindowBundler:
-    """Streaming scaffold shared by both temporal-encoder backends.
+    """Streaming temporal encoder of every engine.
 
     Buffers per-sample codes across ``feed`` calls and cuts them into
-    exact 0.5 s blocks for the backend's :attr:`tile_class`, grouped
-    with every other stream fed into the same :class:`BlockTiles`.  The
-    live block state (integer counters or bit-sliced planes) stays here;
-    keeping the chunk-boundary bookkeeping in one place is what makes
-    the backends provably equivalent under any chunking and grouping.
+    exact 0.5 s blocks for ``tile_class``, grouped with every other
+    stream fed into the same :class:`BlockTiles`.  The live block
+    states (whatever ``tile_class`` makes them) are kept here; keeping
+    the chunk-boundary bookkeeping in one place is what makes the
+    engines provably equivalent under any chunking and grouping.
 
     Args:
         spatial: The spatial encoder producing per-sample records; must
-            expose ``dim`` and ``n_electrodes``.
+            expose ``dim``, ``n_electrodes`` and ``n_codes``.
         spec: Window geometry in samples; ``window_samples`` must be an
             integer multiple of ``step_samples`` (the paper uses 512/256)
             so windows tile exactly into blocks.
+        tile_class: The engine's :class:`BlockTile` class, matching the
+            records ``spatial`` produces.
     """
 
-    tile_class: type[BlockTile]
-
-    def __init__(self, spatial, spec: WindowSpec) -> None:
+    def __init__(self, spatial, spec: WindowSpec,
+                 tile_class: type[BlockTile]) -> None:
         if spec.window_samples % spec.step_samples != 0:
             raise ValueError(
                 "window must be an integer multiple of the step, got "
@@ -140,6 +147,7 @@ class WindowBundler:
             )
         self.spatial = spatial
         self.spec = spec
+        self.tile_class = tile_class
         self.blocks_per_window = spec.window_samples // spec.step_samples
         self.dim = spatial.dim
         #: Packed word count of one H vector.
@@ -197,33 +205,45 @@ class WindowBundler:
     # Checkpointing (live-stream session state)
     # ------------------------------------------------------------------
 
-    def _export_block(self, block: np.ndarray) -> np.ndarray:
-        """One block's state as its canonical ``(d,)`` integer counts,
-        the same for every backend, so checkpoints cross engines."""
-        return block.astype(np.int64)
-
-    def _import_block(self, counts: np.ndarray) -> np.ndarray:
-        return counts.astype(np.int32)
-
     def state_dict(self) -> dict:
         """Pending codes + block state as plain, engine-independent numpy
         data: :meth:`restore_state` on *any* engine resumes bit-exactly."""
         return {
             "pending": self._pending.copy(),
-            "blocks": [self._export_block(block) for block in self._blocks],
+            "blocks": [self.tile_class.export_block(block, self.dim)
+                       for block in self._blocks],
         }
 
     def restore_state(self, state: dict) -> "WindowBundler":
         """Resume from a :meth:`state_dict` snapshot (or the legacy one
-        of pre-registry packed encoders, whose digit planes are decoded)."""
+        of pre-registry packed encoders, whose digit planes are decoded).
+
+        A checkpoint is outside input, so everything is checked before
+        any state changes.
+
+        Raises:
+            ValueError: For pending codes that are not
+                ``(n, n_electrodes)`` with ``n < step_samples`` and
+                every code in ``[0, n_codes)``, for block counts that
+                are not ``(d,)`` in ``[0, step_samples]``, or for more
+                blocks than a window holds.
+        """
         from repro.hdc.bitsliced import planes_to_counts
 
+        step = self.spec.step_samples
+        n_codes = self.spatial.n_codes
         pending = np.asarray(state["pending"], dtype=np.int64)
         if pending.ndim != 2 or pending.shape[1] != self.spatial.n_electrodes:
             raise ValueError(
                 f"pending codes must be (n, {self.spatial.n_electrodes}), "
                 f"got {pending.shape}"
             )
+        if pending.shape[0] >= step:
+            raise ValueError(
+                f"{pending.shape[0]} pending rows fill a {step}-sample block"
+            )
+        if pending.size and (pending.min() < 0 or pending.max() >= n_codes):
+            raise ValueError(f"pending code out of range [0, {n_codes})")
         blocks = [np.asarray(block) for block in state["blocks"]]
         blocks = [planes_to_counts(b, self.dim)
                   if b.ndim == 2 and b.dtype == np.uint64 else b for b in blocks]
@@ -233,6 +253,8 @@ class WindowBundler:
                     f"block state must be ({self.dim},) counts or legacy "
                     f"digit planes, got shape {block.shape}"
                 )
+            if block.size and (block.min() < 0 or block.max() > step):
+                raise ValueError(f"block count out of range [0, {step}]")
         if len(blocks) > self.blocks_per_window:
             raise ValueError(
                 f"{len(blocks)} blocks exceed the window's "
@@ -241,7 +263,8 @@ class WindowBundler:
         self.reset()
         self._pending = pending.copy()
         self._blocks.extend(
-            self._import_block(block.astype(np.int64)) for block in blocks
+            self.tile_class.import_block(block.astype(np.int64), step)
+            for block in blocks
         )
         return self
 
@@ -259,6 +282,14 @@ class CountBlockTile(BlockTile):
     def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
         dest[...] = encoder.spatial.encode(block)
 
+    @staticmethod
+    def export_block(state: np.ndarray, dim: int) -> np.ndarray:
+        return state.astype(np.int64)
+
+    @staticmethod
+    def import_block(counts: np.ndarray, step: int) -> np.ndarray:
+        return counts.astype(np.int32)
+
     def _reduce(self, records: np.ndarray) -> np.ndarray:
         return records.sum(axis=0, dtype=np.int32)
 
@@ -267,15 +298,3 @@ class CountBlockTile(BlockTile):
         return pack_bits(
             majority_from_counts(window_counts, self.spec.window_samples)
         )
-
-
-class TemporalEncoder(WindowBundler):
-    """Streaming window bundler over spatial records.
-
-    Args:
-        spatial: The spatial encoder producing per-sample records.
-        spec: Window geometry in samples (window a multiple of the step).
-    """
-
-    spatial: SpatialEncoder
-    tile_class = CountBlockTile

@@ -8,6 +8,9 @@ the shared synthesis parameters.
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,10 @@ from repro.data.synthetic import (
     SynthesisParams,
     SyntheticIEEGGenerator,
 )
+from repro.hdc.engine import build_engine, engine_names
+from repro.hdc.item_memory import ItemMemory
+from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
+from repro.signal.windows import WindowSpec
 
 #: Shared reduced sampling rate: halves compute, keeps every pipeline
 #: invariant (the 1 s window still holds 4x the 64-code LBP alphabet).
@@ -72,3 +79,15 @@ def fitted_detector(
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""
     return np.random.default_rng(1234)
+
+
+def every_engine(dim: int) -> list:
+    """One instance of every registered engine at dimension ``dim``.
+
+    ``packed-native`` runs on its pure-Python kernel twins where numba
+    is absent (the environment is only read at construction).
+    """
+    memories = ItemMemory(2, dim, seed=1), ItemMemory(1, dim, seed=2)
+    with mock.patch.dict(os.environ, {NATIVE_PURE_PYTHON_ENV: "1"}):
+        return [build_engine(name, *memories, WindowSpec(2, 1))
+                for name in engine_names()]

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
+import repro.hdc.native as native_module
 from repro.core.detector import LaelapsDetector
-from repro.core.persistence import load_model, save_model
+from repro.core.persistence import (
+    detector_from_payload,
+    detector_payload,
+    load_model,
+    save_model,
+)
 from repro.core.symbolizers import HVGSymbolizer
+from repro.hdc.engine import (
+    AUTO_ENGINE,
+    PACKED_NATIVE_ENGINE,
+    resolve_engine_name,
+)
 
 
 class TestRoundTrip:
@@ -48,6 +59,31 @@ class TestRoundTrip:
         # must stay in the low kilobytes (embedded-deployment claim).
         path = save_model(fitted_detector, tmp_path / "m.npz")
         assert path.stat().st_size < 16 * 1024
+
+    def test_engine_tag_that_cannot_run_here_loads_on_auto(
+        self, fitted_detector, mini_recording, tmp_path, monkeypatch
+    ):
+        # Written where packed-native runs (its pure-Python twins stand
+        # in for numba), then loaded where it cannot.
+        monkeypatch.setenv(native_module.NATIVE_PURE_PYTHON_ENV, "1")
+        native = detector_from_payload({
+            **detector_payload(fitted_detector),
+            "engine": PACKED_NATIVE_ENGINE,
+        })
+        assert native.engine.name == PACKED_NATIVE_ENGINE
+        path = save_model(native, tmp_path / "native.npz")
+        monkeypatch.delenv(native_module.NATIVE_PURE_PYTHON_ENV)
+        monkeypatch.setattr(
+            native_module, "_NUMBA_IMPORT_ERROR", "No module named 'numba'"
+        )
+        loaded = load_model(path)
+        assert loaded.engine.name == resolve_engine_name(AUTO_ENGINE)
+        assert loaded.engine.name != PACKED_NATIVE_ENGINE
+        segment = mini_recording.data[: 256 * 20]
+        original = fitted_detector.predict(segment)
+        restored = loaded.predict(segment)
+        np.testing.assert_array_equal(original.labels, restored.labels)
+        np.testing.assert_array_equal(original.distances, restored.distances)
 
     def test_hvg_symbolizer_round_trip(
         self, mini_recording, mini_segments, small_config, tmp_path

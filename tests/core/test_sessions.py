@@ -20,6 +20,8 @@ from repro.data.synthetic import (
     SyntheticIEEGGenerator,
 )
 from repro.hdc.backend import pack_bits
+from repro.hdc.engine import engine_names
+from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
 
 FS = 256.0
 N_SESSIONS = 8
@@ -293,6 +295,30 @@ class TestBatchedParity:
             validate_chunk("s", chunk, 3)
 
 
+def _import_refused(fleet, engine: str, encoder_state) -> None:
+    """Importing a session whose encoder checkpoint is updated with
+    ``encoder_state(detector)`` must raise and change nothing."""
+    detectors, signals = fleet
+    (sid, detector), (other, _) = list(detectors.items())[:2]
+    state = StreamingLaelaps(detector).state_dict()
+    state["encoder"].update(encoder_state(detector))
+    payload = {
+        "model": {**detector_payload(detector), "engine": engine},
+        "state": state,
+    }
+    manager = StreamSessionManager()
+    manager.open(other, detectors[other])
+    with pytest.raises(ValueError):
+        manager.import_session(sid, payload)
+    # Nothing is half imported: the next tick runs as if the import had
+    # never been tried.
+    assert manager.session_ids == [other]
+    chunk = signals[other][:512]
+    assert manager.push_many({other: chunk})[other] == (
+        StreamingLaelaps(detectors[other]).push(chunk)
+    )
+
+
 class TestCheckpointing:
     def test_mid_stream_round_trip(self, fleet, tmp_path):
         detectors, signals = fleet
@@ -316,6 +342,35 @@ class TestCheckpointing:
         )
         for sid in detectors:
             assert head[sid] + tail[sid] == reference[sid]
+
+    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("count", [2**32 + 5, -1])
+    def test_restore_rejects_block_counts_out_of_range(
+        self, fleet, engine, count, monkeypatch
+    ):
+        # The reference's int32 cast used to wrap 2**32 + 5 while the
+        # packed planes kept it exact, so the engines disagreed.
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        _import_refused(fleet, engine, lambda detector: {
+            "blocks": [np.full(detector.config.dim, count)],
+        })
+
+    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("rows,code", [(1, 999), (1, -1), (None, 0)])
+    def test_restore_rejects_bad_pending_codes(
+        self, fleet, engine, rows, code, monkeypatch
+    ):
+        # Pending codes used to reach the spatial encoder only at the
+        # next push, after other sessions of that tick had consumed
+        # their samples.  ``rows=None`` is a whole block's worth, which
+        # the encoder would already have consumed.
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+
+        def pending(detector):
+            n = rows or detector.config.window_spec.step_samples
+            return {"pending": np.full((n, detector.n_electrodes), code)}
+
+        _import_refused(fleet, engine, pending)
 
     def test_empty_manager_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import GOLDEN_DIM
 from repro.hdc.associative import (
     AssociativeMemory,
-    PackedPrototypeAccumulator,
+    bundle_packed,
     grouped_classify_packed,
 )
 from repro.hdc.backend import (
@@ -24,8 +24,9 @@ from repro.hdc.backend import (
 )
 from repro.hdc.engine import build_engine
 from repro.hdc.item_memory import ItemMemory
-from repro.hdc.ops import BundleAccumulator, bundle
+from repro.hdc.ops import bundle
 from repro.signal.windows import WindowSpec
+from tests.conftest import every_engine
 
 
 def _classify(memory: AssociativeMemory, queries: np.ndarray):
@@ -39,14 +40,14 @@ def _oracle(protos: np.ndarray, queries: np.ndarray):
     return np.argmin(dists, axis=-1), dists
 
 
-class TestPrototypeAccumulator:
-    """The unpacked engine's prototype accumulator (``BundleAccumulator``)."""
+class TestPrototypeBundling:
+    """Every engine's one-shot prototype bundle (``engine.bundle``)."""
 
     def test_single_vector_prototype_is_vector(self, rng):
-        v = random_bits(128, rng)
-        acc = BundleAccumulator(128).add(v)
-        np.testing.assert_array_equal(acc.finalize(), v)
-        assert acc.count == 1
+        v = pack_bits(random_bits(128, rng))[None]
+        for engine in every_engine(128):
+            np.testing.assert_array_equal(engine.bundle(v), v[0],
+                                          err_msg=engine.name)
 
     def test_majority_of_noisy_copies_recovers_centre(self, rng):
         centre = random_bits(2048, rng)
@@ -54,8 +55,14 @@ class TestPrototypeAccumulator:
         for row in noisy:
             flip = rng.choice(2048, size=200, replace=False)
             row[flip] ^= 1
-        prototype = BundleAccumulator(2048).add(noisy).finalize()
-        assert hamming_distance(prototype, centre) < 100
+        for engine in every_engine(2048):
+            prototype = unpack_bits(engine.bundle(pack_bits(noisy)), 2048)
+            assert hamming_distance(prototype, centre) < 100, engine.name
+
+    def test_empty_bundle_raises(self):
+        for engine in every_engine(32):
+            with pytest.raises(ValueError):
+                engine.bundle(np.zeros((0, 1), dtype=np.uint64))
 
 
 class TestAssociativeMemory:
@@ -157,9 +164,7 @@ class TestAssociativeMemory:
 class TestPackedApi:
     def test_single_packed_vector_prototype_is_vector(self, rng):
         v = pack_bits(random_bits(100, rng))
-        acc = PackedPrototypeAccumulator(100).add(v)
-        np.testing.assert_array_equal(acc.finalize(), v)
-        assert acc.count == 1
+        np.testing.assert_array_equal(bundle_packed(v[None]), v)
 
     def test_store_packed_round_trips(self, rng):
         memory = AssociativeMemory(100)
@@ -193,11 +198,13 @@ class TestPackedApi:
         np.testing.assert_array_equal(dists_p, dists_o)
 
     def test_train_packed_matches_train(self, rng):
-        # The packed and the unpacked engine's accumulators agree.
+        # Every engine's bundle agrees with the integer majority.
         h = random_bits((9, 130), rng)
-        unpacked = BundleAccumulator(130).add(h).finalize()
-        packed = PackedPrototypeAccumulator(130).add(pack_bits(h)).finalize()
-        np.testing.assert_array_equal(unpack_bits(packed, 130), unpacked)
+        for engine in every_engine(130):
+            np.testing.assert_array_equal(
+                unpack_bits(engine.bundle(pack_bits(h)), 130), bundle(h),
+                err_msg=engine.name,
+            )
 
     def test_packed_query_without_prototypes_raises(self, rng):
         with pytest.raises(RuntimeError):
@@ -210,20 +217,6 @@ class TestPackedApi:
         memory.store(0, np.zeros(64, dtype=np.uint8))
         with pytest.raises(ValueError):
             memory.distances_packed(np.zeros((2, 3), dtype=np.uint64))
-
-    def test_accumulator_streaming_batches(self, rng):
-        vectors = random_bits((10, 77), rng)
-        packed = pack_bits(vectors)
-        acc = PackedPrototypeAccumulator(77)
-        acc.add(packed[:4]).add(packed[4:])
-        expected = BundleAccumulator(77).add(vectors).finalize()
-        np.testing.assert_array_equal(
-            unpack_bits(acc.finalize(), 77), expected
-        )
-
-    def test_empty_accumulator_raises(self):
-        with pytest.raises(ValueError):
-            PackedPrototypeAccumulator(32).finalize()
 
 
 @pytest.mark.slow

@@ -11,14 +11,15 @@ import pytest
 from repro.hdc.backend import hamming_distance, unpack_bits
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
-from repro.hdc.temporal import TemporalEncoder
+from repro.hdc.temporal import CountBlockTile, WindowBundler
 from repro.signal.windows import WindowSpec
 
 DIM = 2_048
 
 
 def _encode(codes, spatial, spec):
-    return unpack_bits(TemporalEncoder(spatial, spec).encode_all(codes), DIM)
+    encoder = WindowBundler(spatial, spec, CountBlockTile)
+    return unpack_bits(encoder.encode_all(codes), DIM)
 
 
 @pytest.fixture(scope="module")

@@ -39,8 +39,8 @@ from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import (
     NATIVE_PURE_PYTHON_ENV,
     NATIVE_THREADS_ENV,
+    NativeBlockTile,
     NativeSpatialEncoder,
-    NativeTemporalEncoder,
     PackedNativeEngine,
     apply_native_threads,
     configure_native_threads,
@@ -52,7 +52,8 @@ from repro.hdc.native import (
     requested_native_threads,
 )
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal_packed import PackedTemporalEncoder
+from repro.hdc.temporal import WindowBundler
+from repro.hdc.temporal_packed import PackedBlockTile
 from repro.signal.windows import WindowSpec
 
 # These tests always run (the pure-Python twins back them on
@@ -224,8 +225,12 @@ class TestNativeEncoders:
         em = ItemMemory(4, 129, seed=2)
         rng = np.random.default_rng(4)
         codes = rng.integers(0, 8, size=(5 * 32, 4))
-        ref = PackedTemporalEncoder(PackedSpatialEncoder(cm, em), SPEC)
-        nat = NativeTemporalEncoder(NativeSpatialEncoder(cm, em), SPEC)
+        ref = WindowBundler(
+            PackedSpatialEncoder(cm, em), SPEC, PackedBlockTile
+        )
+        nat = WindowBundler(
+            NativeSpatialEncoder(cm, em), SPEC, NativeBlockTile
+        )
         np.testing.assert_array_equal(nat.feed(codes), ref.feed(codes))
 
 

@@ -1,17 +1,10 @@
-"""Tests for repro.hdc.ops (bind, bundle, permute, accumulator)."""
+"""Tests for repro.hdc.ops (bind and bundle)."""
 
 import numpy as np
 import pytest
 
 from repro.hdc.backend import hamming_distance, random_bits
-from repro.hdc.ops import (
-    BundleAccumulator,
-    bind,
-    bundle,
-    majority_from_counts,
-    normalized_hamming,
-    permute,
-)
+from repro.hdc.ops import bind, bundle, majority_from_counts
 
 
 class TestBind:
@@ -84,54 +77,3 @@ class TestBundle:
     def test_rejects_non_2d(self, rng):
         with pytest.raises(ValueError):
             bundle(random_bits(16, rng))
-
-
-class TestPermute:
-    def test_invertible(self, rng):
-        v = random_bits(128, rng)
-        np.testing.assert_array_equal(permute(permute(v, 5), -5), v)
-
-    def test_dissimilar_to_input(self, rng):
-        v = random_bits(4096, rng)
-        assert abs(hamming_distance(permute(v), v) / 4096 - 0.5) < 0.05
-
-
-class TestNormalizedHamming:
-    def test_range(self, rng):
-        a = random_bits(64, rng)
-        assert normalized_hamming(a, a) == 0.0
-        assert normalized_hamming(a, 1 - a) == 1.0
-
-    def test_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            normalized_hamming(random_bits(8, rng), random_bits(9, rng))
-
-
-class TestBundleAccumulator:
-    def test_matches_batch_bundle(self, rng):
-        vectors = random_bits((9, 256), rng)
-        acc = BundleAccumulator(256)
-        for v in vectors:
-            acc.add(v)
-        np.testing.assert_array_equal(acc.finalize(), bundle(vectors))
-
-    def test_batched_adds_equivalent(self, rng):
-        vectors = random_bits((10, 128), rng)
-        one = BundleAccumulator(128).add(vectors)
-        two = BundleAccumulator(128).add(vectors[:4]).add(vectors[4:])
-        np.testing.assert_array_equal(one.finalize(), two.finalize())
-        assert one.count == two.count == 10
-
-    def test_empty_finalize_raises(self):
-        with pytest.raises(ValueError):
-            BundleAccumulator(16).finalize()
-
-    def test_shape_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            BundleAccumulator(16).add(random_bits(17, rng))
-
-    def test_counts_property_is_copy(self, rng):
-        acc = BundleAccumulator(8).add(random_bits(8, rng))
-        counts = acc.counts
-        counts[:] = 99
-        assert not np.array_equal(acc.counts, counts)

@@ -11,7 +11,8 @@ from repro.hdc.backend import (
     pack_bits,
     unpack_bits,
 )
-from repro.hdc.ops import BundleAccumulator, bind, bundle, majority_from_counts
+from repro.hdc.ops import bind, bundle, majority_from_counts
+from tests.conftest import every_engine
 
 DIMS = st.integers(min_value=1, max_value=300)
 
@@ -114,11 +115,13 @@ class TestBundleProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(vector_stack())
-    def test_streaming_equals_batch(self, stack):
-        acc = BundleAccumulator(stack.shape[1])
-        for row in stack:
-            acc.add(row)
-        np.testing.assert_array_equal(acc.finalize(), bundle(stack))
+    def test_every_engine_bundles_like_bundle(self, stack):
+        dim = stack.shape[1]
+        for engine in every_engine(dim):
+            np.testing.assert_array_equal(
+                unpack_bits(engine.bundle(pack_bits(stack)), dim),
+                bundle(stack), err_msg=engine.name,
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 50), st.integers(0, 50))

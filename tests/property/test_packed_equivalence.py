@@ -1,10 +1,10 @@
 """Property tests: the packed domain is bit-exact against the unpacked.
 
-Every packed-domain operation (permutation, carry-save counting, the
-spatial/temporal encoders, prototype training, associative-memory
-queries) must agree with its unpacked reference on arbitrary inputs —
-in particular across *odd* dimensions where the top word carries
-padding bits.
+Every packed-domain operation (carry-save counting, the spatial
+encoders and temporal block tiles, every engine's prototype bundle,
+associative-memory queries) must agree with its unpacked reference on
+arbitrary inputs — in particular across *odd* dimensions where the top
+word carries padding bits.
 """
 
 from unittest import mock
@@ -13,16 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc import native, spatial_packed
-from repro.hdc.associative import (
-    AssociativeMemory,
-    PackedPrototypeAccumulator,
-)
+from repro.hdc import associative, native, spatial_packed
+from repro.hdc.associative import AssociativeMemory, bundle_packed
 from repro.hdc.backend import (
     hamming_distance,
     pack_bits,
     packed_words,
-    permute_packed,
     unpack_bits,
 )
 from repro.hdc.bitsliced import (
@@ -31,14 +27,16 @@ from repro.hdc.bitsliced import (
     planes_greater_than,
     planes_to_counts,
 )
+from repro.hdc.engine import UNPACKED_ENGINE
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import NativeSpatialEncoder
-from repro.hdc.ops import BundleAccumulator
+from repro.hdc.ops import bundle
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
-from repro.hdc.temporal import TemporalEncoder
-from repro.hdc.temporal_packed import PackedTemporalEncoder
+from repro.hdc.temporal import CountBlockTile, WindowBundler
+from repro.hdc.temporal_packed import PackedBlockTile
 from repro.signal.windows import WindowSpec
+from tests.conftest import every_engine
 
 #: Dimensions straddling word boundaries: d % 64 in {1, 63, 0, ...}.
 ODD_DIMS = st.sampled_from([1, 2, 63, 64, 65, 100, 127, 128, 129, 200])
@@ -64,22 +62,6 @@ class TestPackingRoundTrip:
         tail = dim % 64
         if tail:
             assert int(packed[-1]) >> tail == 0
-
-
-class TestPackedPermutation:
-    @settings(max_examples=80, deadline=None)
-    @given(ODD_DIMS, st.integers(-300, 300), st.integers(0, 2**32 - 1))
-    def test_matches_roll(self, dim, shift, seed):
-        bits = _bits(np.random.default_rng(seed), dim)
-        rolled = unpack_bits(permute_packed(pack_bits(bits), dim, shift), dim)
-        np.testing.assert_array_equal(rolled, np.roll(bits, shift))
-
-    @settings(max_examples=40, deadline=None)
-    @given(ODD_DIMS, st.integers(-300, 300), st.integers(0, 2**32 - 1))
-    def test_inverse(self, dim, shift, seed):
-        packed = pack_bits(_bits(np.random.default_rng(seed), dim))
-        back = permute_packed(permute_packed(packed, dim, shift), dim, -shift)
-        np.testing.assert_array_equal(back, packed)
 
 
 class TestBitslicedCounting:
@@ -182,11 +164,12 @@ class TestEncoderEquivalence:
         electrode_memory = ItemMemory(4, dim, seed=4)
         spec = WindowSpec.from_seconds(1.0, 0.5, 16.0)
         codes = np.random.default_rng(seed).integers(0, 8, (100, 4))
-        h_unpacked = TemporalEncoder(
-            SpatialEncoder(code_memory, electrode_memory), spec
+        h_unpacked = WindowBundler(
+            SpatialEncoder(code_memory, electrode_memory), spec, CountBlockTile
         ).encode_all(codes)
-        h_packed = PackedTemporalEncoder(
-            PackedSpatialEncoder(code_memory, electrode_memory), spec
+        h_packed = WindowBundler(
+            PackedSpatialEncoder(code_memory, electrode_memory), spec,
+            PackedBlockTile,
         ).encode_all(codes)
         np.testing.assert_array_equal(h_packed, h_unpacked)
 
@@ -201,15 +184,10 @@ class TestAssociativeEquivalence:
         other = _bits(rng, (k_train, dim))
         queries = _bits(rng, (k_query, dim))
 
-        protos = np.stack([
-            BundleAccumulator(dim).add(h).finalize() for h in (train, other)
-        ])
+        protos = np.stack([bundle(h) for h in (train, other)])
         packed_memory = AssociativeMemory(dim)
         for label, h in enumerate((train, other)):
-            packed_memory.store_packed(
-                label,
-                PackedPrototypeAccumulator(dim).add(pack_bits(h)).finalize(),
-            )
+            packed_memory.store_packed(label, bundle_packed(pack_bits(h)))
 
         np.testing.assert_array_equal(
             np.stack([packed_memory.prototype(0), packed_memory.prototype(1)]),
@@ -222,10 +200,18 @@ class TestAssociativeEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(ODD_DIMS, st.integers(1, 15), st.integers(0, 2**32 - 1))
-    def test_accumulators_agree(self, dim, k, seed):
+    def test_engine_bundles_agree(self, dim, k, seed):
         vectors = _bits(np.random.default_rng(seed), (k, dim))
-        unpacked = BundleAccumulator(dim).add(vectors).finalize()
-        packed = (
-            PackedPrototypeAccumulator(dim).add(pack_bits(vectors)).finalize()
-        )
-        np.testing.assert_array_equal(unpack_bits(packed, dim), unpacked)
+        expected = (vectors.sum(axis=0) > k // 2).astype(np.uint8)
+        for engine in every_engine(dim):
+            if engine.name == UNPACKED_ENGINE:
+                # The reference bundles with its own integer counts and
+                # never reaches the carry-save tree.
+                with mock.patch.object(associative, "bitsliced_counts",
+                                       side_effect=AssertionError):
+                    prototype = engine.bundle(pack_bits(vectors))
+            else:
+                prototype = engine.bundle(pack_bits(vectors))
+            np.testing.assert_array_equal(
+                unpack_bits(prototype, dim), expected, err_msg=engine.name
+            )
