@@ -4,11 +4,12 @@ A :class:`StreamSessionManager` multiplexes many live patient streams
 (:class:`~repro.core.streaming.StreamingLaelaps`), each with its own
 fitted detector, raw tail, encoder and alarm machine.  A tick
 (:meth:`StreamSessionManager.push_many`, through :func:`push_streams`)
-runs each stage once over every session: LBP symbolise and spatial
-encode *per session*; the temporal block step *grouped per tile* — one
-carry-save tree, window adder and comparator over a bounded tile of
-many sessions' blocks (:class:`repro.hdc.temporal.BlockTiles`, whose
-fixed word budget keeps a tick's peak memory flat in the shard size);
+runs each stage once over every session: LBP symbolise *per session*;
+the spatial encode and temporal block step *grouped per tile* — one
+spatial call per session into the tile's slab, then one carry-save
+count, window adder and comparator over a bounded tile of many
+sessions' blocks (:class:`repro.hdc.temporal.BlockTiles`, whose fixed
+word budget keeps a tick's peak memory flat in the shard size);
 then one XOR + popcount sweep
 (:func:`repro.hdc.associative.grouped_classify_packed`) and one t_c /
 t_r vote over a bank of the sessions' alarm machines.  Events are

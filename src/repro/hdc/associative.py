@@ -35,8 +35,8 @@ from repro.hdc.bitsliced import planes_add  # noqa: F401
 def bundle_packed(h: np.ndarray) -> np.ndarray:
     """The packed ``(words,)`` majority prototype of ``(k, words)`` H.
 
-    The packed engines' one-shot bundler: the carry-save tree counts
-    all ``k`` vectors at once and the magnitude comparator keeps the
+    The packed engines' one-shot bundler: the carry-save counter counts
+    all ``k`` vectors at once and the LSB-first comparator keeps the
     positions set in strictly more than ``k // 2`` of them, bit-exact
     against :func:`repro.hdc.ops.bundle` on the unpacked bits.
 

@@ -1,20 +1,15 @@
 """Bit-sliced counting over packed hypervectors.
 
 The GPU encoding kernel (Fig. 2) never unpacks vectors: it XORs packed
-words, transposes 32 x 32 bit tiles and popcounts, so the majority of
-32 electrodes costs a handful of word operations.  This module is the
-software analogue: a **carry-save bit-sliced counter** holds one packed
-register per binary digit, so adding a d-bit mask costs
-``O(log2(capacity))`` word operations on all d positions at once, and
-thresholding (the majority test) is a bitwise magnitude comparator —
-no unpacking anywhere.
-
-The bulk tree (:func:`bitsliced_counts`) counts the temporal block
-step's record stacks and a class's H vectors when the packed engine
-bundles its prototype.
-:class:`repro.hdc.spatial_packed.PackedSpatialEncoder` streams its
-electrodes through its own carry-save counter and shares the
-comparator (:func:`planes_greater_than`).
+words, transposes 32 x 32 bit tiles and popcounts.  The software
+analogue is one carry-save counter (:class:`CarrySaveCounter`): packed
+registers per binary digit, so adding a d-bit mask costs a few word
+operations on all d positions at once, and the majority test is an
+LSB-first comparator over the digit list (:func:`planes_greater_than`).
+The spatial encoder streams electrode triples through it, the temporal
+block step adds sample slabs in bulk, window assembly adds block states
+at their own digits, and :func:`bitsliced_counts` and :func:`planes_add`
+are built on it.
 """
 
 from __future__ import annotations
@@ -27,55 +22,116 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def plane_depth(k: int) -> int:
-    """Digit planes needed to count up to ``k`` ones per position.
-
-    The depth contract shared by :func:`bitsliced_counts` and its
-    native kernel twin (:func:`repro.hdc.native.native_bitsliced_counts`):
-    ``bit_length(k)`` digits hold every count in ``[0, k]``.  Plane
-    consumers (:func:`planes_add`, :func:`planes_greater_than`,
-    :func:`planes_to_counts`) depend only on the decoded counts, so the
-    two implementations stay interchangeable downstream.
-    """
+    """Digit planes needed to count up to ``k`` ones per position:
+    ``bit_length(k)``, the depth of :func:`bitsliced_counts` and of its
+    native twin (:func:`repro.hdc.native.native_bitsliced_counts`)."""
     if k < 1:
         raise ValueError(f"mask count must be >= 1, got {k}")
     return max(1, int(k).bit_length())
 
 
-def _carry_save_add(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One 3:2 compressor: three same-weight planes -> (sum, carry)."""
-    partial = a ^ b
-    return partial ^ c, (a & b) | (c & partial)
+class CarrySaveCounter:
+    """Per-position counts of ``shape`` uint64 masks in digit planes.
 
-
-def _reduce_plane(level: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Compress ``(m, ...)`` same-weight masks to one plane plus carries.
-
-    Applies 3:2 compressors in bulk (a Wallace-tree level per call), so
-    the work per pass is a handful of full-width numpy operations rather
-    than one Python iteration per mask.
+    ``digits[j]`` holds the pending planes of weight ``2**j``; a digit
+    that reaches three is compressed at once by a 3:2 adder, so at most
+    two planes per digit are live.  Planes come from, and return to,
+    ``free``; a pooled plane with more leading rows than ``shape`` hands
+    out its leading rows.
     """
-    carries: list[np.ndarray] = []
-    while level.shape[0] > 2:
-        groups = level.shape[0] // 3
-        triples = level[: 3 * groups].reshape((groups, 3) + level.shape[1:])
-        total, carry = _carry_save_add(
-            triples[:, 0], triples[:, 1], triples[:, 2]
-        )
-        carries.append(carry)
-        rest = level[3 * groups :]
-        level = total if rest.shape[0] == 0 else np.concatenate(
-            [total, rest], axis=0
-        )
-    if level.shape[0] == 2:
-        carries.append((level[0] & level[1])[None])
-        plane = level[0] ^ level[1]
-    else:
-        plane = level[0]
-    if not carries:
-        return plane, None
-    return plane, np.concatenate(carries, axis=0)
+
+    def __init__(self, shape: tuple[int, ...],
+                 free: list[np.ndarray] | None = None):
+        self.shape = tuple(shape)
+        self.free = [] if free is None else free
+        self.digits: list[list[np.ndarray]] = []
+
+    def plane(self) -> np.ndarray:
+        if not self.free:
+            return np.empty(self.shape, dtype=np.uint64)
+        plane = self.free.pop()
+        return plane if len(plane) == self.shape[0] else plane[: self.shape[0]]
+
+    def _adder(self, a, b, c, total: np.ndarray) -> np.ndarray:
+        """3:2 adder: the sum goes into ``total`` (``b`` may be it) and
+        the carry into a new plane, returned; ``a`` is clobbered."""
+        carry = self.plane()
+        np.bitwise_and(a, b, out=carry)
+        np.bitwise_xor(a, b, out=total)
+        np.bitwise_and(c, total, out=a)
+        np.bitwise_xor(total, c, out=total)
+        np.bitwise_or(carry, a, out=carry)
+        return carry
+
+    def push(self, digit: int, plane: np.ndarray) -> None:
+        """Add ``plane`` (owned by the counter from now on) at ``digit``."""
+        while len(self.digits) <= digit:
+            self.digits.append([])
+        pending = self.digits[digit]
+        pending.append(plane)
+        if len(pending) == 3:
+            a, b, c = pending
+            pending.clear()
+            carry = self._adder(a, b, c, b)
+            self.free += (a, c)
+            self.push(digit, b)
+            self.push(digit + 1, carry)
+
+    def push_triple(self, masks: np.ndarray) -> None:
+        """Add a ``(3, *shape)`` stack the counter does not own (its
+        first plane is clobbered)."""
+        a, b, c = np.asarray(masks, dtype=np.uint64)
+        total = self.plane()
+        carry = self._adder(a, b, c, total)
+        self.push(0, total)
+        self.push(1, carry)
+
+    def add(self, stack: np.ndarray, digit: int = 0) -> None:
+        """Add every plane of an ``(m, *shape)`` stack at ``digit``: each
+        pass is one 3:2 adder over the stack's thirds (five word
+        operations whatever ``m``), its carries go one digit up the same
+        way, and the planes it leaves over are copied into pooled
+        planes.  The stack is only read."""
+        while len(stack) >= 3:
+            third = len(stack) // 3
+            a, b = stack[:third], stack[third : 2 * third]
+            c = stack[2 * third : 3 * third]
+            total = a ^ b
+            carry = a & b
+            carry |= c & total
+            total ^= c
+            self._keep(digit, stack[3 * third :])
+            self.add(carry, digit + 1)
+            stack = total
+        self._keep(digit, stack)
+
+    def _keep(self, digit: int, planes: np.ndarray) -> None:
+        for plane in planes:
+            copy = self.plane()
+            np.copyto(copy, plane)
+            self.push(digit, copy)
+
+    def planes(self, depth: int | None = None) -> list[np.ndarray]:
+        """One plane per digit, least significant first (half adders
+        resolve every digit still holding two).  With ``depth``, exactly
+        that many: zero planes pad, and digits above it, which a count
+        below ``2**depth`` leaves zero, are dropped."""
+        for digit, pending in enumerate(self.digits):
+            if not pending:
+                pending.append(self.plane())
+                pending[0].fill(0)
+            elif len(pending) == 2:
+                a, b = pending
+                carry = self.plane()
+                np.bitwise_and(a, b, out=carry)
+                np.bitwise_xor(a, b, out=a)
+                self.free.append(pending.pop())
+                self.push(digit + 1, carry)
+        planes = [pending[0] for pending in self.digits]
+        if depth is not None:
+            zero = np.zeros(self.shape, dtype=np.uint64)
+            planes = planes[:depth] + [zero] * (depth - len(planes))
+        return planes
 
 
 def bitsliced_counts(masks: np.ndarray) -> np.ndarray:
@@ -88,76 +144,76 @@ def bitsliced_counts(masks: np.ndarray) -> np.ndarray:
         uint64 array ``(depth, ..., words)``: plane ``j`` holds digit
         ``j`` of the per-position count, so position ``p`` of the batch
         was set in ``sum_j(plane[j] bit p) << j`` of the ``k`` masks.
-        ``depth`` is exactly the number of digits needed for ``k``.
+        ``depth`` is exactly :func:`plane_depth` of ``k``.
     """
     arr = np.asarray(masks, dtype=np.uint64)
     if arr.ndim < 2:
         raise ValueError(f"expected (k, ..., words) masks, got {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("cannot count an empty stack of masks")
-    planes: list[np.ndarray] = []
-    level: np.ndarray | None = arr
-    while level is not None:
-        plane, level = _reduce_plane(level)
-        planes.append(plane)
-    return np.stack(planes)
+    counter = CarrySaveCounter(arr.shape[1:])
+    counter.add(arr)
+    return np.stack(counter.planes(plane_depth(arr.shape[0])))
 
 
 def planes_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Add two bit-sliced counts digit-wise (a packed ripple adder).
-
-    Both inputs are ``(depth, ..., words)`` planes as produced by
-    :func:`bitsliced_counts`; the sum is computed one digit deeper than
-    the deeper input so the final carry can never be lost, then trailing
-    all-zero planes are trimmed, so repeated accumulation keeps
-    ``O(log n)`` depth instead of growing by one per call.
-    """
+    """Add two ``(depth, ..., words)`` bit-sliced counts, each digit
+    plane into one counter at its own digit; trailing all-zero planes of
+    the sum are trimmed, so repeated sums keep ``O(log n)`` depth."""
     a_arr = np.asarray(a, dtype=np.uint64)
     b_arr = np.asarray(b, dtype=np.uint64)
     if a_arr.shape[1:] != b_arr.shape[1:]:
         raise ValueError(
             f"plane shapes disagree: {a_arr.shape[1:]} vs {b_arr.shape[1:]}"
         )
-    depth = max(a_arr.shape[0], b_arr.shape[0]) + 1
-    out = np.zeros((depth,) + a_arr.shape[1:], dtype=np.uint64)
-    carry = np.zeros(a_arr.shape[1:], dtype=np.uint64)
-    zero = np.zeros(a_arr.shape[1:], dtype=np.uint64)
-    for j in range(depth):
-        x = a_arr[j] if j < a_arr.shape[0] else zero
-        y = b_arr[j] if j < b_arr.shape[0] else zero
-        out[j], carry = _carry_save_add(x, y, carry)
-    top = depth
-    while top > 1 and not out[top - 1].any():
-        top -= 1
-    return out[:top]
+    counter = CarrySaveCounter(a_arr.shape[1:])
+    for planes in (a_arr, b_arr):
+        for digit, plane in enumerate(planes):
+            counter.add(plane[None], digit)
+    out = counter.planes()
+    while len(out) > 1 and not out[-1].any():
+        out.pop()
+    return np.stack(out)
 
 
-def planes_greater_than(planes: np.ndarray, threshold: int) -> np.ndarray:
+def _digit_planes(digits) -> list[np.ndarray]:
+    """Digit planes pinned one by one (a counter's list is not copied)."""
+    planes = [np.asarray(plane, dtype=np.uint64) for plane in digits]
+    if not planes or planes[0].ndim < 1:
+        raise ValueError("expected (depth, ..., words) planes")
+    return planes
+
+
+def planes_greater_than(
+    planes, threshold: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Packed mask of positions whose bit-sliced count exceeds ``threshold``.
 
-    A bitwise magnitude comparator from the most significant digit
-    down, vectorised over any batch shape: ``planes`` is
-    ``(depth, ..., words)`` and the result is ``(..., words)``.  Padding
-    bits stay zero for ``threshold >= 0``.
+    ``planes`` is a digit list (a counter's, read in place) or a
+    ``(depth, ..., words)`` array; the result is ``(...,  words)``,
+    written into ``out`` when given.  The test is ``count >= t`` for
+    ``t = threshold + 1``, LSB first, one word operation per digit:
+    start from the digit of the lowest set bit of ``t``, then AND each
+    higher digit where ``t`` has a set bit and OR it where ``t`` has a
+    clear one.  Padding bits stay zero for ``threshold >= 0``.
     """
-    arr = np.asarray(planes, dtype=np.uint64)
-    if arr.ndim < 2:
-        raise ValueError(f"expected (depth, ..., words) planes, got {arr.shape}")
-    batch = arr.shape[1:]
-    if threshold < 0:
-        return np.full(batch, _ALL_ONES, dtype=np.uint64)
-    if threshold >> arr.shape[0]:
-        return np.zeros(batch, dtype=np.uint64)
-    greater = np.zeros(batch, dtype=np.uint64)
-    equal = np.full(batch, _ALL_ONES, dtype=np.uint64)
-    for j in range(arr.shape[0] - 1, -1, -1):
-        plane = arr[j]
-        if (threshold >> j) & 1:
-            equal &= plane
-        else:
-            greater |= equal & plane
-            equal &= ~plane
-    return greater
+    planes = _digit_planes(planes)
+    if out is None:
+        out = np.empty(planes[0].shape, dtype=np.uint64)
+    at_least = int(threshold) + 1
+    if at_least <= 0:
+        out.fill(_ALL_ONES)
+    elif at_least >> len(planes):
+        out.fill(0)
+    else:
+        low = (at_least & -at_least).bit_length() - 1
+        np.copyto(out, planes[low])
+        for digit in range(low + 1, len(planes)):
+            if (at_least >> digit) & 1:
+                np.bitwise_and(out, planes[digit], out=out)
+            else:
+                np.bitwise_or(out, planes[digit], out=out)
+    return out
 
 
 def planes_to_counts(planes: np.ndarray, dim: int) -> np.ndarray:

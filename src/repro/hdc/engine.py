@@ -1,12 +1,8 @@
 """Pluggable compute engines: one dispatch point for every backend.
 
-Every layer above :mod:`repro.hdc` used to re-implement the
-packed-vs-unpacked fork by hand — the detector branched in its
-constructor, trainer and classifier, and the session manager, the
-persistence formats, the shard workers and the CLI each carried their
-own copy of the switch.  This module collapses all of that into one
-object: an engine (a subclass of :class:`_EngineBase`) is its four
-kernels, and everything else is shared:
+No layer above :mod:`repro.hdc` branches on a backend: an engine (a
+subclass of :class:`_EngineBase`) is its four kernels, and everything
+else is shared:
 
 * :attr:`~_EngineBase.spatial_class` — the spatial encoder;
 * :attr:`~_EngineBase.tile_class` — the
@@ -34,7 +30,7 @@ Registered engines (:func:`engine_names`):
 * ``packed`` — bit-sliced carry-save encoding (the paper's GPU
   dataflow, Sec. V-B), batched XOR + popcount queries;
 * ``packed-native`` — the packed pipeline with both hot kernels
-  (XOR+popcount sweep, carry-save bundling tree) JIT-compiled to
+  (XOR+popcount sweep, bit-sliced count) JIT-compiled to
   multithreaded nogil machine code via the optional numba dependency
   (:mod:`repro.hdc.native`); registered even when numba is absent, but
   listed as unavailable and skipped by ``auto``;

@@ -3,13 +3,13 @@
 The two hot loops of the packed pipeline — the XOR+popcount sweep of
 :func:`repro.hdc.associative.grouped_classify_packed` (which also
 serves one memory's queries, as a group with a single owner), and the
-carry-save bundling tree of :mod:`repro.hdc.bitsliced` — are pure
-NumPy everywhere else: single-threaded per process, so a shard worker
+bit-sliced count of :mod:`repro.hdc.bitsliced` — are pure NumPy
+everywhere else: single-threaded per process, so a shard worker
 cannot scale past one core.  This module re-states both kernels in a
 numba-compilable subset of Python and JIT-compiles them with
 ``@njit(parallel=True, nogil=True, cache=True)``: the sweep `prange`s
 over query rows (per-thread argmin, same earliest-stored tie-break as
-``np.argmin``), the bundling tree `prange`s over word columns (each
+``np.argmin``), the count `prange`s over word columns (each
 column ripples its own carry chain), and both release the GIL so
 N shard workers x M threads is a real sizing knob.
 
@@ -43,9 +43,8 @@ from repro.hdc.associative import (
     _validate_grouped,
 )
 
-# ``planes_add`` and ``planes_greater_than`` are unused here; the names
-# stay importable from this module because perfbench's tracer wraps them
-# here.
+# ``planes_add`` is unused here; the name stays importable from this
+# module because perfbench's tracer wraps it here.
 from repro.hdc.bitsliced import plane_depth, planes_add, planes_greater_than  # noqa: F401
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
@@ -201,7 +200,6 @@ _S8 = np.uint64(8)
 _S16 = np.uint64(16)
 _S32 = np.uint64(32)
 _ZERO64 = np.uint64(0)
-_ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _popcount64(x):
@@ -246,7 +244,7 @@ def _grouped_sweep_kernel(queries, stack, owners, dists, best):
 
 
 def _count_kernel(masks, planes):
-    """Carry-save bundling tree, prange over word columns.
+    """Bit-sliced count of a mask stack, prange over word columns.
 
     ``masks`` is ``(k, cols)``; ``planes`` is ``(depth, cols)`` and
     must arrive zeroed.  Each column ripples its own carry chain
@@ -268,44 +266,11 @@ def _count_kernel(masks, planes):
                 j += 1
 
 
-def _bundle_kernel(masks, planes, threshold, out):
-    """Fused majority: carry-save counts plus the magnitude comparator.
-
-    Same column decomposition as :func:`_count_kernel`, with the
-    per-column ``count > threshold`` comparator
-    (:func:`repro.hdc.bitsliced.planes_greater_than`) run in place, so
-    the spatial majority never leaves the kernel.
-    """
-    k = masks.shape[0]
-    cols = masks.shape[1]
-    depth = planes.shape[0]
-    for col in prange(cols):
-        for t in range(k):
-            carry = masks[t, col]
-            j = 0
-            while carry != _ZERO64 and j < depth:
-                regenerated = planes[j, col] & carry
-                planes[j, col] = planes[j, col] ^ carry
-                carry = regenerated
-                j += 1
-        greater = _ZERO64
-        equal = _ONES64
-        for j in range(depth - 1, -1, -1):
-            register = planes[j, col]
-            if (threshold >> j) & 1 == 1:
-                equal = equal & register
-            else:
-                greater = greater | (equal & register)
-                equal = equal & ~register
-        out[col] = greater
-
-
 if numba_available():
     _popcount64 = njit(cache=True, inline="always")(_popcount64)
     _jit = njit(parallel=True, nogil=True, cache=True)
     _grouped_sweep_kernel = _jit(_grouped_sweep_kernel)
     _count_kernel = _jit(_count_kernel)
-    _bundle_kernel = _jit(_bundle_kernel)
 
 
 # -- kernel wrappers (numpy in, numpy out) ------------------------------
@@ -352,26 +317,9 @@ def native_bitsliced_counts(masks: np.ndarray) -> np.ndarray:
 
 
 def native_bundle_exceeds(masks: np.ndarray, threshold: int) -> np.ndarray:
-    """Fused per-position majority: packed mask of counts > ``threshold``.
-
-    Equivalent to ``planes_greater_than(bitsliced_counts(masks), t)``
-    without materialising the planes outside the kernel scratch.
-    """
-    arr = np.ascontiguousarray(np.asarray(masks, dtype=np.uint64))
-    if arr.ndim < 2:
-        raise ValueError(f"expected (k, ..., words) masks, got {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("cannot bundle an empty stack of masks")
-    if threshold < 0:
-        return np.full(arr.shape[1:], _ONES64, dtype=np.uint64)
-    depth = plane_depth(arr.shape[0])
-    if threshold >> depth:
-        return np.zeros(arr.shape[1:], dtype=np.uint64)
-    flat = arr.reshape(arr.shape[0], -1)
-    planes = np.zeros((depth, flat.shape[1]), dtype=np.uint64)
-    out = np.empty(flat.shape[1], dtype=np.uint64)
-    _bundle_kernel(flat, planes, np.int64(threshold), out)
-    return out.reshape(arr.shape[1:])
+    """Per-position majority, ``count > threshold``: the native count
+    kernel, then the one LSB-first comparator."""
+    return planes_greater_than(native_bitsliced_counts(masks), threshold)
 
 
 # -- encoders and the engine --------------------------------------------
@@ -380,7 +328,7 @@ def native_bundle_exceeds(masks: np.ndarray, threshold: int) -> np.ndarray:
 class NativeSpatialEncoder(PackedSpatialEncoder):
     """Packed spatial encoder whose majority runs in the native kernel.
 
-    The fused kernel reduces a whole electrode stack per word column,
+    The count kernel reduces a whole electrode stack per word column,
     so this encoder gathers each sample tile electrode-major,
     ``(n_electrodes, tile, words)`` and contiguous, sized by
     ``_TILE_WORDS`` to stay in L2 cache, instead of streaming triples.
@@ -406,18 +354,19 @@ class NativeSpatialEncoder(PackedSpatialEncoder):
 
 
 class NativeBlockTile(PackedBlockTile):
-    """Grouped block step whose carry-save tree is the native kernel
-    (the cheap window adder and comparator stay numpy)."""
+    """Grouped block step whose slab count is the native kernel (the
+    block counter, window adder and comparator stay numpy)."""
 
-    def _reduce(self, records: np.ndarray) -> np.ndarray:
-        return native_bitsliced_counts(records).transpose(1, 0, 2)
+    def _add(self, counter, slab: np.ndarray) -> None:
+        for digit, plane in enumerate(native_bitsliced_counts(slab)):
+            counter.push(digit, plane)
 
 
 @register_engine
 class PackedNativeEngine(PackedEngine):
     """The ``packed`` engine with both hot kernels JIT-parallelised.
 
-    Replaces the bundling tree with the nogil prange kernels above and
+    Replaces the bit-sliced counts with the nogil prange kernel above and
     routes every sweep — one memory's or a cross-session group's —
     through the native grouped kernel.
     """

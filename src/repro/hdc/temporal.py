@@ -11,9 +11,11 @@ through in O(d) memory and every ``S`` is encoded exactly once even though
 windows overlap.  :class:`WindowBundler` is the one streaming encoder of
 every engine; the engine's :class:`BlockTile` class is the only place
 that knows its block state (integer counts here, digit planes in
-:mod:`repro.hdc.temporal_packed`) and runs the block step for many
-blocks at once: every stream's of a serving tick, in bounded tiles.
-Whatever the block state, H vectors leave packed,
+:mod:`repro.hdc.temporal_packed`).  Every tile class runs the one
+flush: staged block codes are encoded in sample slabs that stream
+straight into the block counter, for many blocks at once (every
+stream's of a serving tick, or all of an offline feed's), in bounded
+tiles.  Whatever the block state, H vectors leave packed,
 ``(n_windows, packed_words(d))`` uint64.
 """
 
@@ -28,27 +30,31 @@ from repro.hdc.ops import majority_from_counts
 from repro.signal.windows import WindowSpec
 
 
-#: Word budget of one grouped block tile: 256 KiB of spatial records
-#: (8 blocks of 128 samples x 32 words at d = 2000).  Bounded, so a
-#: tick's peak memory does not grow with the number of streams.
+#: Word budget of one slab: 256 KiB of records (8 blocks x 32 words
+#: at d = 2000); a tile stages as many codes of its first stream's
+#: width.  Bounded, so peak memory does not grow with the streams.
 _TILE_WORDS = 32_768
 
 
 class BlockTile:
-    """Many streams' 0.5 s blocks, reduced in one pass per tile.
+    """Many streams' 0.5 s blocks, counted in sample slabs.
 
-    Row ``r`` of ``records`` ``(step, rows, width)`` holds one block's
-    spatial records; :meth:`flush` reduces every staged row at once,
-    sums each completed window from its stream's block state and writes
-    the H vector into the row its stream reserved.  Subclasses supply
-    the record ``dtype`` and :meth:`record_width`, the kernels
-    ``_encode(encoder, block, dest)``, ``_reduce(records)`` (per-row
-    block state) and ``_windows(lags)`` (packed H vectors of windows
-    whose blocks, oldest first, are ``lags``), and the checkpoint
-    hooks ``export_block(state, dim)`` (one block's state as its
-    canonical ``(d,)`` int64 counts, the same on every engine, so
-    checkpoints cross engines) and ``import_block(counts, step)``
-    (the inverse, for counts in ``[0, step]``).
+    :meth:`stage` keeps runs of one stream's consecutive blocks as codes.
+    :meth:`flush` walks them in slabs, samples ``[s0, s0 + k)`` of every
+    row in ``(k, rows, width)`` records inside the tile budget: each
+    run's part is one spatial call, and the slab's sample planes go
+    straight into the block counter.  It then sums each completed window
+    from its stream's block states into the row its stream reserved.
+
+    Subclasses supply the record ``dtype`` and :meth:`record_width`; the
+    kernels ``_encode(encoder, codes, out)`` (records, into ``out`` if
+    it can), ``_counter(rows)``, ``_add(counter, slab)``,
+    ``_states(counter)`` (row ``r``'s block state is ``[r]``) and
+    ``_windows(lags)`` (packed H vectors of windows whose blocks, oldest
+    first, are ``lags``); and the checkpoint hooks
+    ``export_block(state, dim)`` (canonical ``(d,)`` int64 counts, the
+    same on every engine, so checkpoints cross engines) and
+    ``import_block(counts, step)`` (the inverse).
     """
 
     dtype: type = np.uint64
@@ -58,62 +64,98 @@ class BlockTile:
         """Trailing width of one spatial record at dimension ``dim``."""
         return packed_words(dim)
 
-    def __init__(self, encoder: "WindowBundler", max_rows: int) -> None:
+    def __init__(self, encoder: "WindowBundler", max_rows: int | None) -> None:
         self.spec = encoder.spec
-        step, width = self.spec.step_samples, self.record_width(encoder.dim)
-        row_bytes = step * width * np.dtype(self.dtype).itemsize
-        rows = max(1, min(max_rows, _TILE_WORDS * 8 // row_bytes))
-        self.records = np.empty((step, rows, width), dtype=self.dtype)
-        self._staged: list[tuple[WindowBundler, np.ndarray, int]] = []
+        self.width = self.record_width(encoder.dim)
+        self._row_bytes = self.width * np.dtype(self.dtype).itemsize
+        budget, step = _TILE_WORDS * 8, self.spec.step_samples
+        if max_rows is None:  # every slab holds whole blocks
+            max_rows = budget // (step * self._row_bytes)
+        self.rows = max(1, min(max_rows, budget // self._row_bytes, budget
+                               // (step * encoder.spatial.n_electrodes)))
+        self._runs: list[tuple[WindowBundler, np.ndarray, np.ndarray, int]] = []
+        self._staged = 0
 
-    def stage(self, encoder, block: np.ndarray, out: np.ndarray,
-              index: int) -> None:
-        """Encode one block into the next free row; ``out[index]`` gets
-        the H vector of the window it completes (none if ``index < 0``)."""
-        if len(self._staged) == self.records.shape[1]:
-            self.flush()
-        self._encode(encoder, block, self.records[:, len(self._staged)])
-        self._staged.append((encoder, out, index))
+    def _states(self, counter):
+        return counter
+
+    def stage(self, encoder, blocks: np.ndarray, out: np.ndarray,
+              first: int) -> None:
+        """Keep one stream's consecutive ``(n, step, n_electrodes)``
+        block codes; ``out[first + j]`` gets the H vector of the window
+        block ``j`` completes (none where ``first + j < 0``)."""
+        while len(blocks):
+            if self._staged == self.rows:
+                self.flush()
+            take = min(len(blocks), self.rows - self._staged)
+            self._runs.append((encoder, blocks[:take], out, first))
+            self._staged += take
+            blocks, first = blocks[take:], first + take
 
     def flush(self) -> None:
-        if not self._staged:
+        if not self._runs:
             return
-        states = self._reduce(self.records[:, : len(self._staged)])
-        k = self.spec.window_samples // self.spec.step_samples
+        step, rows, width = self.spec.step_samples, self._staged, self.width
+        k = max(1, min(step, _TILE_WORDS * 8 // (rows * self._row_bytes)))
+        counter = self._counter(rows)
+        buffer = np.empty(k * rows * width, dtype=self.dtype)
+        for s0 in range(0, step, k):
+            n = min(k, step - s0)
+            slab = buffer[: n * rows * width].reshape(n, rows, width)
+            row = 0
+            for encoder, blocks, _, _ in self._runs:
+                m, part = len(blocks), blocks[:, s0 : s0 + n]
+                # Several rows' codes are copied sample-major, compactly.
+                codes = part[0] if m == 1 else part.transpose(1, 0, 2).astype(
+                    np.min_scalar_type(encoder.spatial.n_codes - 1), order="C")
+                dest = slab[:, row : row + m]
+                # The reshape is a view for one row or all of them.
+                out = dest.reshape(n * m, width) if m in (1, rows) else None
+                records = self._encode(encoder, codes.reshape(n * m, -1), out)
+                if records is not out:
+                    dest[...] = records.reshape(dest.shape)
+                row += m
+            self._add(counter, slab)
+        states = self._states(counter)
+        k = self.spec.window_samples // step
         history: dict[int, list[np.ndarray]] = {}
         lags, dests = [], []
-        for row, (encoder, out, index) in enumerate(self._staged):
-            blocks = history.setdefault(id(encoder), list(encoder._blocks))
-            blocks.append(states[row])
-            if index >= 0:
-                lags.append(blocks[-k:])
-                dests.append((out, index))
+        row_states = iter(states)
+        for encoder, blocks, out, first in self._runs:
+            past = history.setdefault(id(encoder), list(encoder._blocks))
+            for index, state in zip(range(first, first + len(blocks)), row_states):
+                past.append(state)
+                encoder._blocks.append(state.copy())
+                if index >= 0:
+                    lags.append(past[-k:])
+                    dests.append((out, index))
         if dests:
             windows = self._windows([list(lag) for lag in zip(*lags)])
             for (out, index), window in zip(dests, windows):
                 out[index] = window
-        for row, (encoder, _, _) in enumerate(self._staged):
-            encoder._blocks.append(states[row].copy())
-        self._staged.clear()
+        self._runs.clear()
+        self._staged = 0
 
 
 class BlockTiles:
     """One tick's grouped block step, a :class:`BlockTile` per tile
-    class: pass it to every stream's ``feed`` (once each), then flush."""
+    class: pass it to every stream's ``feed`` (once each), then flush.
+    ``max_rows`` caps a tile's rows; by default a slab holds whole
+    blocks, so each stream's block is one spatial call."""
 
-    def __init__(self, max_rows: int = _TILE_WORDS) -> None:
+    def __init__(self, max_rows: int | None = None) -> None:
         self.max_rows = max_rows
         self._tiles: dict[tuple, BlockTile] = {}
 
-    def stage(self, encoder, block: np.ndarray, out: np.ndarray,
-              index: int) -> None:
+    def stage(self, encoder, blocks: np.ndarray, out: np.ndarray,
+              first: int) -> None:
         key = (encoder.tile_class, encoder.spec, encoder.dim)
         if key not in self._tiles:
             self._tiles[key] = encoder.tile_class(encoder, self.max_rows)
-        self._tiles[key].stage(encoder, block, out, index)
+        self._tiles[key].stage(encoder, blocks, out, first)
 
     def flush(self) -> None:
-        """Reduce every staged block, filling the arrays ``feed`` returned."""
+        """Count every staged block, filling the arrays ``feed`` returned."""
         for tile in self._tiles.values():
             tile.flush()
 
@@ -173,21 +215,26 @@ class WindowBundler:
             vectors completed by this chunk (possibly empty).
         """
         arr = np.asarray(codes)
-        if arr.ndim != 2 or arr.shape[1] != self.spatial.n_electrodes:
+        n_electrodes, n_codes = self.spatial.n_electrodes, self.spatial.n_codes
+        if arr.ndim != 2 or arr.shape[1] != n_electrodes:
             raise ValueError(
-                f"expected (n_samples, {self.spatial.n_electrodes}), "
-                f"got {arr.shape}"
+                f"expected (n_samples, {n_electrodes}), got {arr.shape}"
             )
-        if self._pending.size:
-            arr = np.concatenate([self._pending, arr], axis=0)
+        if arr.size and (arr.min() < 0 or arr.max() >= n_codes):
+            raise ValueError(f"code out of range [0, {n_codes})")
+        joined = (np.concatenate([self._pending, arr], axis=0)
+                  if self._pending.size else arr)
         step = self.spec.step_samples
-        n_blocks = arr.shape[0] // step
-        self._pending = arr[n_blocks * step :].copy()
+        n_blocks = joined.shape[0] // step
+        self._pending = joined[n_blocks * step :].copy()
+        blocks = joined[: n_blocks * step].reshape(n_blocks, step, n_electrodes)
+        if tiles is not None and joined is arr:
+            # Encoded at the tick's flush: the caller may reuse ``codes``.
+            blocks = blocks.astype(np.min_scalar_type(n_codes - 1))
         skip = max(0, self.blocks_per_window - 1 - len(self._blocks))
         out = np.empty((max(0, n_blocks - skip), self.words), dtype=np.uint64)
         group = BlockTiles(n_blocks) if tiles is None else tiles
-        for j in range(n_blocks):
-            group.stage(self, arr[j * step : (j + 1) * step], out, j - skip)
+        group.stage(self, blocks, out, -skip)
         if tiles is None:
             group.flush()
         return out
@@ -279,8 +326,9 @@ class CountBlockTile(BlockTile):
     def record_width(dim: int) -> int:
         return dim
 
-    def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
-        dest[...] = encoder.spatial.encode(block)
+    def _encode(self, encoder, codes: np.ndarray,
+                out: np.ndarray | None) -> np.ndarray:
+        return encoder.spatial.encode(codes)
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:
@@ -290,8 +338,11 @@ class CountBlockTile(BlockTile):
     def import_block(counts: np.ndarray, step: int) -> np.ndarray:
         return counts.astype(np.int32)
 
-    def _reduce(self, records: np.ndarray) -> np.ndarray:
-        return records.sum(axis=0, dtype=np.int32)
+    def _counter(self, rows: int) -> np.ndarray:
+        return np.zeros((rows, self.width), dtype=np.int32)
+
+    def _add(self, counter: np.ndarray, slab: np.ndarray) -> None:
+        counter += slab.sum(axis=0, dtype=np.int32)
 
     def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
         window_counts = np.sum([np.stack(lag) for lag in lags], axis=0)

@@ -1,31 +1,29 @@
 """Packed block step: window bundling without leaving the bit domain.
 
-The packed engines' :class:`~repro.hdc.temporal.BlockTile`: spatial
-records arrive as uint64 words from
-:class:`~repro.hdc.spatial_packed.PackedSpatialEncoder`, each 0.5 s block
-is reduced to bit-sliced digit planes by a carry-save compressor tree,
-adjacent blocks are combined with a packed ripple adder, and the window
-majority is a bitwise magnitude comparator — the Fig. 2 dataflow with no
-unpacked intermediate anywhere, bit-exact against the integer-counter
-tile.
-
-:class:`PackedBlockTile` runs the tree, adder and comparator once per
-``(step, blocks, words)`` tile of many streams' blocks, under the one
-streaming encoder of every engine
-(:class:`repro.hdc.temporal.WindowBundler`), so every spatial record is
-encoded exactly once even though windows overlap, and memory stays O(d).
-Every block state is ``plane_depth(step)`` digit planes deep, live or
-restored from a checkpoint.
+The packed engines' :class:`~repro.hdc.temporal.BlockTile`: the spatial
+encoder writes each sample slab of a tile's blocks as uint64 words, and
+the slab's sample planes go straight into one carry-save counter
+(:class:`~repro.hdc.bitsliced.CarrySaveCounter`) whose digit planes are
+the blocks' states.  A window adds its blocks' digit planes at their
+own digits in a second counter, and the majority is the LSB-first
+comparator — the Fig. 2 dataflow with no unpacked intermediate and no
+record buffer, bit-exact against the integer-counter tile.  Every block
+state is ``plane_depth(step)`` digit planes deep, live or restored from
+a checkpoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# ``bitsliced_counts`` and ``planes_add`` are unused here; the names
+# stay importable from this module because perfbench's tracer wraps
+# them here.
 from repro.hdc.bitsliced import (
-    bitsliced_counts,
+    CarrySaveCounter,
+    bitsliced_counts,  # noqa: F401
     plane_depth,
-    planes_add,
+    planes_add,  # noqa: F401
     planes_from_counts,
     planes_greater_than,
     planes_to_counts,
@@ -36,8 +34,9 @@ from repro.hdc.temporal import BlockTile
 class PackedBlockTile(BlockTile):
     """Bit-sliced block step over packed uint64 records."""
 
-    def _encode(self, encoder, block: np.ndarray, dest: np.ndarray) -> None:
-        encoder.spatial.encode_packed(block, out=dest)
+    def _encode(self, encoder, codes: np.ndarray,
+                out: np.ndarray | None) -> np.ndarray:
+        return encoder.spatial.encode_packed(codes, out=out)
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:
@@ -45,15 +44,24 @@ class PackedBlockTile(BlockTile):
 
     @staticmethod
     def import_block(counts: np.ndarray, step: int) -> np.ndarray:
-        # The depth the tree gives a live block, so every state stacks.
+        # The depth the counter gives a live block, so every state stacks.
         return planes_from_counts(counts, counts.shape[-1], plane_depth(step))
 
-    def _reduce(self, records: np.ndarray) -> np.ndarray:
-        # (depth, n, words) planes; row r's block state is [:, r].
-        return bitsliced_counts(records).transpose(1, 0, 2)
+    def _counter(self, rows: int) -> CarrySaveCounter:
+        return CarrySaveCounter((rows, self.width))
+
+    def _add(self, counter: CarrySaveCounter, slab: np.ndarray) -> None:
+        counter.add(slab)
+
+    def _states(self, counter: CarrySaveCounter) -> np.ndarray:
+        # (rows, depth, words): row r's block state is [r].
+        depth = plane_depth(self.spec.step_samples)
+        return np.stack(counter.planes(depth), axis=1)
 
     def _windows(self, lags: list[list[np.ndarray]]) -> np.ndarray:
-        window = np.stack(lags[0], axis=1)
-        for lag in lags[1:]:
-            window = planes_add(window, np.stack(lag, axis=1))
-        return planes_greater_than(window, self.spec.window_samples // 2)
+        counter = CarrySaveCounter((len(lags[0]), self.width))
+        for lag in lags:
+            for digit, plane in enumerate(np.stack(lag, axis=1)):
+                counter.push(digit, plane)
+        return planes_greater_than(counter.planes(),
+                                   self.spec.window_samples // 2)

@@ -1,4 +1,5 @@
-"""Tests for the packed spatial encoder and its per-sample oracle."""
+"""Tests for the carry-save counter, the packed spatial encoder and its
+per-sample oracle."""
 
 import gc
 import tracemalloc
@@ -8,11 +9,77 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc.backend import pack_bits, random_bits, unpack_bits
+from repro.hdc.backend import pack_bits, packed_words, random_bits, unpack_bits
+from repro.hdc.bitsliced import (
+    CarrySaveCounter,
+    planes_from_counts,
+    planes_greater_than,
+    planes_to_counts,
+)
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from tests.hdc.oracle import BitslicedCounter, encode_sample_packed
+
+
+class TestCarrySaveCounter:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([1, 63, 64, 65, 130]),
+           st.integers(0, 2**32 - 1))
+    def test_lsb_first_test_is_the_integer_compare(self, depth, dim, seed):
+        # Every threshold, from negative ones to ones at or above
+        # 2**depth, on counts that use every digit.
+        counts = np.random.default_rng(seed).integers(0, 2**depth, (3, dim))
+        counts[0, 0] = 2**depth - 1
+        planes = planes_from_counts(counts, dim, depth)
+        digits = list(planes)
+        padding = dim % 64
+        for threshold in range(-2, 2**depth + 2):
+            expected = (counts > threshold).astype(np.uint8)
+            for given_planes in (planes, digits):
+                got = planes_greater_than(given_planes, threshold)
+                np.testing.assert_array_equal(
+                    unpack_bits(got, dim), expected, err_msg=f"t={threshold}"
+                )
+            if padding and threshold >= 0:
+                assert not (got[:, -1] >> np.uint64(padding)).any()
+        out = np.empty((3, planes.shape[-1]), dtype=np.uint64)
+        assert planes_greater_than(digits, 0, out=out) is out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 6)),
+                    min_size=1, max_size=6),
+           st.sampled_from([1, 64, 65, 200]), st.integers(0, 2**32 - 1))
+    def test_bulk_add_is_the_integer_sum(self, adds, dim, seed):
+        rng = np.random.default_rng(seed)
+        counter = CarrySaveCounter((2, packed_words(dim)))
+        total = np.zeros((2, dim), dtype=np.int64)
+        for size, digit in adds:
+            bits = rng.integers(0, 2, (size, 2, dim), dtype=np.uint8)
+            stack = pack_bits(bits)
+            before = stack.copy()
+            counter.add(stack, digit)
+            np.testing.assert_array_equal(stack, before)  # read, not kept
+            total += bits.sum(axis=0, dtype=np.int64) << digit
+        planes = counter.planes()
+        np.testing.assert_array_equal(planes_to_counts(planes, dim), total)
+        depth = max(int(total.max()).bit_length(), 1)
+        padded = counter.planes(depth + 2)
+        assert len(padded) == depth + 2
+        np.testing.assert_array_equal(planes_to_counts(padded, dim), total)
+
+    def test_pushes_and_triples_share_the_digits(self, rng):
+        dim = 130
+        bits = rng.integers(0, 2, (10, 4, dim), dtype=np.uint8)
+        masks = pack_bits(bits)
+        counter = CarrySaveCounter(masks.shape[1:])
+        counter.push_triple(masks[:3].copy())
+        for mask in masks[3:7]:
+            counter.push(0, mask.copy())
+        counter.add(masks[7:])
+        np.testing.assert_array_equal(
+            planes_to_counts(counter.planes(), dim), bits.sum(axis=0)
+        )
 
 
 class TestBitslicedCounter:

@@ -1,10 +1,11 @@
 """The serving tick stays grouped: perfbench's tracer counts the calls.
 
 Runs the benchmark's serve workload at a toy shape with tracing on and
-checks that every layer of the tick is reached and that the bit-sliced
-kernels run about twice per session per tick (the spatial majority)
-plus three times per block tile — not five times per session, as a
-per-session temporal step would make them.
+checks that every layer of the tick is reached and that the traced
+bit-sliced kernels run about once per session per tick (the spatial
+majority's comparator) plus once per block tile (the window
+comparator) — not several times per session, as a per-session
+temporal step would make them.
 """
 
 import dataclasses
@@ -19,8 +20,7 @@ LAYERS = ("lbp", "hdc.spatial", "hdc.bitsliced", "hdc.temporal",
 
 def test_serve_tick_reaches_every_layer_with_grouped_kernels(tmp_path):
     # 16 sessions on 2 shards: a shard's one tile then costs well under
-    # one call per session.  (At TINY_SERVE's 6 sessions, 3 per shard,
-    # the tile's 3 calls are exactly 1 per session: 3.0 per session.)
+    # one call per session.
     config = dataclasses.replace(TINY_SERVE, n_sessions=16)
     outcome = run_serve(config, 4, 0.2, True, tmp_path)
     assert outcome.correct, (outcome.failed, outcome.attempted)
