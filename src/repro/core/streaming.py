@@ -115,9 +115,10 @@ class StreamingLaelaps:
         the temporal encoder; returns the packed uint64 H vectors of the
         windows this chunk completes — filled by ``tiles.flush()`` when
         ``tiles`` (the tick's shared block step) is given.  The chunk
-        keeps its dtype (LBP codes compare samples, so upcasting would
-        only cost memory); the carried tail is float64 whatever the
-        chunk dtype.
+        and the carried tail keep their dtype (LBP codes compare
+        samples, so upcasting would only cost memory): a float32 stream
+        is joined at float32, and only :meth:`state_dict` widens the
+        tail to float64.
         """
         arr = np.asarray(chunk)
         if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:
@@ -133,13 +134,13 @@ class StreamingLaelaps:
         length = self._symbolizer.length
         if joined.shape[0] <= length:
             # A copy: ``joined`` may be a view of the caller's buffer.
-            self._raw_tail = joined.astype(np.float64)
+            self._raw_tail = joined.copy()
             codes = np.zeros((0, self.detector.n_electrodes), dtype=np.int64)
         else:
             codes = self._symbolizer.codes(joined)
             # Keep the raw samples whose codes are not yet computable,
             # and free the joined copy before the encoder's scratch peaks.
-            self._raw_tail = joined[-length:].astype(np.float64)
+            self._raw_tail = joined[-length:].copy()
             del joined
         return self._encoder.feed(codes, tiles)
 
@@ -207,7 +208,7 @@ class StreamingLaelaps:
         state machine, plus the sample/window counters.
         """
         return {
-            "raw_tail": self._raw_tail.copy(),
+            "raw_tail": self._raw_tail.astype(np.float64),
             "samples_seen": int(self._samples_seen),
             "windows_emitted": int(self._windows_emitted),
             "encoder": self._encoder.state_dict(),

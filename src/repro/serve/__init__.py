@@ -15,12 +15,13 @@ the road to fleet scale (see ``docs/serving.md``):
     with explicit :class:`Backpressure`, elastic worker add/remove with
     bit-exact session migration, and whole-fleet checkpoint/restore
     built on ``save_sessions``/``load_sessions`` shard files plus a
-    manifest.  Every tick is timed into :class:`TickStats`.
+    manifest.  Every tick counts into :class:`TickStats`, monotonic
+    counters that ``/metrics`` reads and nothing resets.
 ``repro.serve.loadgen``
     The load harness: :class:`LoadGenerator` opens many clocked-source
-    sessions against a gateway and measures p50/p99/p99.9 tick latency,
-    sustained throughput, backpressure onset and worker-loss recovery;
-    ``repro loadtest`` runs it.
+    sessions against a gateway, times every tick itself and measures
+    p50/p99/p99.9 tick latency, sustained throughput, backpressure
+    onset and worker-loss recovery; ``repro loadtest`` runs it.
 ``repro.serve.service``
     The network front end: one asyncio TCP server speaking a
     length-prefixed JSON data plane (open/push/close/checkpoint) and a
@@ -47,7 +48,6 @@ from repro.serve.loadgen import (
 from repro.serve.metrics import (
     JsonLogFormatter,
     gateway_metrics,
-    latency_histogram,
     service_logger,
 )
 from repro.serve.service import (
@@ -92,6 +92,5 @@ __all__ = [
     "http_get",
     "JsonLogFormatter",
     "gateway_metrics",
-    "latency_histogram",
     "service_logger",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 import types
+from bisect import bisect_left
 from collections import deque
 from pathlib import Path
 from typing import Mapping
@@ -48,6 +49,7 @@ from repro.core.persistence import (
 from repro.core.sessions import run_lockstep, validate_chunk
 from repro.core.streaming import StreamEvent
 from repro.serve.hashing import HashRing
+from repro.serve.metrics import LATENCY_BUCKET_BOUNDS_S
 from repro.serve.worker import (
     DEFAULT_POLL_TIMEOUT_S,
     InlineShardWorker,
@@ -71,47 +73,38 @@ class Backpressure(RuntimeError):
 
 
 class TickStats:
-    """Bounded per-tick timing log of one gateway (the perf hook).
+    """Monotonic tick counters of one gateway (the ``/metrics`` source).
 
     Every completed tick (:meth:`ShardedStreamGateway.push_many` round,
     including each round of a :meth:`ShardedStreamGateway.drain`)
-    records its wall latency, session count and returned-window count
-    here.  The latency log is a bounded deque so a long-lived gateway
-    never grows it without limit; the counters are cumulative.  The
-    load harness (:mod:`repro.serve.loadgen`) reads this instead of
-    timing around the gateway, so what it reports is exactly what the
-    gateway itself observed.
+    adds its session count, returned-window count and wall latency
+    here.  Nothing is kept per tick and nothing is ever reset: the
+    latency histogram is one count per
+    :data:`~repro.serve.metrics.LATENCY_BUCKET_BOUNDS_S` bucket plus
+    the latency sum, so a scrape costs the same after a day of ticks
+    as after one, and every counter only counts up from gateway start.
     """
 
-    def __init__(self, maxlen: int = 65536) -> None:
-        if maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1, got {maxlen}")
-        self.maxlen = maxlen
-        self._latencies: deque[float] = deque(maxlen=maxlen)
+    def __init__(self) -> None:
         self.ticks = 0
         self.windows = 0
         self.sessions_ticked = 0
+        #: ``bucket_counts[i]``: ticks with ``bounds[i - 1] < latency <=
+        #: bounds[i]``; ticks above the last bound count only in ``ticks``.
+        self.bucket_counts = [0] * len(LATENCY_BUCKET_BOUNDS_S)
+        self.latency_sum_s = 0.0
 
     def record(
         self, latency_s: float, n_sessions: int, n_windows: int
     ) -> None:
-        """Log one completed tick."""
-        self._latencies.append(latency_s)
+        """Count one completed tick."""
         self.ticks += 1
         self.windows += n_windows
         self.sessions_ticked += n_sessions
-
-    @property
-    def latencies_s(self) -> list[float]:
-        """Wall latencies of the most recent ticks (oldest first)."""
-        return list(self._latencies)
-
-    def reset(self) -> None:
-        """Clear the log and counters (e.g. after a warm-up phase)."""
-        self._latencies.clear()
-        self.ticks = 0
-        self.windows = 0
-        self.sessions_ticked = 0
+        self.latency_sum_s += latency_s
+        bucket = bisect_left(LATENCY_BUCKET_BOUNDS_S, latency_s)
+        if bucket < len(self.bucket_counts):
+            self.bucket_counts[bucket] += 1
 
 
 class ShardedStreamGateway:
@@ -165,7 +158,7 @@ class ShardedStreamGateway:
         self._electrodes: dict[str, int] = {}
         self._dim: int | None = None
         self._next_worker = 0
-        #: Per-tick timing log (see :class:`TickStats`); reset freely.
+        #: Monotonic tick counters (see :class:`TickStats`).
         self.tick_stats = TickStats()
         for _ in range(n_workers):
             self.add_worker()

@@ -7,9 +7,9 @@ with stochastic seizure injection — traffic is non-stationary, like
 production), and measures the numbers every speed/scale claim about the
 serving stack should run through:
 
-* **tick latency** — p50/p99/p99.9 over the gateway's own
-  :class:`~repro.serve.gateway.TickStats` log (what the gateway
-  observed, not what the driver timed around it);
+* **tick latency** — p50/p99/p99.9 of every measured tick, timed by
+  the harness with ``time.perf_counter()`` around the transport's
+  ``push_many``;
 * **sustained throughput** — windows classified per wall second across
   the whole fleet;
 * **backpressure onset** — the offered load (queued chunks per drain
@@ -25,10 +25,13 @@ per 0.5 s wall — the live deployment shape).
 
 ``transport="socket"`` drives the same steady-state phase through the
 network front end (:mod:`repro.serve.service`) instead of calling the
-gateway in-process: chunks are serialised over a real TCP connection
-and latencies are read back via the service's ``stats`` op, so the
-measured numbers include the wire.  The backpressure and elasticity
+gateway in-process: chunks are serialised over a real TCP connection,
+so the same clock that times the gateway call in direct mode times
+serialisation and the wire too.  The backpressure and elasticity
 probes need direct gateway access and are skipped in socket mode.
+The harness never resets or reads the gateway's
+:class:`~repro.serve.gateway.TickStats`: a load test against a live
+gateway only adds to its monotonic ``/metrics`` counters.
 
 Results convert to the versioned benchmark-record schema
 (:mod:`repro.evaluation.benchrec`) via :meth:`LoadReport.record`, which
@@ -210,8 +213,8 @@ class LoadReport:
     """Everything one load-test run measured.
 
     ``metrics`` is the flat dict that enters the benchmark record; the
-    raw latency log rides along for callers that want more than the
-    summary percentiles.
+    measured ticks' latencies ride along for callers that want more
+    than the summary percentiles.
     """
 
     config: LoadConfig
@@ -279,15 +282,6 @@ class _DirectTransport:
     def push_many(self, chunks):
         return self.gateway.push_many(chunks)
 
-    def stats_reset(self) -> None:
-        self.gateway.tick_stats.reset()
-
-    def latencies_s(self) -> list[float]:
-        return self.gateway.tick_stats.latencies_s
-
-    def windows(self) -> int:
-        return self.gateway.tick_stats.windows
-
     def close(self) -> None:
         self.gateway.shutdown()
 
@@ -297,9 +291,7 @@ class _SocketTransport:
 
     Owns a :class:`~repro.serve.service.ServiceRunner` (which in turn
     owns the gateway) and one :class:`~repro.serve.service.ServiceClient`
-    connection; tick latencies are read back through the service's
-    ``stats`` op, so the gateway-side numbers arrive over the same wire
-    the chunks travelled.
+    connection; a tick's latency is its client round trip.
     """
 
     def __init__(self, gateway: ShardedStreamGateway) -> None:
@@ -321,15 +313,6 @@ class _SocketTransport:
 
     def push_many(self, chunks):
         return self.client.push_many(chunks)
-
-    def stats_reset(self) -> None:
-        self.client.stats_reset()
-
-    def latencies_s(self) -> list[float]:
-        return self.client.stats()["latencies_s"]
-
-    def windows(self) -> int:
-        return self.client.stats()["windows"]
 
     def close(self) -> None:
         self.client.close()
@@ -434,15 +417,24 @@ class LoadGenerator:
     # Phases
     # ------------------------------------------------------------------
 
-    def _tick(self, transport, sources, counts=None) -> None:
+    def _tick(self, transport, sources, counts=None) -> float:
+        """Push one chunk per session; return the tick's latency (s).
+
+        The clock brackets ``transport.push_many`` alone, so chunk
+        synthesis is never timed and the socket transport's latency
+        includes serialisation and the wire.
+        """
         chunks = {
             session_id: source.next_chunk(self.config.chunk_samples)
             for session_id, source in sources.items()
         }
+        started = time.perf_counter()
         events = transport.push_many(chunks)
+        latency_s = time.perf_counter() - started
         if counts is not None:
             for session_id, session_events in events.items():
                 counts[session_id] += len(session_events)
+        return latency_s
 
     def _steady_state(self, transport, sources, say):
         config = self.config
@@ -460,8 +452,8 @@ class LoadGenerator:
         say(f"warmup: {config.warmup_ticks} ticks")
         for _ in range(config.warmup_ticks):
             self._tick(transport, sources)
-        transport.stats_reset()
         counts = {session_id: 0 for session_id in sources}
+        latencies = []
         interval = config.tick_s / config.rate if config.rate > 0 else 0.0
         say(f"measuring {config.n_ticks} ticks"
             + (f" at {config.rate:g}x real time" if interval else
@@ -469,18 +461,17 @@ class LoadGenerator:
         started = time.perf_counter()
         for _ in range(config.n_ticks):
             tick_started = time.perf_counter()
-            self._tick(transport, sources, counts)
+            latencies.append(self._tick(transport, sources, counts))
             if interval:
                 remaining = interval - (time.perf_counter() - tick_started)
                 if remaining > 0:
                     time.sleep(remaining)
         measured_s = time.perf_counter() - started
-        latencies = transport.latencies_s()
         metrics = latency_summary_ms(latencies)
         metrics["sessions"] = float(config.n_sessions)
         metrics["ticks"] = float(config.n_ticks)
         metrics["throughput_windows_per_s"] = (
-            transport.windows() / measured_s
+            sum(counts.values()) / measured_s
         )
         metrics["ticks_per_s"] = config.n_ticks / measured_s
         metrics["dropped_sessions"] = float(
@@ -571,12 +562,11 @@ class LoadGenerator:
         """
         threshold = max(2.0 * baseline_p50_s, baseline_p50_s + 0.002)
         recent: list[float] = []
-        gateway.tick_stats.reset()
         for tick in range(1, max_ticks + 1):
-            self._tick(gateway, sources)
-            recent = gateway.tick_stats.latencies_s[-window:]
-            if len(recent) >= window:
-                if nearest_rank_percentile(recent, 50.0) <= threshold:
+            recent.append(self._tick(gateway, sources))
+            last = recent[-window:]
+            if len(last) == window:
+                if nearest_rank_percentile(last, 50.0) <= threshold:
                     return tick
         return max_ticks
 

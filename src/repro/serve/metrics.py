@@ -5,24 +5,25 @@ Two exports, both file-free and side-effect-free so every transport
 
 * :func:`gateway_metrics` — one point-in-time snapshot of a
   :class:`~repro.serve.gateway.ShardedStreamGateway`: per-shard session
-  counts, per-session submit-queue depths, cumulative tick/window
-  counters and a cumulative-bucket latency histogram built from the
-  gateway's own :class:`~repro.serve.gateway.TickStats` log (the same
-  log the load harness reads, so ``/metrics`` and ``repro loadtest``
-  numbers can never disagree about what a tick latency is);
+  counts, per-session submit-queue depths, and the tick/window counters
+  and cumulative-bucket latency histogram of the gateway's
+  :class:`~repro.serve.gateway.TickStats`.  Every counter and bucket
+  counts up from gateway start and is never reset, so a scraper can
+  take rates from it the Prometheus way;
 * :class:`JsonLogFormatter` — structured one-JSON-object-per-line
   logging for the service process, machine-parseable the way the
   benchrec records are.
 
 Everything here is read-only over the gateway: a metrics scrape never
 advances a stream, takes a lock the tick path needs, or mutates
-counters (``TickStats.reset`` stays the caller's decision).
+counters.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from itertools import accumulate
 
 #: Histogram bucket upper bounds (seconds) for tick latencies, chosen
 #: to bracket the measured trajectory (p50 ~200 ms on the 1-core
@@ -43,39 +44,6 @@ _STANDARD_LOG_ATTRS = frozenset({
 })
 
 
-def latency_histogram(
-    latencies_s,
-    bounds_s: tuple = LATENCY_BUCKET_BOUNDS_S,
-) -> dict:
-    """Cumulative-bucket histogram of a latency log, Prometheus-style.
-
-    Args:
-        latencies_s: Iterable of tick latencies in seconds (the
-            ``TickStats.latencies_s`` log; may be empty).
-        bounds_s: Ascending bucket upper bounds in seconds.
-
-    Returns:
-        ``{"bounds_s": [...], "counts": [...], "count": n, "sum_s": s}``
-        where ``counts[i]`` is the number of samples ``<= bounds_s[i]``
-        (cumulative, so the series is monotonic) and samples above the
-        last bound appear only in ``count``.
-    """
-    ordered = sorted(bounds_s)
-    if tuple(ordered) != tuple(bounds_s):
-        raise ValueError(f"bucket bounds must ascend, got {bounds_s}")
-    samples = list(latencies_s)
-    counts = [
-        sum(1 for sample in samples if sample <= bound)
-        for bound in ordered
-    ]
-    return {
-        "bounds_s": list(ordered),
-        "counts": counts,
-        "count": len(samples),
-        "sum_s": float(sum(samples)),
-    }
-
-
 def gateway_metrics(gateway) -> dict:
     """One JSON-serialisable snapshot of a gateway's observable state.
 
@@ -83,7 +51,11 @@ def gateway_metrics(gateway) -> dict:
     :meth:`~repro.serve.gateway.ShardedStreamGateway.shard_map`,
     submit-queue depths from
     :meth:`~repro.serve.gateway.ShardedStreamGateway.pending`, and the
-    tick counters/latency histogram from the gateway's ``tick_stats``.
+    tick counters and latency histogram from the gateway's
+    ``tick_stats``.  The histogram is Prometheus-style: ``counts[i]``
+    is the number of ticks ``<= bounds_s[i]`` (cumulative), ticks above
+    the last bound appear only in ``count``, and ``count`` is
+    ``ticks_total``.
     """
     shard_map = gateway.shard_map()
     queue_depths = {
@@ -104,7 +76,12 @@ def gateway_metrics(gateway) -> dict:
         "ticks_total": stats.ticks,
         "windows_total": stats.windows,
         "sessions_ticked_total": stats.sessions_ticked,
-        "tick_latency": latency_histogram(stats.latencies_s),
+        "tick_latency": {
+            "bounds_s": list(LATENCY_BUCKET_BOUNDS_S),
+            "counts": list(accumulate(stats.bucket_counts)),
+            "count": stats.ticks,
+            "sum_s": stats.latency_sum_s,
+        },
     }
 
 

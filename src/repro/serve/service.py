@@ -9,10 +9,9 @@ connection:
 * **data plane** — length-prefixed JSON frames (4-byte big-endian
   length, then a UTF-8 JSON object) carrying the session vocabulary:
   ``open`` / ``push`` / ``push_many`` / ``submit`` / ``drain`` /
-  ``close`` / ``checkpoint`` plus ``ping``, ``healthz``, ``metrics``
-  and the load-harness hooks ``stats`` / ``stats_reset``.  Numpy
-  arrays (chunks, model prototypes) travel as tagged base64 objects,
-  bit-exactly;
+  ``close`` / ``checkpoint`` plus ``ping``, ``healthz`` and
+  ``metrics``.  Numpy arrays (chunks, model prototypes) travel as
+  tagged base64 objects, bit-exactly;
 * **ops plane** — plain ``HTTP/1.1``: ``GET /healthz`` answers 200
   with per-worker liveness (via the shard ``ping`` command) or 503
   when any worker is dead/hung, and ``GET /metrics`` serves the
@@ -75,7 +74,7 @@ _HTTP_REASONS = types.MappingProxyType(
 
 #: Data-plane ops that stay answerable while the service drains
 #: (read-only probes; everything stateful is refused once draining).
-_DRAINING_SAFE_OPS = frozenset({"ping", "healthz", "metrics", "stats"})
+_DRAINING_SAFE_OPS = frozenset({"ping", "healthz", "metrics"})
 
 
 class ServiceError(RuntimeError):
@@ -452,19 +451,6 @@ class LaelapsService:
     def _op_metrics(self, request: dict):
         return gateway_metrics(self._gateway)
 
-    def _op_stats(self, request: dict):
-        stats = self._gateway.tick_stats
-        return {
-            "ticks": stats.ticks,
-            "windows": stats.windows,
-            "sessions_ticked": stats.sessions_ticked,
-            "latencies_s": stats.latencies_s,
-        }
-
-    def _op_stats_reset(self, request: dict):
-        self._gateway.tick_stats.reset()
-        return None
-
     # -- HTTP ops plane ------------------------------------------------
 
     def _healthz_payload(self) -> dict:
@@ -713,12 +699,6 @@ class ServiceClient:
 
     def metrics(self) -> dict:
         return self.call("metrics")
-
-    def stats(self) -> dict:
-        return self.call("stats")
-
-    def stats_reset(self) -> None:
-        self.call("stats_reset")
 
     def close(self) -> None:
         self._sock.close()

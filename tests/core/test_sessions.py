@@ -1,5 +1,7 @@
 """Tests for repro.core.sessions (multi-patient stream serving)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,57 @@ class TestBatchedParity:
             raw_tail = manager.session(ids[0]).state_dict()["raw_tail"]
             assert raw_tail.dtype == np.float64
         assert events[np.float32] == events[np.float64]
+
+    def test_tail_keeps_chunk_dtype_across_switches_and_restore(
+        self, fleet, tmp_path
+    ):
+        # The same float32-exact samples, fed all as float64 or switching
+        # dtype every chunk, through a mid-stream checkpoint/restore.
+        detectors, signals = fleet
+        ids = list(detectors)[:3]
+        samples = {sid: signals[sid].astype(np.float32) for sid in ids}
+        n_samples = min(len(x) for x in samples.values())
+        cut = 256 * 6 + 55  # checkpointed while the tail is float32
+
+        def feed(manager, start, stop, switched, events, widest):
+            for k, begin in enumerate(range(start, stop, 300)):
+                dtype = (
+                    np.float32 if switched and (k < 6 or k % 2)
+                    else np.float64
+                )
+                widest = np.result_type(widest, dtype)
+                ticked = manager.push_many({
+                    sid: samples[sid][begin:min(begin + 300, stop)]
+                    .astype(dtype)
+                    for sid in ids
+                })
+                for sid in ids:
+                    events[sid].extend(ticked[sid])
+                    # The carried tail is as wide as the widest chunk
+                    # it has seen, never wider.
+                    tail = manager.session(sid)._raw_tail
+                    assert tail.dtype == widest
+
+        def npz_members(path):
+            with zipfile.ZipFile(path) as archive:
+                return {name: archive.read(name)
+                        for name in archive.namelist()}
+
+        runs = {}
+        for switched in (False, True):
+            events = {sid: [] for sid in ids}
+            manager = StreamSessionManager()
+            for sid in ids:
+                manager.open(sid, detectors[sid])
+            feed(manager, 0, cut, switched, events, np.float16)
+            path = save_sessions(manager, tmp_path / f"{switched}.npz")
+            # A restored tail is float64, as checkpoints store it.
+            feed(load_sessions(path), cut, n_samples, switched, events,
+                 np.float64)
+            runs[switched] = (events, npz_members(path))
+        assert runs[True][0] == runs[False][0]
+        assert runs[True][1] == runs[False][1]
+        assert any(runs[True][0][sid] for sid in ids)
 
     def test_validate_chunk_keeps_floats_and_upcasts_the_rest(self):
         chunk = np.zeros((4, 2), dtype=np.float32)

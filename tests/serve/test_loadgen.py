@@ -4,15 +4,17 @@ import pytest
 
 from repro.evaluation.benchrec import read_record, write_record
 from repro.hdc.engine import resolve_engine_name
-from repro.serve.gateway import TickStats
 from repro.serve.loadgen import (
     LoadConfig,
     LoadGenerator,
+    _SocketTransport,
+    _train_templates,
     latency_summary_ms,
     min_samples_for_percentile,
     nearest_rank_percentile,
     run_load_test,
 )
+from repro.serve.metrics import gateway_metrics
 
 
 class TestNearestRankPercentile:
@@ -137,43 +139,24 @@ class TestNativeThreadPlumbing:
         assert pinned == []
 
 
-class TestTickStats:
-    def test_counters_and_log(self):
-        stats = TickStats()
-        stats.record(0.002, 4, 8)
-        stats.record(0.003, 4, 8)
-        assert stats.ticks == 2
-        assert stats.windows == 16
-        assert stats.sessions_ticked == 8
-        assert stats.latencies_s == [0.002, 0.003]
+SMOKE_CONFIG = LoadConfig(
+    n_sessions=6, n_electrodes=6, dim=256, n_ticks=8,
+    warmup_ticks=2, n_workers=2, mode="inline", seed=3,
+    n_templates=2,
+)
 
-    def test_reset_clears_everything(self):
-        stats = TickStats()
-        stats.record(0.002, 1, 1)
-        stats.reset()
-        assert stats.ticks == 0
-        assert stats.windows == 0
-        assert stats.latencies_s == []
 
-    def test_latency_log_is_bounded(self):
-        stats = TickStats(maxlen=4)
-        for i in range(10):
-            stats.record(float(i), 1, 1)
-        assert stats.ticks == 10  # counters keep the full history
-        assert stats.latencies_s == [6.0, 7.0, 8.0, 9.0]
+@pytest.fixture(scope="module")
+def direct_report():
+    return run_load_test(SMOKE_CONFIG)
 
 
 class TestSmokeRun:
     """One tiny end-to-end run against an inline gateway."""
 
     @pytest.fixture(scope="class")
-    def report(self):
-        config = LoadConfig(
-            n_sessions=6, n_electrodes=6, dim=256, n_ticks=8,
-            warmup_ticks=2, n_workers=2, mode="inline", seed=3,
-            n_templates=2,
-        )
-        return run_load_test(config)
+    def report(self, direct_report):
+        return direct_report
 
     def test_no_dropped_sessions(self, report):
         assert report.dropped_sessions == 0
@@ -217,6 +200,54 @@ class TestSmokeRun:
         assert loaded.metrics == report.metrics
 
 
+class _MetricsWatchingGenerator(LoadGenerator):
+    """A load generator that scrapes its gateway's ``/metrics`` before
+    every call the harness makes into it, and once more before
+    shutdown."""
+
+    def _build_gateway(self, templates):
+        gateway = super()._build_gateway(templates)
+        self.snapshots = []
+        for name in ("push_many", "drain", "remove_worker", "add_worker",
+                     "shutdown"):
+            setattr(gateway, name, self._watched(gateway, name))
+        return gateway
+
+    def _watched(self, gateway, name):
+        method = getattr(gateway, name)
+
+        def call(*args, **kwargs):
+            self.snapshots.append(gateway_metrics(gateway))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def _monotonic_counters(metrics: dict) -> list:
+    hist = metrics["tick_latency"]
+    return [
+        metrics["ticks_total"],
+        metrics["windows_total"],
+        metrics["sessions_ticked_total"],
+        hist["count"],
+        hist["sum_s"],
+        *hist["counts"],
+    ]
+
+
+class TestMetricsOnlyCountUp:
+    def test_load_test_never_moves_metrics_backwards(self):
+        generator = _MetricsWatchingGenerator(SMOKE_CONFIG)
+        report = generator.run()
+        assert "worker_cycle_recovery_s" in report.metrics
+        series = [_monotonic_counters(m) for m in generator.snapshots]
+        for earlier, later in zip(series, series[1:]):
+            assert all(b >= a for a, b in zip(earlier, later))
+        first, last = generator.snapshots[0], generator.snapshots[-1]
+        assert last["ticks_total"] > first["ticks_total"]
+        assert last["tick_latency"]["count"] == last["ticks_total"]
+
+
 @pytest.mark.service
 class TestSocketTransportRun:
     """The same steady-state phase, driven through the network service."""
@@ -234,10 +265,50 @@ class TestSocketTransportRun:
         assert report.dropped_sessions == 0
         assert len(report.events_per_session) == 4
 
-    def test_latencies_come_from_the_gateway_stats_op(self, report):
+    def test_latencies_are_timed_by_the_client(self, report):
         assert len(report.latencies_s) == report.config.n_ticks
         assert all(latency > 0 for latency in report.latencies_s)
         assert report.metrics["throughput_windows_per_s"] > 0
+
+    def test_steady_state_metric_names_match_direct_mode(
+        self, report, direct_report
+    ):
+        probes = {
+            "backpressure_onset_chunks", "max_pending",
+            "rebalance_remove_s", "rebalance_add_s",
+            "migrated_on_remove", "migrated_on_add",
+            "recovery_ticks_after_remove", "recovery_ticks_after_add",
+            "worker_cycle_recovery_s",
+        }
+        assert probes <= set(direct_report.metrics)
+        assert set(report.metrics) == set(direct_report.metrics) - probes
+
+    def test_client_latencies_include_the_gateway_time(self):
+        # Ticks driven exactly as the socket transport drives them: the
+        # client-side clock brackets the gateway's own tick timing, so
+        # its sum can only exceed what /metrics adds up.
+        generator = LoadGenerator(LoadConfig(
+            n_sessions=3, n_electrodes=6, dim=256, n_workers=2,
+            seed=5, n_templates=1, transport="socket",
+        ))
+        gateway = generator._build_gateway(
+            _train_templates(generator.config)
+        )
+        sources = generator._build_sources()
+        transport = _SocketTransport(gateway)
+        try:
+            before = transport.client.metrics()
+            latencies = [
+                generator._tick(transport, sources) for _ in range(12)
+            ]
+            after = transport.client.metrics()
+        finally:
+            transport.close()
+        assert after["ticks_total"] - before["ticks_total"] == 12
+        gateway_s = (
+            after["tick_latency"]["sum_s"] - before["tick_latency"]["sum_s"]
+        )
+        assert 0 < gateway_s <= sum(latencies)
 
     def test_direct_only_probes_are_skipped(self, report):
         assert "backpressure_onset_chunks" not in report.metrics

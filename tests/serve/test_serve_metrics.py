@@ -6,44 +6,121 @@ import logging
 
 import pytest
 
-from repro.serve import ShardedStreamGateway
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serve import ShardedStreamGateway, TickStats
 from repro.serve.metrics import (
     LATENCY_BUCKET_BOUNDS_S,
     JsonLogFormatter,
     gateway_metrics,
-    latency_histogram,
     service_logger,
 )
 from tests.serve.conftest import build_fleet
 
 
+def oracle_histogram(latencies_s) -> dict:
+    """Brute-force cumulative histogram of a latency sequence.
+
+    The reference the gateway's running counters must match:
+    ``counts[i]`` is the number of samples ``<= bounds_s[i]`` and
+    samples above the last bound appear only in ``count``.
+    """
+    samples = list(latencies_s)
+    return {
+        "bounds_s": list(LATENCY_BUCKET_BOUNDS_S),
+        "counts": [
+            sum(1 for sample in samples if sample <= bound)
+            for bound in LATENCY_BUCKET_BOUNDS_S
+        ],
+        "count": len(samples),
+        "sum_s": float(sum(samples)),
+    }
+
+
+def recorded_histogram(latencies_s) -> dict:
+    """The ``/metrics`` histogram of a gateway that ticked at these
+    latencies (recorded straight into its :class:`TickStats`)."""
+    with ShardedStreamGateway(1, mode="inline") as gateway:
+        for latency_s in latencies_s:
+            gateway.tick_stats.record(latency_s, 1, 1)
+        metrics = gateway_metrics(gateway)
+    assert metrics["tick_latency"]["count"] == metrics["ticks_total"]
+    return metrics["tick_latency"]
+
+
+def assert_matches_oracle(latencies_s) -> None:
+    hist = recorded_histogram(latencies_s)
+    expected = oracle_histogram(latencies_s)
+    assert hist["bounds_s"] == expected["bounds_s"]
+    assert hist["counts"] == expected["counts"]
+    assert hist["count"] == expected["count"]
+    assert hist["sum_s"] == pytest.approx(expected["sum_s"], abs=1e-12)
+
+
+_LATENCIES = st.one_of(
+    st.sampled_from((0.0,) + LATENCY_BUCKET_BOUNDS_S),
+    st.floats(0.0, 2 * LATENCY_BUCKET_BOUNDS_S[-1]),
+)
+
+
 class TestLatencyHistogram:
     def test_cumulative_le_semantics(self):
-        hist = latency_histogram(
-            [0.5, 1.5, 2.5, 10.0], bounds_s=(1.0, 2.0, 3.0)
-        )
-        assert hist["bounds_s"] == [1.0, 2.0, 3.0]
-        assert hist["counts"] == [1, 2, 3]  # cumulative, 10.0 overflows
+        hist = recorded_histogram([0.0005, 0.002, 0.004, 10.0])
+        assert hist["bounds_s"] == list(LATENCY_BUCKET_BOUNDS_S)
+        # cumulative, and 10.0 overflows every bound
+        assert hist["counts"][:4] == [1, 2, 3, 3]
+        assert hist["counts"][-1] == 3
         assert hist["count"] == 4
-        assert hist["sum_s"] == pytest.approx(14.5)
+        assert hist["sum_s"] == pytest.approx(10.0065)
 
     def test_boundary_sample_lands_in_its_bucket(self):
-        hist = latency_histogram([1.0], bounds_s=(1.0, 2.0))
-        assert hist["counts"] == [1, 1]
+        hist = recorded_histogram([LATENCY_BUCKET_BOUNDS_S[0]])
+        assert hist["counts"] == [1] * len(LATENCY_BUCKET_BOUNDS_S)
+        assert_matches_oracle(LATENCY_BUCKET_BOUNDS_S)
 
     def test_empty_log(self):
-        hist = latency_histogram([])
+        hist = recorded_histogram([])
         assert hist["counts"] == [0] * len(LATENCY_BUCKET_BOUNDS_S)
         assert hist["count"] == 0
         assert hist["sum_s"] == 0.0
 
     def test_counts_are_monotonic_on_default_bounds(self):
-        hist = latency_histogram([0.0003 * i for i in range(200)])
+        hist = recorded_histogram([0.0003 * i for i in range(200)])
         assert hist["counts"] == sorted(hist["counts"])
 
-    def test_rejects_unordered_bounds(self):
-        with pytest.raises(ValueError, match="ascend"):
-            latency_histogram([0.1], bounds_s=(2.0, 1.0))
+    def test_bounds_ascend(self):
+        assert list(LATENCY_BUCKET_BOUNDS_S) == sorted(
+            set(LATENCY_BUCKET_BOUNDS_S)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_LATENCIES, max_size=40))
+    def test_counters_match_the_brute_force_oracle(self, latencies_s):
+        assert_matches_oracle(latencies_s)
+
+    def test_count_is_ticks_total_after_70000_ticks(self):
+        # Past 65,536 ticks (about 9 h of 0.5 s ticks) the histogram
+        # keeps counting with the tick counter.
+        with ShardedStreamGateway(1, mode="inline") as gateway:
+            for _ in range(70_000):
+                gateway.tick_stats.record(0.0002, 1, 1)
+            metrics = gateway_metrics(gateway)
+        hist = metrics["tick_latency"]
+        assert hist["count"] == metrics["ticks_total"] == 70_000
+        assert hist["counts"][0] == 70_000
+
+
+class TestTickStats:
+    def test_counters(self):
+        stats = TickStats()
+        stats.record(0.002, 4, 8)
+        stats.record(0.003, 4, 8)
+        assert stats.ticks == 2
+        assert stats.windows == 16
+        assert stats.sessions_ticked == 8
+        assert stats.latency_sum_s == pytest.approx(0.005)
+        assert sum(stats.bucket_counts) == 2
 
 
 class TestGatewayMetrics:
