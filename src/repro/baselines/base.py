@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.detector import WindowPredictions
-from repro.core.postprocess import alarm_flags, flags_to_onsets
+from repro.core.detector import (
+    DetectionResult,
+    WindowPredictions,
+    detection_result,
+)
 from repro.core.training import TrainingSegments, segment_slice
 
 
@@ -160,15 +163,6 @@ class WindowedDetector:
             times=times,
         )
 
-    def detect(self, signal: np.ndarray):
+    def detect(self, signal: np.ndarray) -> DetectionResult:
         """Alarms under the shared postprocessor (t_r = 0 by default)."""
-        from repro.core.detector import DetectionResult
-
-        preds = self.predict(signal)
-        flags = alarm_flags(preds.labels, preds.deltas, 10, 10, self.tr)
-        onsets = flags_to_onsets(flags)
-        return DetectionResult(
-            alarm_times=preds.times[onsets] if len(preds) else np.zeros(0),
-            flags=flags,
-            predictions=preds,
-        )
+        return detection_result(self.predict(signal), 10, 10, self.tr)

@@ -11,6 +11,7 @@ arbitrarily long recordings at the 0.5 s label rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.postprocess import (
     PostprocessConfig,
     Postprocessor,
+    alarm_flags,
     delta_scores,
     flags_to_onsets,
     tune_tr,
@@ -29,7 +31,7 @@ from repro.core.training import (
     window_decision_times,
     windows_in_segments,
 )
-from repro.hdc.associative import AssociativeMemory
+from repro.hdc.associative import AssociativeMemory, grouped_classify_packed
 from repro.hdc.backend import hamming_distance
 from repro.hdc.engine import build_engine
 from repro.hdc.item_memory import ItemMemory
@@ -70,6 +72,52 @@ class DetectionResult:
     alarm_times: np.ndarray
     flags: np.ndarray
     predictions: WindowPredictions
+
+
+def detection_result(
+    preds: WindowPredictions, postprocess_len: int, tc: int, tr: float
+) -> DetectionResult:
+    """Alarms of a recording's predictions under the t_c / t_r vote.
+
+    The one ``detect`` body of Laelaps and the baselines: flags from
+    the shared postprocessor, alarms at their rising edges.
+    """
+    flags = alarm_flags(preds.labels, preds.deltas, postprocess_len, tc, tr)
+    return DetectionResult(
+        alarm_times=preds.times[flags_to_onsets(flags)],
+        flags=flags,
+        predictions=preds,
+    )
+
+
+def classify_grouped(
+    detectors: Sequence["LaelapsDetector"], queries: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one classify stage: a nearest-prototype sweep over H batches.
+
+    ``queries[i]`` (checked packed ``(n_i, words)`` uint64 H vectors)
+    is scored against ``detectors[i]``'s prototypes, all rows in one
+    XOR + popcount sweep: a serving tick passes many sessions, every
+    other caller (``predict``'s chunks, :meth:`LaelapsDetector.
+    predict_from_windows`, the fit report) passes one detector.  When
+    every detector shares an engine its ``grouped_kernel`` runs (the
+    packed-native nogil sweep, typically); a mix runs the numpy one.
+    All are bit-exact, so this only picks a speed.
+
+    Returns:
+        ``(labels, distances)``: int64 ``(sum n_i,)`` and int64
+        ``(sum n_i, 2)`` arrays, rows in ``queries`` order.
+    """
+    kernels = {d.engine.grouped_kernel for d in detectors}
+    sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
+    blocks = [d.memory.packed_block() for d in detectors]
+    sizes = [q.shape[0] for q in queries]
+    return sweep(
+        np.concatenate(queries),
+        np.stack([block for block, _ in blocks]),
+        np.repeat(np.arange(len(blocks), dtype=np.intp), sizes),
+        np.stack([table for _, table in blocks]),
+    )
 
 
 class LaelapsDetector:
@@ -192,7 +240,7 @@ class LaelapsDetector:
             raise ValueError("both classes need at least one H vector")
         self.engine.train(self.memory, INTERICTAL, inter_arr)
         self.engine.train(self.memory, ICTAL, ictal_arr)
-        _, distances = self.engine.classify_windows(self.memory, ictal_arr)
+        _, distances = classify_grouped([self], [ictal_arr])
         self.fit_report = FitReport(
             n_ictal_windows=ictal_arr.shape[0],
             n_interictal_windows=inter_arr.shape[0],
@@ -267,47 +315,30 @@ class LaelapsDetector:
             return self.predict_from_windows(self.encode(arr))
         return predict_chunked(self, arr, DEFAULT_CHUNK_SAMPLES)
 
-    def classify_from_windows(
-        self, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Classify encoded H vectors without assigning decision times.
-
-        The times-free core of :meth:`predict_from_windows`: streaming
-        callers classify mid-stream chunks whose wall-clock position is
-        owned by the stream, so recomputing ``window_times`` from window
-        zero would be wrong for every chunk but the first.
-
-        Returns:
-            ``(labels, distances, deltas)`` — int64 ``(n,)``, int64
-            ``(n, 2)`` and float64 ``(n,)`` arrays.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("detector must be fitted before predicting")
-        h_arr = self.engine.windows(h)
-        if h_arr.shape[0] == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, 2), dtype=np.int64),
-                np.zeros(0),
-            )
-        labels, distances = self.engine.classify_windows(self.memory, h_arr)
-        return labels, distances, delta_scores(distances)
-
     def predict_from_windows(self, h: np.ndarray) -> WindowPredictions:
         """Classify already-encoded H vectors in one batched sweep.
 
         Takes packed uint64 ``(n, words)`` windows from any engine's
-        :meth:`encode`; the whole batch is scored against both
-        prototypes in a single vectorized Hamming query, never one
-        window at a time.  Decision times are those of a
-        recording starting at window zero — mid-stream chunks must use
-        :meth:`classify_from_windows` and their own clock.
+        :meth:`encode`, checks them once (:meth:`engine.windows
+        <repro.hdc.engine._EngineBase.windows>`) and scores the whole
+        batch through :func:`classify_grouped`, never one window at a
+        time.  Decision times are those of a recording starting at
+        window zero.
         """
-        labels, distances, deltas = self.classify_from_windows(h)
+        if not self.is_fitted:
+            raise RuntimeError("detector must be fitted before predicting")
+        h_arr = self.engine.windows(h)
+        return self.window_predictions(*classify_grouped([self], [h_arr]))
+
+    def window_predictions(
+        self, labels: np.ndarray, distances: np.ndarray
+    ) -> WindowPredictions:
+        """A recording's classifier output, with its deltas and its
+        decision times from window zero."""
         return WindowPredictions(
             labels=labels,
             distances=distances,
-            deltas=deltas,
+            deltas=delta_scores(distances),
             times=self.window_times(labels.shape[0]),
         )
 
@@ -322,14 +353,9 @@ class LaelapsDetector:
 
     def detect(self, signal: np.ndarray) -> DetectionResult:
         """Run the full pipeline and return alarms on a recording."""
-        preds = self.predict(signal)
-        post = self.postprocessor()
-        flags = post.flags(preds.labels, preds.deltas)
-        onsets = flags_to_onsets(flags)
-        return DetectionResult(
-            alarm_times=preds.times[onsets] if len(preds) else np.zeros(0),
-            flags=flags,
-            predictions=preds,
+        cfg = self.config
+        return detection_result(
+            self.predict(signal), cfg.postprocess_len, cfg.tc, self.tr
         )
 
     # ------------------------------------------------------------------

@@ -10,9 +10,9 @@ spatial call per session into the tile's slab, then one carry-save
 count, window adder and comparator over a bounded tile of many
 sessions' blocks (:class:`repro.hdc.temporal.BlockTiles`, whose fixed
 word budget keeps a tick's peak memory flat in the shard size);
-then one XOR + popcount sweep
-(:func:`repro.hdc.associative.grouped_classify_packed`) and one t_c /
-t_r vote over a bank of the sessions' alarm machines.  Events are
+then one XOR + popcount sweep through the one classify stage
+(:func:`repro.core.detector.classify_grouped`) and one t_c / t_r vote
+over a bank of the sessions' alarm machines.  Events are
 bit-identical to driving each stream alone; a lone
 ``StreamingLaelaps.push`` is the same tick with one session.  Sessions
 may differ in electrode count, prototypes, t_r and compute engine; only
@@ -30,10 +30,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.detector import LaelapsDetector
+from repro.core.detector import LaelapsDetector, classify_grouped
 from repro.core.postprocess import AlarmStateMachine, delta_scores
 from repro.core.streaming import StreamEvent, StreamingLaelaps
-from repro.hdc.associative import grouped_classify_packed
+
+# ``grouped_classify_packed`` is unused here; the name stays importable
+# from this module because perfbench's tracer wraps it here.
+from repro.hdc.associative import grouped_classify_packed  # noqa: F401
 from repro.hdc.temporal import BlockTiles
 
 
@@ -107,23 +110,10 @@ def push_streams(
     live = [i for i, h in enumerate(h_blocks) if h.shape[0]]
     if not live:
         return events
-    detectors = [streams[i].detector for i in live]
-    queries = [h_blocks[i] for i in live]
-    blocks = [d.memory.packed_block() for d in detectors]
-    # When every involved stream runs the same engine, its grouped
-    # kernel carries the tick (the packed-native engine's nogil sweep,
-    # typically); mixed fleets fall back to the shared numpy sweep —
-    # all implementations are bit-exact, so this only picks a speed.
-    kernels = {d.engine.grouped_kernel for d in detectors}
-    sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
-    sizes = [len(q) for q in queries]
-    labels, distances = sweep(
-        np.concatenate(queries, axis=0),
-        np.stack([block for block, _ in blocks]),
-        np.repeat(np.arange(len(live), dtype=np.intp), sizes),
-        np.stack([table for _, table in blocks]),
+    labels, distances = classify_grouped(
+        [streams[i].detector for i in live], [h_blocks[i] for i in live]
     )
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([h_blocks[i].shape[0] for i in live])[:-1]
     labels_rows = np.split(labels, splits)
     deltas_rows = np.split(delta_scores(distances), splits)
     bank = AlarmStateMachine.bank([streams[i].alarm_machine() for i in live])

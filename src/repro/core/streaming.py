@@ -31,8 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.detector import LaelapsDetector, WindowPredictions
-from repro.core.postprocess import AlarmStateMachine, delta_scores
+from repro.core.detector import (
+    LaelapsDetector,
+    WindowPredictions,
+    classify_grouped,
+)
+from repro.core.postprocess import AlarmStateMachine
+from repro.core.training import window_decision_times
 from repro.hdc.temporal import BlockTiles
 
 #: Raw samples per chunk of :func:`predict_chunked`.  Sized so the
@@ -117,8 +122,7 @@ class StreamingLaelaps:
         ``tiles`` (the tick's shared block step) is given.  The chunk
         and the carried tail keep their dtype (LBP codes compare
         samples, so upcasting would only cost memory): a float32 stream
-        is joined at float32, and only :meth:`state_dict` widens the
-        tail to float64.
+        is joined at float32, across checkpoints too.
         """
         arr = np.asarray(chunk)
         if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:
@@ -158,13 +162,10 @@ class StreamingLaelaps:
         is this stream's row of the alarm vote) with the stream clock."""
         n = len(labels)
         cfg = self.detector.config
-        spec = cfg.window_spec
-        index = self._windows_emitted + np.arange(n)
-        times = (
-            index * spec.step_samples
-            + spec.window_samples
-            + self._symbolizer.margin
-        ) / cfg.fs
+        times = window_decision_times(
+            n, cfg.window_spec, cfg.fs, self._symbolizer.margin,
+            first=self._windows_emitted,
+        )
         self._windows_emitted += n
         return [
             StreamEvent(
@@ -208,7 +209,7 @@ class StreamingLaelaps:
         state machine, plus the sample/window counters.
         """
         return {
-            "raw_tail": self._raw_tail.astype(np.float64),
+            "raw_tail": self._raw_tail.copy(),
             "samples_seen": int(self._samples_seen),
             "windows_emitted": int(self._windows_emitted),
             "encoder": self._encoder.state_dict(),
@@ -216,8 +217,14 @@ class StreamingLaelaps:
         }
 
     def restore_state(self, state: dict) -> "StreamingLaelaps":
-        """Resume from a :meth:`state_dict` snapshot (bit-exact)."""
-        raw_tail = np.asarray(state["raw_tail"], dtype=np.float64)
+        """Resume from a :meth:`state_dict` snapshot (bit-exact).
+
+        The raw tail keeps a floating dtype (a float32 stream stays
+        narrow); any other dtype becomes float64.
+        """
+        raw_tail = np.asarray(state["raw_tail"])
+        if not np.issubdtype(raw_tail.dtype, np.floating):
+            raw_tail = raw_tail.astype(np.float64)
         if raw_tail.ndim != 2 or raw_tail.shape[1] != self.detector.n_electrodes:
             raise ValueError(
                 f"raw tail must be (n, {self.detector.n_electrodes}), "
@@ -264,23 +271,14 @@ def predict_chunked(
             f"got shape {signal.shape}"
         )
     stream = StreamingLaelaps(detector)
-    labels_parts: list[np.ndarray] = []
-    distances_parts: list[np.ndarray] = []
+    labels_parts = [np.zeros(0, dtype=np.int64)]
+    distances_parts = [np.zeros((0, 2), dtype=np.int64)]
     for start in range(0, signal.shape[0], chunk_samples):
         h = stream.encode_chunk(signal[start : start + chunk_samples])
         if h.shape[0]:
-            labels, distances, _ = detector.classify_from_windows(h)
+            labels, distances = classify_grouped([detector], [h])
             labels_parts.append(labels)
             distances_parts.append(distances)
-    if labels_parts:
-        labels = np.concatenate(labels_parts)
-        distances = np.concatenate(distances_parts, axis=0)
-    else:
-        labels = np.zeros(0, dtype=np.int64)
-        distances = np.zeros((0, 2), dtype=np.int64)
-    return WindowPredictions(
-        labels=labels,
-        distances=distances,
-        deltas=delta_scores(distances),
-        times=detector.window_times(labels.shape[0]),
+    return detector.window_predictions(
+        np.concatenate(labels_parts), np.concatenate(distances_parts)
     )

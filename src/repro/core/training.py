@@ -59,16 +59,21 @@ def segment_slice(
 
 
 def window_decision_times(
-    n_windows: int, spec: WindowSpec, fs: float, lbp_length: int
+    n_windows: int,
+    spec: WindowSpec,
+    fs: float,
+    lbp_length: int,
+    first: int = 0,
 ) -> np.ndarray:
-    """Decision time (s) of each analysis window.
+    """Decision time (s) of windows ``first .. first + n_windows - 1``.
 
     Window ``i`` covers code samples ``[i * step, i * step + window)``;
     code ``t`` requires raw samples up to ``t + lbp_length``, so the label
     of window ``i`` becomes available at
-    ``(i * step + window + lbp_length) / fs`` seconds.
+    ``(i * step + window + lbp_length) / fs`` seconds.  The one clock of
+    every detector, batch or streamed.
     """
-    starts = np.arange(n_windows) * spec.step_samples
+    starts = (first + np.arange(n_windows)) * spec.step_samples
     return (starts + spec.window_samples + lbp_length) / fs
 
 

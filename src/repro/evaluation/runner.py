@@ -69,7 +69,7 @@ def predict_windows_streamed(
     Args:
         detector: A *fitted* Laelaps-style detector with the streaming
             surface (``symbolizer`` with LBP margin semantics,
-            ``temporal_encoder``, ``classify_from_windows``,
+            ``temporal_encoder``, ``engine``, ``memory``,
             ``window_times``).  Baselines without it must use
             :func:`predict_windows`.
         signal: Recording ``(n_samples, n_electrodes)``; memmap views
@@ -85,12 +85,12 @@ def predict_windows_streamed(
 
     symbolizer = getattr(detector, "symbolizer", None)
     if not isinstance(symbolizer, LBPSymbolizer) or not hasattr(
-        detector, "classify_from_windows"
+        detector, "temporal_encoder"
     ):
         raise TypeError(
             "streamed prediction needs an LBP-symbolised detector with "
-            "the streaming surface (temporal_encoder / "
-            "classify_from_windows); got "
+            "the streaming surface (temporal_encoder / engine / "
+            "memory); got "
             f"{type(detector).__name__}"
         )
     return predict_chunked(detector, signal, chunk_samples)

@@ -7,8 +7,8 @@ Classification compares a query H to every prototype by Hamming distance
 and returns the argmin label; the distances themselves feed the
 postprocessor's confidence score delta = |eta(H, P1) - eta(H, P2)|.
 
-The memory holds its prototypes once, packed, and answers every query
-with the packed sweep.  Each prototype is bundled once, from all of its
+The memory holds its prototypes once, packed, and every query is
+answered by one packed sweep, :func:`grouped_classify_packed`.  Each prototype is bundled once, from all of its
 class's H vectors (10-30 s of signal, so nothing needs streaming): the
 packed engines call :func:`bundle_packed`, the unpacked reference
 counts in integers (:mod:`repro.hdc.engine`).
@@ -126,50 +126,33 @@ class AssociativeMemory:
         self._label_table = np.asarray(self._labels, dtype=np.int64)
         self._packed = np.stack(rows)
 
-    def distances_packed(self, h_vectors: np.ndarray) -> np.ndarray:
-        """Hamming distances from packed queries to every prototype.
-
-        One XOR + popcount sweep over the whole ``(n_windows, words)``
-        block against all prototypes at once, no per-window Python loop
-        and no unpacking.
+    def classify_packed(
+        self, h_vectors: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-prototype labels and distances: the grouped sweep
+        (:func:`grouped_classify_packed`) with this memory the owner of
+        every row.
 
         Args:
             h_vectors: One ``(words,)`` packed query or a batch
                 ``(n, words)``.
 
         Returns:
-            int64 array ``(n, n_classes)`` (``(n_classes,)`` for a single
-            query), columns ordered like :attr:`labels`.
+            ``(labels, distances)``: int64 ``(n,)`` class labels (ties
+            resolve to the earliest-stored class, i.e. interictal when
+            stored first — the conservative choice for a detector) and
+            int64 ``(n, n_classes)`` Hamming distances, columns ordered
+            like :attr:`labels`; a scalar label and ``(n_classes,)``
+            for a single query.
         """
-        if self._packed is None:
-            raise RuntimeError("associative memory has no prototypes")
+        block, table = self.packed_block()
         arr = np.asarray(h_vectors, dtype=np.uint64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[-1] != self.words:
-            raise ValueError(
-                f"packed queries must have {self.words} words, "
-                f"got {arr.shape[-1]}"
-            )
-        dists = hamming_distance_packed(
-            arr[:, None, :], self._packed[None, :, :]
+        queries = np.atleast_2d(arr)
+        labels, dists = grouped_classify_packed(
+            queries, block[None], np.zeros(queries.shape[0], dtype=np.intp),
+            table[None],
         )
-        return dists[0] if single else dists
-
-    def classify_packed(
-        self, h_vectors: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-prototype labels and the full distance matrix.
-
-        Returns:
-            ``(labels, distances)`` where ``labels`` is an int64 array of
-            class labels (ties resolve to the earliest-stored class, i.e.
-            interictal when stored first — the conservative choice for a
-            detector) and ``distances`` is as in :meth:`distances_packed`.
-        """
-        dists = self.distances_packed(h_vectors)
-        return self._label_table[np.argmin(dists, axis=-1)], dists
+        return (labels[0], dists[0]) if arr.ndim == 1 else (labels, dists)
 
     def packed_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The memory's prototypes as one grouped-sweep block.
@@ -192,14 +175,13 @@ def grouped_classify_packed(
     owners: np.ndarray,
     label_table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify a mixed batch of packed queries, each against its owner.
+    """Classify a batch of packed queries, each against its owner.
 
-    The cross-session serving kernel: rows of ``queries`` belong to
-    *different* associative memories (e.g. different patients' models),
-    and every row is scored against its own memory's prototype block in
-    a single vectorized XOR + popcount sweep — no per-session Python
-    loop, no unpacking.  Bit-exact against calling
-    :meth:`AssociativeMemory.classify_packed` memory by memory.
+    The one sweep kernel: rows of ``queries`` may belong to different
+    associative memories (a serving tick's sessions) or all to one (a
+    detector's own batch), and every row is scored against its own
+    memory's prototype block in a single vectorized XOR + popcount
+    sweep — no per-session Python loop, no unpacking.
 
     Args:
         queries: uint64 array ``(n, words)`` of packed H vectors.
@@ -221,9 +203,9 @@ def grouped_classify_packed(
     query_arr, stack, owner_arr, table = _validate_grouped(
         queries, prototype_stack, owners, label_table
     )
-    dists = hamming_distance_packed(
-        query_arr[:, None, :], stack[owner_arr]
-    )
+    # One memory broadcasts; a mix gathers each row's own block.
+    protos = stack if stack.shape[0] == 1 else stack[owner_arr]
+    dists = hamming_distance_packed(query_arr[:, None, :], protos)
     idx = np.argmin(dists, axis=-1)
     labels = table[owner_arr, idx]
     return labels, dists

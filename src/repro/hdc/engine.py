@@ -11,7 +11,8 @@ else is shared:
   planes), checkpoint hooks included;
 * :meth:`~_EngineBase.bundle` — one class's H vectors to its packed
   prototype, in one call;
-* :attr:`~_EngineBase.grouped_kernel` — the cross-session sweep.
+* :attr:`~_EngineBase.grouped_kernel` — the XOR + popcount sweep of
+  every H batch, one detector's or a tick's many sessions'.
 
 Above the spatial encoder an H vector has one form on every engine:
 packed ``(n, packed_words(d))`` uint64 words, the word layout of the
@@ -107,7 +108,7 @@ class _EngineBase:
       export/import hooks used by checkpoints);
     * :meth:`bundle`, which turns a class's H vectors into its packed
       prototype in one call;
-    * the cross-session grouped sweep (:attr:`grouped_kernel`);
+    * the grouped sweep (:attr:`grouped_kernel`);
 
     plus the checkpoint payload tag (:attr:`name`, persisted so a saved
     model reopens on the engine that wrote it when that engine can run
@@ -173,17 +174,13 @@ class _EngineBase:
 
     def train(self, memory: AssociativeMemory, label: int,
               h_vectors: np.ndarray) -> None:
-        """Bundle an H batch into ``label``'s prototype."""
-        memory.store_packed(label, self.bundle(self.windows(h_vectors)))
+        """Bundle a checked H batch (:meth:`windows`) into ``label``'s
+        prototype."""
+        memory.store_packed(label, self.bundle(h_vectors))
 
-    def classify_windows(
-        self, memory: AssociativeMemory, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched nearest-prototype sweep over H vectors."""
-        return memory.classify_packed(self.windows(h))
-
-    #: Cross-session grouped-sweep implementation used when every
-    #: session of a tick shares this engine; engines with a native
+    #: The sweep kernel the one classify stage
+    #: (:func:`repro.core.detector.classify_grouped`) runs when every
+    #: owner of a batch shares this engine; engines with a native
     #: grouped kernel override it (same signature, bit-exact).
     grouped_kernel = staticmethod(grouped_classify_packed)
 

@@ -1,8 +1,8 @@
 """The ``packed-native`` engine: multithreaded, GIL-releasing kernels.
 
 The two hot loops of the packed pipeline — the XOR+popcount sweep of
-:func:`repro.hdc.associative.grouped_classify_packed` (which also
-serves one memory's queries, as a group with a single owner), and the
+:func:`repro.hdc.associative.grouped_classify_packed` (which serves
+every H batch, one detector's as a group with a single owner), and the
 bit-sliced count of :mod:`repro.hdc.bitsliced` — are pure NumPy
 everywhere else: single-threaded per process, so a shard worker
 cannot scale past one core.  This module re-states both kernels in a
@@ -38,10 +38,7 @@ import os
 
 import numpy as np
 
-from repro.hdc.associative import (
-    AssociativeMemory,
-    _validate_grouped,
-)
+from repro.hdc.associative import _validate_grouped
 
 # ``planes_add`` is unused here; the name stays importable from this
 # module because perfbench's tracer wraps it here.
@@ -405,12 +402,3 @@ class PackedNativeEngine(PackedEngine):
 
     spatial_class = NativeSpatialEncoder
     tile_class = NativeBlockTile
-
-    def classify_windows(
-        self, memory: AssociativeMemory, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The grouped kernel, with ``memory`` the owner of every row."""
-        queries = self.windows(h)
-        block, labels = memory.packed_block()
-        owners = np.zeros(queries.shape[0], dtype=np.intp)
-        return self.grouped_kernel(queries, block[None], owners, labels[None])

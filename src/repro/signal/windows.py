@@ -3,7 +3,8 @@
 The paper uses 1 s analysis windows that move every 0.5 s.  Windows are
 identified by the index of their first sample; the *decision time* of a
 window is the time of its last sample, because a causal detector can only
-emit a label once the whole window has been observed.
+emit a label once the whole window has been observed (Laelaps also waits
+for its LBP margin: :func:`repro.core.training.window_decision_times`).
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ class WindowSpec:
             window_samples=int(round(window_s * fs)),
             step_samples=int(round(step_s * fs)),
         )
-
-    def decision_times(self, n_samples: int, fs: float) -> np.ndarray:
-        """Time (seconds) at which each window's label becomes available."""
-        starts = window_start_indices(n_samples, self)
-        return (starts + self.window_samples) / fs
 
 
 def num_windows(n_samples: int, spec: WindowSpec) -> int:

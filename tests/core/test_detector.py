@@ -159,7 +159,7 @@ class TestSinglePath:
         n=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_classify_from_windows_matches_brute_force(
+    def test_predict_from_windows_matches_brute_force(
         self, backend, dim, n, seed
     ):
         rng = np.random.default_rng(seed)
@@ -178,9 +178,8 @@ class TestSinglePath:
                 2, LaelapsConfig(dim=dim, fs=256.0, backend=backend)
             )
             det.fit_from_windows(pack_bits(ictal[None]), pack_bits(inter[None]))
-            labels, distances, deltas = det.classify_from_windows(
-                pack_bits(queries)
-            )
+            preds = det.predict_from_windows(pack_bits(queries))
+        labels, distances, deltas = preds.labels, preds.distances, preds.deltas
         expected = hamming_distance(
             queries[:, None, :], np.stack([inter, ictal])
         )
@@ -194,7 +193,7 @@ class TestSinglePath:
 
     def test_empty_batch_of_wrong_width_raises(self, fitted_detector):
         with pytest.raises(ValueError, match="uint64"):
-            fitted_detector.classify_from_windows(np.zeros((0, 7)))
+            fitted_detector.predict_from_windows(np.zeros((0, 7)))
 
 
 class TestPredictAndDetect:

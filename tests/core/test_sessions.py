@@ -1,7 +1,5 @@
 """Tests for repro.core.sessions (multi-patient stream serving)."""
 
-import zipfile
-
 import numpy as np
 import pytest
 
@@ -286,7 +284,7 @@ class TestBatchedParity:
                 {sid: signals[sid].astype(dtype) for sid in ids}, 300
             )
             raw_tail = manager.session(ids[0]).state_dict()["raw_tail"]
-            assert raw_tail.dtype == np.float64
+            assert raw_tail.dtype == dtype
         assert events[np.float32] == events[np.float64]
 
     def test_tail_keeps_chunk_dtype_across_switches_and_restore(
@@ -319,10 +317,9 @@ class TestBatchedParity:
                     tail = manager.session(sid)._raw_tail
                     assert tail.dtype == widest
 
-        def npz_members(path):
-            with zipfile.ZipFile(path) as archive:
-                return {name: archive.read(name)
-                        for name in archive.namelist()}
+        def npz_values(path):
+            with np.load(path) as archive:
+                return {name: archive[name] for name in archive.files}
 
         runs = {}
         for switched in (False, True):
@@ -332,13 +329,25 @@ class TestBatchedParity:
                 manager.open(sid, detectors[sid])
             feed(manager, 0, cut, switched, events, np.float16)
             path = save_sessions(manager, tmp_path / f"{switched}.npz")
-            # A restored tail is float64, as checkpoints store it.
-            feed(load_sessions(path), cut, n_samples, switched, events,
-                 np.float64)
-            runs[switched] = (events, npz_members(path))
+            # A restored tail keeps the dtype it was checkpointed in.
+            saved = np.float32 if switched else np.float64
+            restored = load_sessions(path)
+            for sid in ids:
+                assert restored.session(sid)._raw_tail.dtype == saved
+            feed(restored, cut, n_samples, switched, events, saved)
+            runs[switched] = (events, npz_values(path))
         assert runs[True][0] == runs[False][0]
-        assert runs[True][1] == runs[False][1]
         assert any(runs[True][0][sid] for sid in ids)
+        # The checkpoints hold equal values; only the tail's dtype differs.
+        narrow, wide = runs[True][1], runs[False][1]
+        assert narrow.keys() == wide.keys()
+        for name in wide:
+            np.testing.assert_array_equal(narrow[name], wide[name],
+                                          err_msg=name)
+        assert {name for name in wide
+                if narrow[name].dtype != wide[name].dtype} == {
+            f"s{i}__raw_tail" for i in range(len(ids))
+        }
 
     def test_validate_chunk_keeps_floats_and_upcasts_the_rest(self):
         chunk = np.zeros((4, 2), dtype=np.float32)

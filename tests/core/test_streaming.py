@@ -140,6 +140,22 @@ class TestStreamingBehaviour:
         tail = resumed.run(segment[cut:], 300)
         assert head + tail == reference
 
+    def test_restore_keeps_a_floating_tail_and_widens_the_rest(
+        self, fitted_detector, mini_recording
+    ):
+        stream = StreamingLaelaps(fitted_detector)
+        stream.run(mini_recording.data[:1000].astype(np.float32), 300)
+        state = stream.state_dict()
+        assert state["raw_tail"].dtype == np.float32
+        for dtype, restored in ((np.float32, np.float32),
+                                (np.float16, np.float16),
+                                (np.int64, np.float64)):
+            tail = state["raw_tail"].astype(dtype)
+            resumed = StreamingLaelaps(fitted_detector).restore_state(
+                {**state, "raw_tail": tail}
+            )
+            assert resumed.state_dict()["raw_tail"].dtype == restored
+
     def test_alarm_fires_once_per_episode(
         self, mini_recording, mini_segments, small_config
     ):

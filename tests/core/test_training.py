@@ -57,6 +57,17 @@ class TestDecisionTimes:
         times = window_decision_times(50, WindowSpec(512, 256), 512.0, 6)
         assert np.all(np.diff(times) > 0)
 
+    def test_first_window_offsets_the_same_clock(self):
+        # A stream stamps windows first .. first + n - 1 with the very
+        # floats a recording's window_times gives them.
+        spec = WindowSpec(512, 256)
+        whole = window_decision_times(40, spec, 512.0, 6)
+        for first in (0, 1, 17, 39):
+            np.testing.assert_array_equal(
+                window_decision_times(40 - first, spec, 512.0, 6, first=first),
+                whole[first:],
+            )
+
 
 class TestWindowsInSegments:
     def test_window_fully_inside(self):

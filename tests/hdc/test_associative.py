@@ -208,7 +208,7 @@ class TestPackedApi:
 
     def test_packed_query_without_prototypes_raises(self, rng):
         with pytest.raises(RuntimeError):
-            AssociativeMemory(64).distances_packed(
+            AssociativeMemory(64).classify_packed(
                 pack_bits(random_bits(64, rng))
             )
 
@@ -216,7 +216,7 @@ class TestPackedApi:
         memory = AssociativeMemory(64)
         memory.store(0, np.zeros(64, dtype=np.uint8))
         with pytest.raises(ValueError):
-            memory.distances_packed(np.zeros((2, 3), dtype=np.uint64))
+            memory.classify_packed(np.zeros((2, 3), dtype=np.uint64))
 
 
 @pytest.mark.slow

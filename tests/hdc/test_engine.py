@@ -85,7 +85,7 @@ class TestRegistry:
 
     def test_instances_satisfy_protocol(self, monkeypatch):
         # Every engine implements the hooks the base class leaves open:
-        # its temporal encoder and its bundling kernel.
+        # its temporal encoder, its bundling kernel and its sweep.
         monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
         h = pack_bits(random_bits((1, 100), np.random.default_rng(0)))
         for name in engine_names():
@@ -94,7 +94,10 @@ class TestRegistry:
             np.testing.assert_array_equal(engine.bundle(h), h[0])
             memory = AssociativeMemory(100)
             engine.train(memory, 7, h)
-            labels, dists = engine.classify_windows(memory, h)
+            block, table = memory.packed_block()
+            labels, dists = engine.grouped_kernel(
+                h, block[None], np.zeros(1, dtype=np.intp), table[None]
+            )
             assert labels.tolist() == [7]
             assert dists.tolist() == [[0]]
 

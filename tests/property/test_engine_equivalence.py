@@ -23,11 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.detector as detector_module
 import repro.core.streaming as streaming_module
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
+from repro.evaluation.runner import predict_windows_streamed
+from repro.hdc.associative import grouped_classify_packed
 from repro.hdc.backend import pack_bits, random_bits
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
@@ -142,13 +145,14 @@ class TestBatchEquivalence:
         for h in encoded:
             reference = None
             for detector in detectors.values():
-                labels, dists, deltas = detector.classify_from_windows(h)
+                preds = detector.predict_from_windows(h)
                 if reference is None:
-                    reference = (labels, dists, deltas)
+                    reference = preds
                 else:
-                    np.testing.assert_array_equal(labels, reference[0])
-                    np.testing.assert_array_equal(dists, reference[1])
-                    np.testing.assert_array_equal(deltas, reference[2])
+                    for field in ("labels", "distances", "deltas", "times"):
+                        np.testing.assert_array_equal(
+                            getattr(preds, field), getattr(reference, field)
+                        )
 
 
 class TestChunkedPredict:
@@ -266,6 +270,60 @@ class TestMixedEngineFleet:
                 (e.time_s, e.label, e.delta, e.alarm) for e in solo_events
             ]
         del rng  # randomness flows through the per-session seeds
+
+
+class TestOneClassifyStage:
+    def test_every_entry_point_sweeps_through_the_stage(self, monkeypatch):
+        """``predict``, the streamed runner, a lone stream and a
+        mixed-engine tick classify every window in the grouped sweep:
+        one call per batch, one owner row per detector."""
+        swept = []
+
+        def spy(kernel):
+            def sweep(queries, stack, owners, table):
+                swept.append((len(queries), len(stack)))
+                return kernel(queries, stack, owners, table)
+            return sweep
+
+        detectors = {
+            engine: _fitted(engine, 127, np.random.default_rng(i))
+            for i, engine in enumerate(ENGINES)
+        }
+        # Every kernel those engines own (looked up on the classes the
+        # registry built), and the numpy sweep a mix of engines runs.
+        for cls in {cls for d in detectors.values()
+                    for cls in type(d.engine).__mro__
+                    if "grouped_kernel" in cls.__dict__}:
+            kernel = cls.__dict__["grouped_kernel"].__func__
+            monkeypatch.setattr(cls, "grouped_kernel",
+                                staticmethod(spy(kernel)))
+        monkeypatch.setattr(detector_module, "grouped_classify_packed",
+                            spy(grouped_classify_packed), raising=False)
+
+        def sweeps(call, *args):
+            swept.clear()
+            return call(*args), list(swept)
+
+        signal = _signal(np.random.default_rng(3), 6.0)
+        entry_points = {
+            "predict": lambda d: d.predict(signal),
+            "streamed": lambda d: predict_windows_streamed(d, signal, 40),
+            "push": lambda d: StreamingLaelaps(d).run(signal, 40),
+        }
+        manager = StreamSessionManager()
+        for engine, detector in detectors.items():
+            manager.open(engine, detector)
+            for name, entry in entry_points.items():
+                out, calls = sweeps(entry, detector)
+                assert len(out) > 0
+                assert sum(n for n, _ in calls) == len(out), (engine, name)
+                assert {owners for _, owners in calls} == {1}, (engine, name)
+        ticked, calls = sweeps(lambda: manager.push_many(
+            {engine: signal for engine in ENGINES}
+        ))
+        windows = sum(len(events) for events in ticked.values())
+        assert windows > 0
+        assert calls == [(windows, len(ENGINES))]
 
 
 class TestCheckpointAcrossEngines:

@@ -30,11 +30,6 @@ class TestWindowSpec:
         with pytest.raises(ValueError):
             WindowSpec(4, 5)
 
-    def test_decision_times(self):
-        spec = WindowSpec(4, 2)
-        times = spec.decision_times(10, fs=2.0)
-        np.testing.assert_allclose(times, [2.0, 3.0, 4.0, 5.0])
-
 
 class TestCounting:
     @pytest.mark.parametrize(
