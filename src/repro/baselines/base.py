@@ -16,7 +16,12 @@ from repro.core.detector import (
     WindowPredictions,
     detection_result,
 )
-from repro.core.training import TrainingSegments, segment_slice
+from repro.core.training import (
+    TrainingSegments,
+    segment_slice,
+    window_decision_times,
+)
+from repro.signal.windows import WindowSpec
 
 
 class FeatureScaler:
@@ -60,6 +65,10 @@ class WindowedDetector:
     #: Minimum raw-sample margin appended to training segments so their
     #: trailing windows exist (LBP-based features consume a few samples).
     _segment_margin = 8
+
+    #: Raw samples a feature code needs past its own sample: a window's
+    #: label exists once its last code does.  0 for raw-window features.
+    code_margin = 0
 
     def __init__(
         self,
@@ -154,8 +163,10 @@ class WindowedDetector:
         flat = self.scaler.transform(self._flat(features))
         scores = self._scores(flat.reshape(features.shape))
         labels = (scores > 0).astype(np.int64)
-        step = self.step_s
-        times = (np.arange(n_win) * step) + self.window_s
+        times = window_decision_times(
+            n_win, WindowSpec.from_seconds(self.window_s, self.step_s, self.fs),
+            self.fs, self.code_margin,
+        )
         return WindowPredictions(
             labels=labels,
             distances=np.zeros((n_win, 2), dtype=np.int64),

@@ -130,6 +130,12 @@ class LbpSvmDetector(WindowedDetector):
         self.lbp_length = lbp_length
         self.model = LinearSVM(lam=lam, epochs=epochs, seed=seed)
 
+    @property
+    def code_margin(self) -> int:
+        # An LBP code compares the next ``lbp_length`` samples, as in
+        # Laelaps: both stamp a window at its last code's raw sample.
+        return self.lbp_length
+
     def _features(self, signal: np.ndarray) -> np.ndarray:
         return window_lbp_histograms(
             signal, self.fs, self.window_s, self.step_s, self.lbp_length

@@ -202,58 +202,69 @@ class AlarmStateMachine:
         flags_rows = [np.zeros(len(lab), dtype=bool) for lab, _ in rows]
         rising_rows = [flags.copy() for flags in flags_rows]
         live = [r for r, (lab, _) in enumerate(rows) if len(lab)]
-        # Each width's members are voted together over one concatenation
-        # of every member's zero pad, carried tail and new labels.  Each
-        # window is summed explicitly rather than as a difference of
-        # running cumsums, so a sum depends only on the window's contents
-        # — never on the stream prefix, the chunking or the other members
-        # (a cumsum difference can absorb a tiny delta into a large total).
+        # Each width's members are voted together over one joined array
+        # with a ``width - 1 + n`` segment per member: its carried tail,
+        # right-aligned behind zeros (an interictal, zero-delta pad), then
+        # its new labels.  Each window is summed explicitly rather than as
+        # a difference of running cumsums, so a sum depends only on the
+        # window's contents — never on the stream prefix, the chunking or
+        # the other members (a cumsum difference can absorb a tiny delta
+        # into a large total).
         for width in {members[r].config.postprocess_len for r in live}:
             group = [r for r in live
                      if members[r].config.postprocess_len == width]
             machines = [members[r] for r in group]
-            counts = [len(rows[r][0]) for r in group]
-            joined = [(np.concatenate([m._tail_labels, rows[r][0]]),
-                       np.concatenate([m._tail_deltas, rows[r][1]]))
-                      for m, r in zip(machines, group)]
-            pad = np.zeros(width - 1, dtype=np.float64)
-            ictal = [(lab == ICTAL).astype(np.float64) for lab, _ in joined]
-            ends = np.cumsum([width - 1 + len(lab) for lab, _ in joined])
-            # Window j covers entries [j, j + width): new label i of a
-            # member ending at `end` closes window end - n + i - width + 1.
-            index = np.concatenate(
-                [np.arange(end - n, end) for end, n in zip(ends, counts)]
-            ) - (width - 1)
+            counts = np.array([len(rows[r][0]) for r in group])
+            tails = np.array([len(m._tail_labels) for m in machines])
+            ends = np.cumsum(width - 1 + counts)
+            firsts = ends - counts  # each member's first new label
+            starts = np.cumsum(counts) - counts  # ... in the new-label axis
+            offsets = np.arange(counts.sum()) - np.repeat(starts, counts)
+            new = np.repeat(firsts, counts) + offsets
+            tail = (np.repeat(firsts, tails) + np.arange(tails.sum())
+                    - np.repeat(np.cumsum(tails), tails))
+            labels_joined = np.zeros(ends[-1], dtype=np.int64)
+            deltas_joined = np.zeros(ends[-1], dtype=np.float64)
+            labels_joined[new] = np.concatenate([rows[r][0] for r in group])
+            deltas_joined[new] = np.concatenate([rows[r][1] for r in group])
+            if len(tail):
+                labels_joined[tail] = np.concatenate(
+                    [m._tail_labels for m in machines])
+                deltas_joined[tail] = np.concatenate(
+                    [m._tail_deltas for m in machines])
+            ictal = (labels_joined == ICTAL).astype(np.float64)
+            # New label i of a member closes the window starting at its
+            # own position minus ``width - 1``.
+            index = new - (width - 1)
 
-            def window_sums(parts):
+            def window_sums(values):
                 return np.lib.stride_tricks.sliding_window_view(
-                    np.concatenate(parts), width).sum(axis=-1)[index]
+                    values, width).sum(axis=-1)[index]
 
-            ictal_counts = window_sums([x for i in ictal for x in (pad, i)])
-            ictal_delta_sums = window_sums(
-                [x for i, (_, d) in zip(ictal, joined) for x in (pad, i * d)]
-            )
+            ictal_counts = window_sums(ictal)
+            ictal_delta_sums = window_sums(ictal * deltas_joined)
             with np.errstate(invalid="ignore", divide="ignore"):
                 mean_delta = np.where(
                     ictal_counts > 0, ictal_delta_sums / ictal_counts, 0.0
                 )
             per_label = [(m.config.tc, m.config.tr, m._seen) for m in machines]
             tc, tr, seen = (np.repeat(column, counts) for column in zip(*per_label))
-            offsets = np.concatenate([np.arange(n) for n in counts])
             flags = (ictal_counts >= tc) & (mean_delta > tr)
             # Warm-up: a window only votes once `width` labels exist.
             flags &= seen + offsets >= width - 1
-            starts = np.cumsum([0] + counts[:-1])
             previous = np.empty_like(flags)
             previous[1:] = flags[:-1]
             previous[starts] = [m._active for m in machines]
             rising = flags & ~previous
-            for r, m, start, n, (lab, d) in zip(group, machines, starts, counts, joined):
+            for r, m, start, n, end, carried in zip(
+                group, machines, starts.tolist(), counts.tolist(),
+                ends.tolist(), tails.tolist(),
+            ):
                 flags_rows[r] = flags[start : start + n]
                 rising_rows[r] = rising[start : start + n]
-                keep = min(width - 1, len(lab))
-                m._tail_labels = lab[len(lab) - keep :].copy()
-                m._tail_deltas = d[len(d) - keep :].copy()
+                keep = min(width - 1, carried + n)
+                m._tail_labels = labels_joined[end - keep : end]
+                m._tail_deltas = deltas_joined[end - keep : end]
                 m._seen += n
                 m._active = bool(flags[start + n - 1])
         if self._members is None:

@@ -9,6 +9,8 @@ per-electrode code representation, shrinking the memory from ``64 * n`` to
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.hdc.backend import pack_bits, random_bits
@@ -24,8 +26,10 @@ class ItemMemory:
     Args:
         n_items: Number of atomic vectors (e.g. 64 codes, or n electrodes).
         dim: Hypervector dimension d in bits.
-        seed: Seed for the generator; two memories in one model must use
-            different seeds (the detector derives them from a master seed).
+        seed: Integer seed for the generator; two memories in one model
+            must use different seeds (the detector derives them from a
+            master seed).  The vectors depend only on ``(n_items, dim,
+            seed)``, which is what lets encoders share bound tables.
     """
 
     def __init__(self, n_items: int, dim: int, seed: int) -> None:
@@ -35,8 +39,8 @@ class ItemMemory:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.n_items = n_items
         self.dim = dim
-        self.seed = seed
-        rng = np.random.default_rng(seed)
+        self.seed = operator.index(seed)
+        rng = np.random.default_rng(self.seed)
         self._vectors = random_bits((n_items, dim), rng)
         self._vectors.setflags(write=False)
 

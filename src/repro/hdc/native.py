@@ -332,15 +332,22 @@ class NativeSpatialEncoder(PackedSpatialEncoder):
     """
 
     def encode_packed(
-        self, codes: np.ndarray, out: np.ndarray | None = None
+        self, codes: np.ndarray, out: np.ndarray | None = None,
+        bases: np.ndarray | None = None, tile: int | None = None,
     ) -> np.ndarray:
-        arr, out = self._checked(codes, out)
-        flat, first_row = self._rows()
-        tile = max(1, _TILE_WORDS // (self.n_electrodes * self.words))
+        flat, base = self._rows()
+        arr, out, bases = self._checked(codes, out, bases, flat)
+        first_row = np.arange(self.n_electrodes, dtype=np.intp) * self.n_codes
+        if bases is None:
+            first_row += base
+        tile = max(1, min(_TILE_WORDS // (self.n_electrodes * self.words),
+                          tile or arr.shape[0]))
         for start in range(0, arr.shape[0], tile):
             stop = min(start + tile, arr.shape[0])
             rows = np.add(first_row[:, None], arr[start:stop].T,
                           dtype=np.intp)
+            if bases is not None:
+                rows += bases[start:stop]
             masks = np.take(flat, rows, axis=0)
             # (n_electrodes, n * words) is a view of the contiguous
             # tile: the kernel reduces axis 0 per word column.

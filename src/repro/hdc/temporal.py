@@ -15,7 +15,10 @@ that knows its block state (integer counts here, digit planes in
 flush: staged block codes are encoded in sample slabs that stream
 straight into the block counter, for many blocks at once (every
 stream's of a serving tick, or all of an offline feed's), in bounded
-tiles.  Whatever the block state, H vectors leave packed,
+tiles.  On the packed engines a slab is one spatial call, whatever
+streams it holds: every record gathers from its stream's table in the
+shared bound-table arena (:mod:`repro.hdc.spatial_packed`).  Whatever
+the block state, H vectors leave packed,
 ``(n_windows, packed_words(d))`` uint64.
 """
 
@@ -41,14 +44,17 @@ class BlockTile:
 
     :meth:`stage` keeps runs of one stream's consecutive blocks as codes.
     :meth:`flush` walks them in slabs, samples ``[s0, s0 + k)`` of every
-    row in ``(k, rows, width)`` records inside the tile budget: each
-    run's part is one spatial call, and the slab's sample planes go
-    straight into the block counter.  It then sums each completed window
-    from its stream's block states into the row its stream reserved.
+    row in ``(k, rows, width)`` records inside the tile budget, and the
+    slab's sample planes go straight into the block counter.  It then
+    sums each completed window from its stream's block states into the
+    row its stream reserved.  A tile's streams share one electrode
+    count and alphabet, so a packed slab is one spatial call over every
+    stream's records; the integer-counter reference encodes run by run.
 
     Subclasses supply the record ``dtype`` and :meth:`record_width`; the
-    kernels ``_encode(encoder, codes, out)`` (records, into ``out`` if
-    it can), ``_counter(rows)``, ``_add(counter, slab)``,
+    kernels ``_encode(slab, s0)`` (fill the ``(n, rows, width)`` slab
+    with samples ``[s0, s0 + n)`` of every staged row), ``_counter(rows)``,
+    ``_add(counter, slab)``,
     ``_states(counter)`` (row ``r``'s block state is ``[r]``) and
     ``_windows(lags)`` (packed H vectors of windows whose blocks, oldest
     first, are ``lags``); and the checkpoint hooks
@@ -102,19 +108,7 @@ class BlockTile:
         for s0 in range(0, step, k):
             n = min(k, step - s0)
             slab = buffer[: n * rows * width].reshape(n, rows, width)
-            row = 0
-            for encoder, blocks, _, _ in self._runs:
-                m, part = len(blocks), blocks[:, s0 : s0 + n]
-                # Several rows' codes are copied sample-major, compactly.
-                codes = part[0] if m == 1 else part.transpose(1, 0, 2).astype(
-                    np.min_scalar_type(encoder.spatial.n_codes - 1), order="C")
-                dest = slab[:, row : row + m]
-                # The reshape is a view for one row or all of them.
-                out = dest.reshape(n * m, width) if m in (1, rows) else None
-                records = self._encode(encoder, codes.reshape(n * m, -1), out)
-                if records is not out:
-                    dest[...] = records.reshape(dest.shape)
-                row += m
+            self._encode(slab, s0)
             self._add(counter, slab)
         states = self._states(counter)
         k = self.spec.window_samples // step
@@ -139,9 +133,9 @@ class BlockTile:
 
 class BlockTiles:
     """One tick's grouped block step, a :class:`BlockTile` per tile
-    class: pass it to every stream's ``feed`` (once each), then flush.
-    ``max_rows`` caps a tile's rows; by default a slab holds whole
-    blocks, so each stream's block is one spatial call."""
+    class, electrode count and alphabet: pass it to every stream's
+    ``feed`` (once each), then flush.  ``max_rows`` caps a tile's rows;
+    by default a slab holds whole blocks."""
 
     def __init__(self, max_rows: int | None = None) -> None:
         self.max_rows = max_rows
@@ -149,7 +143,9 @@ class BlockTiles:
 
     def stage(self, encoder, blocks: np.ndarray, out: np.ndarray,
               first: int) -> None:
-        key = (encoder.tile_class, encoder.spec, encoder.dim)
+        spatial = encoder.spatial
+        key = (encoder.tile_class, encoder.spec, encoder.dim,
+               spatial.n_electrodes, spatial.n_codes)
         if key not in self._tiles:
             self._tiles[key] = encoder.tile_class(encoder, self.max_rows)
         self._tiles[key].stage(encoder, blocks, out, first)
@@ -326,9 +322,15 @@ class CountBlockTile(BlockTile):
     def record_width(dim: int) -> int:
         return dim
 
-    def _encode(self, encoder, codes: np.ndarray,
-                out: np.ndarray | None) -> np.ndarray:
-        return encoder.spatial.encode(codes)
+    def _encode(self, slab: np.ndarray, s0: int) -> None:
+        # The reference: one spatial call per run, copied into the slab.
+        n, row = len(slab), 0
+        for encoder, blocks, _, _ in self._runs:
+            m = len(blocks)
+            codes = blocks[:, s0 : s0 + n].transpose(1, 0, 2)
+            records = encoder.spatial.encode(codes.reshape(n * m, -1))
+            slab[:, row : row + m] = records.reshape(n, m, -1)
+            row += m
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Packed block step: window bundling without leaving the bit domain.
 
-The packed engines' :class:`~repro.hdc.temporal.BlockTile`: the spatial
-encoder writes each sample slab of a tile's blocks as uint64 words, and
+The packed engines' :class:`~repro.hdc.temporal.BlockTile`: one spatial
+call writes each sample slab of a tile's blocks as uint64 words (every
+record gathering from its stream's slot of the bound-table arena), and
 the slab's sample planes go straight into one carry-save counter
 (:class:`~repro.hdc.bitsliced.CarrySaveCounter`) whose digit planes are
 the blocks' states.  A window adds its blocks' digit planes at their
@@ -34,9 +35,26 @@ from repro.hdc.temporal import BlockTile
 class PackedBlockTile(BlockTile):
     """Bit-sliced block step over packed uint64 records."""
 
-    def _encode(self, encoder, codes: np.ndarray,
-                out: np.ndarray | None) -> np.ndarray:
-        return encoder.spatial.encode_packed(codes, out=out)
+    def _encode(self, slab: np.ndarray, s0: int) -> None:
+        # One spatial call for the whole slab: records in (sample, row)
+        # order, each gathering from its stream's bound table.
+        n, rows = slab.shape[:2]
+        spatial = self._runs[0][0].spatial
+        codes = np.empty((n, rows, spatial.n_electrodes),
+                         dtype=np.min_scalar_type(spatial.n_codes - 1))
+        row_bases = np.empty(rows, dtype=np.intp)
+        row = longest = 0
+        for encoder, blocks, _, _ in self._runs:
+            m = len(blocks)
+            codes[:, row : row + m] = blocks[:, s0 : s0 + n].transpose(1, 0, 2)
+            row_bases[row : row + m] = encoder.spatial.base
+            row, longest = row + m, max(longest, m)
+        # Rows that all share the first stream's table need no bases.
+        bases = (None if (row_bases == spatial.base).all()
+                 else np.tile(row_bases, n))
+        spatial.encode_packed(codes.reshape(n * rows, -1),
+                              slab.reshape(n * rows, self.width), bases,
+                              tile=n * longest)
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:

@@ -84,3 +84,24 @@ class TestLbpSvmDetector:
         assert preds.labels.shape == preds.deltas.shape == preds.times.shape
         assert set(np.unique(preds.labels)) <= {0, 1}
         assert np.all(preds.deltas >= 0)
+
+    def test_windows_run_on_the_laelaps_clock(
+        self, mini_recording, mini_segments, fitted_detector
+    ):
+        # Both label LBP-code windows, so both stamp a window at the raw
+        # sample its last code needs: lbp_length samples past its end.
+        config = fitted_detector.config
+        det = LbpSvmDetector(
+            mini_recording.n_electrodes, fs=config.fs,
+            lbp_length=config.lbp_length, window_s=config.window_s,
+            step_s=config.step_s, seed=2,
+        )
+        det.fit(mini_recording.data, mini_segments)
+        signal = mini_recording.data[: int(config.fs) * 20]
+        times = det.predict(signal).times
+        np.testing.assert_array_equal(
+            times, fitted_detector.predict(signal).times
+        )
+        assert times[0] == (
+            config.window_s + config.lbp_length / config.fs
+        )

@@ -117,6 +117,7 @@ def encode_sample_packed(
     if arr.min() < 0 or arr.max() >= encoder.n_codes:
         raise ValueError(f"code out of range [0, {encoder.n_codes})")
     counter = BitslicedCounter(encoder.dim, encoder.n_electrodes)
+    flat, base = encoder._rows()
     for j in range(encoder.n_electrodes):
-        counter.add(encoder._table[j, arr[j]])
+        counter.add(flat[base + j * encoder.n_codes + arr[j]])
     return counter.greater_than(encoder.n_electrodes // 2)

@@ -6,9 +6,10 @@ without it the pure-Python twins of the exact same code.  Bit-exactness
 is asserted against the numpy implementations either way.
 """
 
-import importlib
 import os
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -291,46 +292,65 @@ class TestAvailability:
         assert "unavailable on this host" not in out
 
 
-class TestNumbaAbsentReload:
-    def test_module_degrades_without_numba(self):
-        """Reload the module with the numba import forcibly failing."""
-        import builtins
+#: Imports the module in a fresh interpreter with every numba import
+#: failing, so this process keeps its one module and registry entry.
+_NUMBA_ABSENT_SCRIPT = """
+import builtins
+import numpy as np
 
-        real_import = builtins.__import__
-        saved_env = os.environ.pop(NATIVE_PURE_PYTHON_ENV, None)
+real_import = builtins.__import__
 
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("No module named 'numba' (forced by test)")
-            return real_import(name, *args, **kwargs)
+def no_numba(name, *args, **kwargs):
+    if name == "numba" or name.startswith("numba."):
+        raise ImportError("No module named 'numba' (forced by test)")
+    return real_import(name, *args, **kwargs)
 
-        builtins.__import__ = no_numba
-        try:
-            importlib.reload(native_module)
-            assert native_module.numba_available() is False
-            assert "forced by test" in (
-                native_module.numba_unavailable_reason() or ""
-            )
-            assert native_module.prange is range
-            # The identity decorator keeps the kernels callable...
-            labels, dists = native_module.grouped_classify_packed_native(
-                np.array([[5]], dtype=np.uint64),
-                np.array([[[0], [5]]], dtype=np.uint64),
-                np.zeros(1, dtype=np.intp),
-                np.array([[10, 20]], dtype=np.int64),
-            )
-            assert labels.tolist() == [20]
-            assert dists.tolist() == [[2, 0]]
-            # ...threads pin to 1, and the registry degrades gracefully.
-            assert native_module.apply_native_threads(4) == 1
-            rows = {r["name"]: r for r in engine_capabilities()}
-            assert rows[PACKED_NATIVE_ENGINE]["available"] is False
-            assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
-        finally:
-            builtins.__import__ = real_import
-            if saved_env is not None:
-                os.environ[NATIVE_PURE_PYTHON_ENV] = saved_env
-            importlib.reload(native_module)
+builtins.__import__ = no_numba
+import repro.hdc.native as native_module
+from repro.hdc.engine import (
+    AUTO_ENGINE, PACKED_ENGINE, PACKED_NATIVE_ENGINE, engine_capabilities,
+    resolve_engine_name,
+)
+
+assert native_module.numba_available() is False
+assert "forced by test" in (native_module.numba_unavailable_reason() or "")
+assert native_module.prange is range
+# The identity decorator keeps the kernels callable...
+labels, dists = native_module.grouped_classify_packed_native(
+    np.array([[5]], dtype=np.uint64),
+    np.array([[[0], [5]]], dtype=np.uint64),
+    np.zeros(1, dtype=np.intp),
+    np.array([[10, 20]], dtype=np.int64),
+)
+assert labels.tolist() == [20]
+assert dists.tolist() == [[2, 0]]
+# ...threads pin to 1, and the registry degrades gracefully.
+assert native_module.apply_native_threads(4) == 1
+rows = {r["name"]: r for r in engine_capabilities()}
+assert rows[PACKED_NATIVE_ENGINE]["available"] is False
+assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
+print("ok")
+"""
+
+
+class TestNumbaAbsentImport:
+    def test_module_degrades_without_numba(self, monkeypatch):
+        """Import the module with the numba import forcibly failing."""
+        env = {k: v for k, v in os.environ.items()
+               if k != NATIVE_PURE_PYTHON_ENV}
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + ([env["PYTHONPATH"]]
+                                      if env.get("PYTHONPATH") else []))
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMBA_ABSENT_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+        # This process still builds the class this module imported.
+        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+        assert type(_native_engine()) is PackedNativeEngine
 
 
 class TestThreadKnob:

@@ -176,14 +176,16 @@ class TestSlabEdges:
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([1, 2, 5]), st.integers(0, 2**32 - 1), st.data())
     def test_mixed_runs_ragged_chunks_and_a_checkpoint(self, k, seed, data):
-        # Three streams of 3, 4 and 5 electrodes share each tick's tiles
-        # of three rows, so a tile holds runs of one, two and three
-        # blocks; every stream is checkpointed and restored once.
+        # Three streams of 4 electrodes, each with its own bound table
+        # (electrode seeds 3, 4 and 5), share each tick's tiles of three
+        # rows, so a tile holds runs of one, two and three blocks that
+        # gather from three arena slots; every stream is checkpointed
+        # and restored once.
         rng = np.random.default_rng(seed)
         electrodes = (3, 4, 5)
         memories = {e: (ItemMemory(16, self.DIM, seed=1),
-                        ItemMemory(e, self.DIM, seed=e)) for e in electrodes}
-        codes = {e: rng.integers(0, 16, (160, e)) for e in electrodes}
+                        ItemMemory(4, self.DIM, seed=e)) for e in electrodes}
+        codes = {e: rng.integers(0, 16, (160, 4)) for e in electrodes}
         ticks = []
         while len(ticks) < 3 or min(map(sum, zip(*ticks))) < 160:
             ticks.append([data.draw(st.integers(16, 48)) for _ in electrodes])
@@ -213,7 +215,7 @@ class TestSlabEdges:
                 np.testing.assert_array_equal(
                     np.concatenate(outputs[e]),
                     _reference(SpatialEncoder(*memories[e]), self.SPEC, codes[e]),
-                    err_msg=f"{tile_class.__name__}, {e} electrodes",
+                    err_msg=f"{tile_class.__name__}, electrode seed {e}",
                 )
             if tile_class is not CountBlockTile:
                 assert k in spy.samples
