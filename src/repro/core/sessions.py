@@ -5,13 +5,13 @@ A :class:`StreamSessionManager` multiplexes many live patient streams
 fitted detector, raw tail, encoder and alarm machine.  A tick
 (:meth:`StreamSessionManager.push_many`, through :func:`push_streams`)
 runs each stage once over every session: LBP symbolise *per session*;
-the spatial encode and temporal block step *grouped per tile* of
-sessions that share an electrode count — one spatial call per slab,
-every record gathering from its session's table in the shared
-bound-table arena (:mod:`repro.hdc.spatial_packed`), then one
-carry-save count, window adder and comparator over a bounded tile of
-many sessions' blocks (:class:`repro.hdc.temporal.BlockTiles`, whose
-fixed word budget keeps a tick's peak memory flat in the shard size);
+the spatial encode and temporal block step *grouped* in one tile of
+all sessions that share an electrode count and alphabet
+(:class:`repro.hdc.temporal.BlockTiles`) — codes staged once, one
+spatial call per sample slab, every record gathering from its
+session's table in the shared bound-table arena
+(:mod:`repro.hdc.spatial_packed`), one carry-save count, window adder
+and comparator;
 then one XOR + popcount sweep through the one classify stage
 (:func:`repro.core.detector.classify_grouped`) and one t_c / t_r vote
 over a bank of the sessions' alarm machines.  Events are

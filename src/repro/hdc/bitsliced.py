@@ -52,15 +52,15 @@ class CarrySaveCounter:
         plane = self.free.pop()
         return plane if len(plane) == self.shape[0] else plane[: self.shape[0]]
 
-    def _adder(self, a, b, c, total: np.ndarray) -> np.ndarray:
-        """3:2 adder: the sum goes into ``total`` (``b`` may be it) and
-        the carry into a new plane, returned; ``a`` is clobbered."""
+    def _adder(self, a, b, c) -> np.ndarray:
+        """3:2 adder: the sum goes into ``c`` and the carry into a new
+        plane, returned; ``a`` and ``b`` are clobbered."""
         carry = self.plane()
         np.bitwise_and(a, b, out=carry)
-        np.bitwise_xor(a, b, out=total)
-        np.bitwise_and(c, total, out=a)
-        np.bitwise_xor(total, c, out=total)
-        np.bitwise_or(carry, a, out=carry)
+        np.bitwise_xor(a, b, out=a)
+        np.bitwise_and(a, c, out=b)
+        np.bitwise_xor(c, a, out=c)
+        np.bitwise_or(carry, b, out=carry)
         return carry
 
     def push(self, digit: int, plane: np.ndarray) -> None:
@@ -72,18 +72,16 @@ class CarrySaveCounter:
         if len(pending) == 3:
             a, b, c = pending
             pending.clear()
-            carry = self._adder(a, b, c, b)
-            self.free += (a, c)
-            self.push(digit, b)
+            carry = self._adder(a, b, c)
+            self.free += (a, b)
+            self.push(digit, c)
             self.push(digit + 1, carry)
 
-    def push_triple(self, masks: np.ndarray) -> None:
-        """Add a ``(3, *shape)`` stack the counter does not own (its
-        first plane is clobbered)."""
-        a, b, c = np.asarray(masks, dtype=np.uint64)
-        total = self.plane()
-        carry = self._adder(a, b, c, total)
-        self.push(0, total)
+    def push_triple(self, pair: np.ndarray, plane: np.ndarray) -> None:
+        """Add a ``(2, *shape)`` stack the counter does not own (it is
+        clobbered) and ``plane``, owned from now on, at digit 0."""
+        carry = self._adder(pair[0], pair[1], plane)
+        self.push(0, plane)
         self.push(1, carry)
 
     def add(self, stack: np.ndarray, digit: int = 0) -> None:
@@ -191,11 +189,12 @@ def planes_greater_than(
 
     ``planes`` is a digit list (a counter's, read in place) or a
     ``(depth, ..., words)`` array; the result is ``(...,  words)``,
-    written into ``out`` when given.  The test is ``count >= t`` for
-    ``t = threshold + 1``, LSB first, one word operation per digit:
-    start from the digit of the lowest set bit of ``t``, then AND each
-    higher digit where ``t`` has a set bit and OR it where ``t`` has a
-    clear one.  Padding bits stay zero for ``threshold >= 0``.
+    written into ``out`` when given (the lowest digit plane may be
+    it).  The test is ``count >= t`` for ``t = threshold + 1``, LSB
+    first, one word operation per digit: start from the digit of the
+    lowest set bit of ``t``, then AND each higher digit where ``t`` has
+    a set bit and OR it where ``t`` has a clear one.  Padding bits stay
+    zero for ``threshold >= 0``.
     """
     planes = _digit_planes(planes)
     if out is None:

@@ -333,15 +333,12 @@ class NativeSpatialEncoder(PackedSpatialEncoder):
 
     def encode_packed(
         self, codes: np.ndarray, out: np.ndarray | None = None,
-        bases: np.ndarray | None = None, tile: int | None = None,
+        bases: np.ndarray | None = None,
     ) -> np.ndarray:
-        flat, base = self._rows()
-        arr, out, bases = self._checked(codes, out, bases, flat)
-        first_row = np.arange(self.n_electrodes, dtype=np.intp) * self.n_codes
-        if bases is None:
-            first_row += base
-        tile = max(1, min(_TILE_WORDS // (self.n_electrodes * self.words),
-                          tile or arr.shape[0]))
+        arr, flat, first_row, bases = self._checked(codes, bases)
+        if out is None:
+            out = np.empty((arr.shape[0], self.words), dtype=np.uint64)
+        tile = max(1, _TILE_WORDS // (self.n_electrodes * self.words))
         for start in range(0, arr.shape[0], tile):
             stop = min(start + tile, arr.shape[0])
             rows = np.add(first_row[:, None], arr[start:stop].T,

@@ -12,21 +12,18 @@ Bound tables are shared, as the GPU kernel stages IM1 and IM2 once for
 every electrode of a step.  ``ItemMemory`` vectors depend only on
 ``(n_items, dim, seed)``, so every encoder of one ``(n_codes, code seed,
 n_electrodes, electrode seed, dim)`` key reads one read-only packed
-table, and the tables of one shape sit as slots of one contiguous
-arena (:class:`_Arena`).  The arena doubles its capacity on growth and
-swaps the new array in, so an encode that is already running keeps the
-array it read; a slot is released when the last encoder holding it is
-collected, and the next new table reuses it.
+table, a slot of the one arena of its shape (:class:`_Arena`), released
+when the last encoder holding it is collected.
 
 Batch encoding tiles the samples so one ``(tile, words)`` plane holds
 about ``_PLANE_WORDS`` words and every word operation runs on a
 cache-resident operand.  Per tile it reads the codes electrode-major, a
 plane-sized slice of electrodes at a time, gathers each electrode
-triple's bound masks with one ``np.take`` from the arena and streams
-them through the carry-save counter
-(:class:`repro.hdc.bitsliced.CarrySaveCounter`): only
-``O(log n_electrodes)`` planes are ever live.  Because every table of a
-shape is in one array, a batch may mix encoders: ``bases`` gives each
+triple's bound masks from the arena (a pair with one ``np.take`` into a
+reused buffer, the third into a counter plane) and streams them through
+the carry-save counter (:class:`repro.hdc.bitsliced.CarrySaveCounter`):
+only ``O(log n_electrodes)`` planes are ever live.  Because every table
+of a shape is in one array, a batch may mix encoders: ``bases`` gives each
 record its table's first row, so a serving slab of many sessions is one
 call (:class:`repro.hdc.temporal_packed.PackedBlockTile`).
 """
@@ -57,36 +54,54 @@ _PLANE_WORDS = 12_288
 class _Arena:
     """Every bound table of one ``(n_electrodes, n_codes, words)``
     shape: slot ``s`` is rows ``[s * slot_rows, (s + 1) * slot_rows)``
-    of :attr:`rows`, the read-only view encoders gather from."""
+    of :attr:`rows`, the read-only view encoders gather from.
 
-    def __init__(self, slot_rows: int, words: int) -> None:
-        self.slot_rows = slot_rows
-        self._data = np.empty((0, words), dtype=np.uint64)
-        self.rows = self._data
-        #: Released slots, reused before the arena grows.
-        self.free: list[int] = []
-        self.n_slots = 0
+    A live slot never moves, so a base read before a resize still finds
+    its table in the new array.  Only a free tail is given back:
+    a live slot high in the arena keeps the slots below it."""
+
+    def __init__(self, shape: tuple[int, int, int]) -> None:
+        self.shape, self.slot_rows = shape, shape[0] * shape[1]
+        self._data = self.rows = np.empty((0, shape[2]), dtype=np.uint64)
+        #: Slots up to the highest one in use, and the released ones
+        #: below it, reused lowest first.
+        self.n_slots, self.free = 0, set()
+
+    def _resize(self, capacity: int) -> None:
+        # A new array, swapped in: a running encode keeps the one it read.
+        data = np.empty((capacity * self.slot_rows, self.shape[2]),
+                        dtype=np.uint64)
+        kept = min(len(data), len(self._data))
+        data[:kept] = self._data[:kept]
+        self._data, self.rows = data, data.view()
+        self.rows.setflags(write=False)
 
     def store(self, table: np.ndarray) -> int:
-        """Copy a ``(slot_rows, words)`` table into a free slot (growing
-        into a new array of twice the capacity if none is free); return
-        the slot's first row."""
+        """Copy a ``(slot_rows, words)`` table into the lowest free slot
+        (growing to twice the capacity if none is free); return the
+        slot's first row."""
         if self.free:
-            slot = self.free.pop()
+            slot = min(self.free)
+            self.free.remove(slot)
         else:
             slot, self.n_slots = self.n_slots, self.n_slots + 1
             capacity = len(self._data) // self.slot_rows
             if slot == capacity:
-                grown = np.empty((max(1, 2 * capacity) * self.slot_rows,
-                                  self._data.shape[1]), dtype=np.uint64)
-                grown[: len(self._data)] = self._data
-                self._data = grown
+                self._resize(max(1, 2 * capacity))
         base = slot * self.slot_rows
         self._data[base : base + self.slot_rows] = table
-        rows = self._data.view()
-        rows.setflags(write=False)
-        self.rows = rows
         return base
+
+    def release(self, slot: int) -> None:
+        """Free ``slot``, trim the free tail, and shrink to the slots in
+        use once they fill a quarter of the capacity or less (so a store
+        and a release at a capacity edge do not copy back and forth)."""
+        self.free.add(slot)
+        while self.n_slots - 1 in self.free:
+            self.n_slots -= 1
+            self.free.remove(self.n_slots)
+        if self.n_slots <= len(self._data) // self.slot_rows // 4:
+            self._resize(self.n_slots)
 
 
 class _Slot:
@@ -95,12 +110,36 @@ class _Slot:
 
     def __init__(self, arena: _Arena, base: int) -> None:
         self.arena, self.base = arena, base
-        weakref.finalize(self, arena.free.append, base // arena.slot_rows)
+        weakref.finalize(self, _released, arena, base // arena.slot_rows)
 
 
 _LOCK = threading.Lock()
 _ARENAS: dict[tuple[int, int, int], _Arena] = {}
 _SLOTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: Released slots not yet freed: ``(arena, slot)``.
+_RELEASED: list[tuple[_Arena, int]] = []
+
+
+def _released(arena: _Arena, slot: int) -> None:
+    """A slot's finalizer, which may run inside an allocation under the
+    lock: it queues the slot and frees the queue if the lock is free
+    (else the next table built does)."""
+    _RELEASED.append((arena, slot))
+    if _LOCK.acquire(blocking=False):
+        try:
+            _free_released()
+        finally:
+            _LOCK.release()
+
+
+def _free_released() -> None:
+    """Free the queued slots (under the lock); an arena whose last slot
+    goes is dropped."""
+    while _RELEASED:
+        arena, slot = _RELEASED.pop()
+        arena.release(slot)
+        if not arena.n_slots and _ARENAS.get(arena.shape) is arena:
+            del _ARENAS[arena.shape]
 
 
 def _shared_table(code_memory: ItemMemory,
@@ -110,6 +149,7 @@ def _shared_table(code_memory: ItemMemory,
     key = (code_memory.n_items, code_memory.seed, electrode_memory.n_items,
            electrode_memory.seed, code_memory.dim)
     with _LOCK:
+        _free_released()
         slot = _SLOTS.get(key)
         if slot is None:
             packed_codes = pack_bits(code_memory.vectors)
@@ -118,9 +158,10 @@ def _shared_table(code_memory: ItemMemory,
             shape = table.shape
             arena = _ARENAS.get(shape)
             if arena is None:
-                arena = _ARENAS[shape] = _Arena(shape[0] * shape[1], shape[2])
+                arena = _ARENAS[shape] = _Arena(shape)
             slot = _Slot(arena, arena.store(table.reshape(-1, shape[2])))
             _SLOTS[key] = slot
+        _free_released()
         return slot
 
 
@@ -154,12 +195,14 @@ class PackedSpatialEncoder:
         """First row of this encoder's table in its arena (``bases``)."""
         return self._slot.base
 
-    def _checked(
-        self, codes: np.ndarray, out: np.ndarray | None,
-        bases: np.ndarray | None, flat: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(n_samples, n_electrodes)`` codes, validated, ``out``, and
-        the records' table bases, range-checked against ``flat``."""
+    def _checked(self, codes: np.ndarray, bases: np.ndarray | None):
+        """``(n_samples, n_electrodes)`` codes, validated; the arena
+        (read once, so a resize never changes the array under an
+        encode); each electrode's first row in it (plus this encoder's
+        base when there are no ``bases``); and the records' table bases,
+        range-checked against the arena."""
+        flat, base = self._rows()
+        first_row = np.arange(self.n_electrodes, dtype=np.intp) * self.n_codes
         arr = np.asarray(codes)
         if arr.ndim == 1:
             arr = arr[None, :]
@@ -167,12 +210,10 @@ class PackedSpatialEncoder:
             raise ValueError(
                 f"expected (n_samples, {self.n_electrodes}), got {arr.shape}"
             )
-        if out is None:
-            out = np.empty((arr.shape[0], self.words), dtype=np.uint64)
         if arr.size and (arr.min() < 0 or arr.max() >= self.n_codes):
             raise ValueError(f"code out of range [0, {self.n_codes})")
         if bases is None:
-            return arr, out, None
+            return arr, flat, first_row + base, None
         bases = np.asarray(bases)
         if bases.shape != (arr.shape[0],) or bases.dtype.kind not in "iu":
             raise ValueError(
@@ -182,19 +223,18 @@ class PackedSpatialEncoder:
         last = len(flat) - self.n_electrodes * self.n_codes
         if bases.size and (bases.min() < 0 or bases.max() > last):
             raise ValueError(f"table base out of range [0, {last}]")
-        return arr, out, bases.astype(np.intp, copy=False)
+        return arr, flat, first_row, bases.astype(np.intp, copy=False)
 
     def _rows(self) -> tuple[np.ndarray, int]:
         """The arena holding this encoder's table, and the table's
         first row: electrode e's mask for code c is row
-        ``base + e * n_codes + c``.  Read once per encode, so a growing
-        arena never changes the array under it."""
+        ``base + e * n_codes + c``."""
         slot = self._slot
         return slot.arena.rows, slot.base
 
     def encode_packed(
         self, codes: np.ndarray, out: np.ndarray | None = None,
-        bases: np.ndarray | None = None, tile: int | None = None,
+        bases: np.ndarray | None = None,
     ) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``
         (see the module docstring) — no per-sample Python loop.
@@ -203,29 +243,27 @@ class PackedSpatialEncoder:
         array.  ``bases`` gives record i's table as its first row in
         this encoder's arena (another encoder's :attr:`base`, if its
         tables have this one's shape); by default every record uses
-        this encoder's table.  ``tile`` caps the records of one spatial
-        tile below the plane budget's."""
-        flat, base = self._rows()
-        arr, out, bases = self._checked(codes, out, bases, flat)
+        this encoder's table.  Without ``out``, a batch of one spatial
+        tile returns its counter's lowest digit plane, which the
+        comparator overwrites with the records."""
+        arr, flat, first_row, bases = self._checked(codes, bases)
         n_samples, n_electrodes = arr.shape
-        tile = max(1, min(n_samples, _PLANE_WORDS // self.words,
-                          tile or n_samples))
+        tile = max(1, min(n_samples, _PLANE_WORDS // self.words))
+        if out is None and tile != n_samples:
+            out = np.empty((n_samples, self.words), dtype=np.uint64)
         # Electrodes whose (electrodes, tile) row indices fill one plane,
         # a whole number of triples: the codes are read electrode-major.
         span = min(n_electrodes, max(3, _PLANE_WORDS // tile // 3 * 3))
-        first_row = np.arange(n_electrodes, dtype=np.intp) * self.n_codes
-        if bases is None:
-            first_row += base
         threshold = n_electrodes // 2
         free: list[np.ndarray] = []
         index_buffer = np.empty(span * tile, dtype=np.intp)
-        mask_buffer = np.empty(3 * tile * self.words, dtype=np.uint64)
+        pair_buffer = np.empty(2 * tile * self.words, dtype=np.uint64)
         for start in range(0, n_samples, tile):
             stop = min(start + tile, n_samples)
             n = stop - start
             # A short last tile takes the leading rows of pooled planes.
             counter = CarrySaveCounter((n, self.words), free)
-            masks = mask_buffer[: 3 * n * self.words].reshape(3, n, self.words)
+            pair = pair_buffer[: 2 * n * self.words].reshape(2, n, self.words)
             for e0 in range(0, n_electrodes, span):
                 e1 = min(e0 + span, n_electrodes)
                 rows = index_buffer[: (e1 - e0) * n].reshape(e1 - e0, n)
@@ -239,15 +277,20 @@ class PackedSpatialEncoder:
                     rows += bases[start:stop]
                 for e in range(0, e1 - e0, 3):
                     if e + 3 <= e1 - e0:
-                        np.take(flat, rows[e:e + 3], axis=0, out=masks,
+                        np.take(flat, rows[e:e + 2], axis=0, out=pair,
                                 mode="clip")
-                        counter.push_triple(masks)
+                        plane = counter.plane()
+                        np.take(flat, rows[e + 2], axis=0, out=plane,
+                                mode="clip")
+                        counter.push_triple(pair, plane)
                         continue
                     for row in rows[e:]:
                         plane = counter.plane()
                         np.take(flat, row, axis=0, out=plane, mode="clip")
                         counter.push(0, plane)
             planes = counter.planes()
+            if out is None:
+                return planes_greater_than(planes, threshold, out=planes[0])
             planes_greater_than(planes, threshold, out=out[start:stop])
             free.extend(planes)
         return out

@@ -12,14 +12,14 @@ windows overlap.  :class:`WindowBundler` is the one streaming encoder of
 every engine; the engine's :class:`BlockTile` class is the only place
 that knows its block state (integer counts here, digit planes in
 :mod:`repro.hdc.temporal_packed`).  Every tile class runs the one
-flush: staged block codes are encoded in sample slabs that stream
-straight into the block counter, for many blocks at once (every
-stream's of a serving tick, or all of an offline feed's), in bounded
-tiles.  On the packed engines a slab is one spatial call, whatever
-streams it holds: every record gathers from its stream's table in the
-shared bound-table arena (:mod:`repro.hdc.spatial_packed`).  Whatever
-the block state, H vectors leave packed,
-``(n_windows, packed_words(d))`` uint64.
+flush: a tile's block codes, staged once in one array, are encoded in
+sample slabs that stream straight into the block counter, for many
+blocks at once (all of a serving tick's same-shape streams, or all of
+an offline feed's blocks) within a fixed budget.  On the packed engines
+a slab is one spatial call, whatever streams it holds: every record
+gathers from its stream's table in the shared bound-table arena
+(:mod:`repro.hdc.spatial_packed`).  Whatever the block state, H vectors
+leave packed, ``(n_windows, packed_words(d))`` uint64.
 """
 
 from __future__ import annotations
@@ -33,31 +33,38 @@ from repro.hdc.ops import majority_from_counts
 from repro.signal.windows import WindowSpec
 
 
-#: Word budget of one slab: 256 KiB of records (8 blocks x 32 words
-#: at d = 2000); a tile stages as many codes of its first stream's
-#: width.  Bounded, so peak memory does not grow with the streams.
+#: Word budget of a tile: 256 KiB of records per slab (8 blocks x 32
+#: words at d = 2000) and as many bytes of staged codes.  Bounded, so
+#: peak memory stays bounded however many streams a tick holds.
 _TILE_WORDS = 32_768
 
 
 class BlockTile:
     """Many streams' 0.5 s blocks, counted in sample slabs.
 
-    :meth:`stage` keeps runs of one stream's consecutive blocks as codes.
-    :meth:`flush` walks them in slabs, samples ``[s0, s0 + k)`` of every
-    row in ``(k, rows, width)`` records inside the tile budget, and the
-    slab's sample planes go straight into the block counter.  It then
-    sums each completed window from its stream's block states into the
-    row its stream reserved.  A tile's streams share one electrode
-    count and alphabet, so a packed slab is one spatial call over every
-    stream's records; the integer-counter reference encodes run by run.
+    :meth:`stage` keeps runs of one stream's consecutive blocks;
+    :meth:`flush` joins their codes into one ``(rows, step,
+    n_electrodes)`` array and walks it in slabs, samples ``[s0, s0 +
+    k)`` of every row as ``(k, rows, width)`` records that go straight
+    into the block counter.  It then sums each completed window from
+    its stream's block states into the row its stream reserved, and
+    copies the block states a stream keeps.  A tile's streams share one
+    electrode count and alphabet, so a packed slab is one spatial call;
+    the integer-counter reference encodes run by run.  An offline feed
+    (``max_rows`` given) fills the budget with each slab; a serving
+    tile holds every stream the codes budget admits, in slabs of a
+    quarter budget: one spatial tile on the packed engines (256 records
+    at d = 2000 and 32 sessions), paid for by its compact codes.
 
     Subclasses supply the record ``dtype`` and :meth:`record_width`; the
-    kernels ``_encode(slab, s0)`` (fill the ``(n, rows, width)`` slab
-    with samples ``[s0, s0 + n)`` of every staged row), ``_counter(rows)``,
+    kernels ``_encode(s0, n)`` (the ``(n, rows, width)`` records of
+    samples ``[s0, s0 + n)`` of every row of :attr:`codes`; runs are
+    ``(encoder, n_blocks, out, first)`` then), ``_counter(rows)``,
     ``_add(counter, slab)``,
     ``_states(counter)`` (row ``r``'s block state is ``[r]``) and
     ``_windows(lags)`` (packed H vectors of windows whose blocks, oldest
-    first, are ``lags``); and the checkpoint hooks
+    first, are ``lags``); the per-flush hook ``_begin(k)``; and the
+    checkpoint hooks
     ``export_block(state, dim)`` (canonical ``(d,)`` int64 counts, the
     same on every engine, so checkpoints cross engines) and
     ``import_block(counts, step)`` (the inverse).
@@ -75,12 +82,19 @@ class BlockTile:
         self.width = self.record_width(encoder.dim)
         self._row_bytes = self.width * np.dtype(self.dtype).itemsize
         budget, step = _TILE_WORDS * 8, self.spec.step_samples
-        if max_rows is None:  # every slab holds whole blocks
-            max_rows = budget // (step * self._row_bytes)
-        self.rows = max(1, min(max_rows, budget // self._row_bytes, budget
+        offline = max_rows is not None
+        self._slab_bytes = budget if offline else budget // 4
+        self.rows = max(1, min(max_rows if offline else budget,
+                               budget // self._row_bytes, budget
                                // (step * encoder.spatial.n_electrodes)))
-        self._runs: list[tuple[WindowBundler, np.ndarray, np.ndarray, int]] = []
+        self._runs: list[tuple] = []
         self._staged = 0
+        #: The staged codes, ``(rows, step, n_electrodes)``, while a
+        #: flush runs.
+        self.codes: np.ndarray | None = None
+
+    def _begin(self, k: int) -> None:
+        """Set up a flush whose slabs hold ``k`` samples."""
 
     def _states(self, counter):
         return counter
@@ -101,25 +115,30 @@ class BlockTile:
     def flush(self) -> None:
         if not self._runs:
             return
-        step, rows, width = self.spec.step_samples, self._staged, self.width
-        k = max(1, min(step, _TILE_WORDS * 8 // (rows * self._row_bytes)))
+        step, rows = self.spec.step_samples, self._staged
+        # The staged codes in one array; the runs then hold no blocks.
+        self.codes = (self._runs[0][1] if len(self._runs) == 1
+                      else np.concatenate([run[1] for run in self._runs]))
+        self._runs = [(encoder, len(blocks), out, first)
+                      for encoder, blocks, out, first in self._runs]
+        k = max(1, min(step, self._slab_bytes // (rows * self._row_bytes)))
+        self._begin(k)
         counter = self._counter(rows)
-        buffer = np.empty(k * rows * width, dtype=self.dtype)
         for s0 in range(0, step, k):
-            n = min(k, step - s0)
-            slab = buffer[: n * rows * width].reshape(n, rows, width)
-            self._encode(slab, s0)
-            self._add(counter, slab)
+            self._add(counter, self._encode(s0, min(k, step - s0)))
+        self.codes = None
         states = self._states(counter)
+        del counter  # its pooled planes, before the windows' counter
         k = self.spec.window_samples // step
-        history: dict[int, list[np.ndarray]] = {}
-        lags, dests = [], []
-        row_states = iter(states)
-        for encoder, blocks, out, first in self._runs:
-            past = history.setdefault(id(encoder), list(encoder._blocks))
-            for index, state in zip(range(first, first + len(blocks)), row_states):
+        lags, dests, row = [], [], 0
+        for encoder, m, out, first in self._runs:  # one run per stream
+            mine, row = states[row : row + m], row + m
+            past = list(encoder._blocks)
+            encoder._blocks.extend(
+                state.copy() for state in mine[-encoder._blocks.maxlen :]
+            )
+            for index, state in enumerate(mine, first):
                 past.append(state)
-                encoder._blocks.append(state.copy())
                 if index >= 0:
                     lags.append(past[-k:])
                     dests.append((out, index))
@@ -134,8 +153,9 @@ class BlockTile:
 class BlockTiles:
     """One tick's grouped block step, a :class:`BlockTile` per tile
     class, electrode count and alphabet: pass it to every stream's
-    ``feed`` (once each), then flush.  ``max_rows`` caps a tile's rows;
-    by default a slab holds whole blocks."""
+    ``feed`` (once each), then flush.  ``max_rows`` caps a tile's rows
+    and gives it offline sizing (see :class:`BlockTile`); by default a
+    tile holds every same-shape stream the budget admits."""
 
     def __init__(self, max_rows: int | None = None) -> None:
         self.max_rows = max_rows
@@ -190,11 +210,14 @@ class WindowBundler:
         self.dim = spatial.dim
         #: Packed word count of one H vector.
         self.words = packed_words(self.dim)
+        #: Smallest dtype of the alphabet: pending and staged codes.
+        self._code_dtype = np.min_scalar_type(spatial.n_codes - 1)
         self.reset()
 
     def reset(self) -> None:
         """Drop buffered samples and block state (start of a new record)."""
-        self._pending = np.zeros((0, self.spatial.n_electrodes), dtype=np.int64)
+        self._pending = np.zeros((0, self.spatial.n_electrodes),
+                                 dtype=self._code_dtype)
         self._blocks: deque[np.ndarray] = deque(maxlen=self.blocks_per_window)
 
     def feed(self, codes: np.ndarray, tiles: BlockTiles | None = None) -> np.ndarray:
@@ -222,11 +245,12 @@ class WindowBundler:
                   if self._pending.size else arr)
         step = self.spec.step_samples
         n_blocks = joined.shape[0] // step
-        self._pending = joined[n_blocks * step :].copy()
+        self._pending = joined[n_blocks * step :].astype(self._code_dtype)
         blocks = joined[: n_blocks * step].reshape(n_blocks, step, n_electrodes)
-        if tiles is not None and joined is arr:
-            # Encoded at the tick's flush: the caller may reuse ``codes``.
-            blocks = blocks.astype(np.min_scalar_type(n_codes - 1))
+        if tiles is not None:
+            # Encoded at the tick's flush, from a compact copy: the
+            # caller may reuse ``codes``, and no block pins ``joined``.
+            blocks = blocks.astype(self._code_dtype)
         skip = max(0, self.blocks_per_window - 1 - len(self._blocks))
         out = np.empty((max(0, n_blocks - skip), self.words), dtype=np.uint64)
         group = BlockTiles(n_blocks) if tiles is None else tiles
@@ -304,7 +328,7 @@ class WindowBundler:
                 f"{self.blocks_per_window}"
             )
         self.reset()
-        self._pending = pending.copy()
+        self._pending = pending.astype(self._code_dtype)
         self._blocks.extend(
             self.tile_class.import_block(block.astype(np.int64), step)
             for block in blocks
@@ -318,19 +342,28 @@ class CountBlockTile(BlockTile):
 
     dtype = np.uint8
 
+    def __init__(self, encoder: "WindowBundler", max_rows: int | None) -> None:
+        # One spatial call per run and slab: a serving tile keeps the
+        # rows whose whole blocks fill one slab, so a block is one call.
+        if max_rows is None:
+            max_rows = (_TILE_WORDS * 8
+                        // (encoder.spec.step_samples * encoder.dim))
+        super().__init__(encoder, max_rows)
+
     @staticmethod
     def record_width(dim: int) -> int:
         return dim
 
-    def _encode(self, slab: np.ndarray, s0: int) -> None:
+    def _encode(self, s0: int, n: int) -> np.ndarray:
         # The reference: one spatial call per run, copied into the slab.
-        n, row = len(slab), 0
-        for encoder, blocks, _, _ in self._runs:
-            m = len(blocks)
-            codes = blocks[:, s0 : s0 + n].transpose(1, 0, 2)
+        slab = np.empty((n, len(self.codes), self.width), dtype=self.dtype)
+        row = 0
+        for encoder, m, _, _ in self._runs:
+            codes = self.codes[row : row + m, s0 : s0 + n].transpose(1, 0, 2)
             records = encoder.spatial.encode(codes.reshape(n * m, -1))
             slab[:, row : row + m] = records.reshape(n, m, -1)
             row += m
+        return slab
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:

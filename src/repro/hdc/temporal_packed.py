@@ -1,9 +1,10 @@
 """Packed block step: window bundling without leaving the bit domain.
 
 The packed engines' :class:`~repro.hdc.temporal.BlockTile`: one spatial
-call writes each sample slab of a tile's blocks as uint64 words (every
-record gathering from its stream's slot of the bound-table arena), and
-the slab's sample planes go straight into one carry-save counter
+call encodes each sample slab of a tile's staged codes as uint64 words
+(every record gathering from its stream's slot of the bound-table
+arena, the row bases built once per flush), and the slab's sample
+planes go straight into one carry-save counter
 (:class:`~repro.hdc.bitsliced.CarrySaveCounter`) whose digit planes are
 the blocks' states.  A window adds its blocks' digit planes at their
 own digits in a second counter, and the majority is the LSB-first
@@ -35,26 +36,29 @@ from repro.hdc.temporal import BlockTile
 class PackedBlockTile(BlockTile):
     """Bit-sliced block step over packed uint64 records."""
 
-    def _encode(self, slab: np.ndarray, s0: int) -> None:
+    def _begin(self, k: int) -> None:
+        # Once per flush: the slab's code buffer, and each record's
+        # table (none when every row shares the first stream's).
+        rows, _, n_electrodes = self.codes.shape
+        self._spatial = spatial = self._runs[0][0].spatial
+        self._slab_codes = np.empty(
+            (k, rows, n_electrodes),
+            dtype=np.min_scalar_type(spatial.n_codes - 1))
+        row_bases = np.repeat([run[0].spatial.base for run in self._runs],
+                              [run[1] for run in self._runs])
+        self._bases = (None if (row_bases == spatial.base).all()
+                       else np.tile(row_bases, k))
+
+    def _encode(self, s0: int, n: int) -> np.ndarray:
         # One spatial call for the whole slab: records in (sample, row)
         # order, each gathering from its stream's bound table.
-        n, rows = slab.shape[:2]
-        spatial = self._runs[0][0].spatial
-        codes = np.empty((n, rows, spatial.n_electrodes),
-                         dtype=np.min_scalar_type(spatial.n_codes - 1))
-        row_bases = np.empty(rows, dtype=np.intp)
-        row = longest = 0
-        for encoder, blocks, _, _ in self._runs:
-            m = len(blocks)
-            codes[:, row : row + m] = blocks[:, s0 : s0 + n].transpose(1, 0, 2)
-            row_bases[row : row + m] = encoder.spatial.base
-            row, longest = row + m, max(longest, m)
-        # Rows that all share the first stream's table need no bases.
-        bases = (None if (row_bases == spatial.base).all()
-                 else np.tile(row_bases, n))
-        spatial.encode_packed(codes.reshape(n * rows, -1),
-                              slab.reshape(n * rows, self.width), bases,
-                              tile=n * longest)
+        rows = len(self.codes)
+        codes = self._slab_codes[:n]
+        codes[...] = self.codes[:, s0 : s0 + n].transpose(1, 0, 2)
+        bases = None if self._bases is None else self._bases[: n * rows]
+        records = self._spatial.encode_packed(codes.reshape(n * rows, -1),
+                                              bases=bases)
+        return records.reshape(n, rows, self.width)
 
     @staticmethod
     def export_block(state: np.ndarray, dim: int) -> np.ndarray:

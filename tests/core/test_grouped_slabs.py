@@ -1,11 +1,12 @@
 """Serving ticks whose slabs are one spatial call over many sessions.
 
-A tick's packed block tiles hold sessions of one electrode count and
-alphabet, and each tile's sample slab is one ``encode_packed`` call in
-which every record gathers from its session's slot of the shared
-bound-table arena.  Fleets mixing engines, electrode counts and seeds
-must still give every session the events of a lone stream and of the
-integer-counter reference.
+A tick's packed block tile holds all of a shard's sessions of one
+electrode count and alphabet, their block codes staged once, and each
+sample slab of it is one ``encode_packed`` call in which every record
+gathers from its session's slot of the shared bound-table arena.
+Fleets mixing engines, electrode counts and seeds must still give every
+session the events of a lone stream and of the integer-counter
+reference.
 """
 
 import gc
@@ -20,7 +21,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
-from repro.core.persistence import detector_from_payload, detector_payload
+from repro.core.persistence import (
+    detector_from_payload,
+    detector_payload,
+    load_sessions,
+    save_sessions,
+)
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
 from repro.core.training import TrainingSegments
@@ -30,6 +36,8 @@ from repro.data.synthetic import (
     SyntheticIEEGGenerator,
 )
 from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
+from repro.hdc.temporal_packed import PackedBlockTile
+from repro.serve import ShardedStreamGateway
 
 FS = 256.0
 ELECTRODES = (1, 2, 3, 5, 16)
@@ -124,12 +132,132 @@ class TestMixedFleets:
         assert all(len(events[sid]) > 0 for sid in data)
 
 
+class _TileSpy:
+    """Records each packed tile flush's rows and slab sizes."""
+
+    def __init__(self) -> None:
+        self.flushes: list[tuple[int, list[int]]] = []
+        begin, add = PackedBlockTile._begin, PackedBlockTile._add
+
+        def spy_begin(tile, k):
+            self.flushes.append((len(tile.codes), []))
+            begin(tile, k)
+
+        def spy_add(tile, counter, slab):
+            self.flushes[-1][1].append(slab.shape[0])
+            add(tile, counter, slab)
+
+        self.patches = (
+            mock.patch.object(PackedBlockTile, "_begin", spy_begin),
+            mock.patch.object(PackedBlockTile, "_add", spy_add))
+
+    def __enter__(self):
+        for patch in self.patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        for patch in self.patches:
+            patch.stop()
+
+
+def _lone_and_reference(models, keys, ticks):
+    """Each session's events pushed alone, and on the unpacked engine."""
+    alone, expected = {}, {}
+    for sid, (e, seed, engine) in keys.items():
+        lone = StreamingLaelaps(_build(models, (e, seed, engine)))
+        reference = StreamingLaelaps(_build(models, (e, seed, "unpacked")))
+        alone[sid], expected[sid] = [], []
+        for tick in ticks:
+            if sid in tick:
+                alone[sid] += lone.push(tick[sid])
+                expected[sid] += reference.push(tick[sid])
+    return alone, expected
+
+
+class TestShardTiles:
+    """A serving tile holds all of a shard's same-shape sessions."""
+
+    def test_a_34_30_fleet_flushes_one_tile_per_shard(self, fleet_models):
+        # serve-fleet's split: 64 sessions on an inline 2-shard gateway
+        # land 34 and 30 per shard.  Each shard tick is one tile of all
+        # its sessions, and at d = 192 the slabs split every block
+        # (a quarter budget holds 80 samples of 34 rows).
+        models, signals = fleet_models
+        keys = {f"s{i:05d}": (16, SEEDS[i % 3], "packed") for i in range(64)}
+        step = int(FS / 2)
+        signal = signals[16][0]
+        ticks = [{sid: signal[start : start + step] for sid in keys}
+                 for start in range(0, len(signal), step)]
+        gateway = ShardedStreamGateway(2, mode="inline")
+        try:
+            for sid, key in keys.items():
+                gateway.open(sid, _build(models, key))
+            shards = sorted(map(len, gateway.shard_map().values()))
+            assert shards == [30, 34]
+            events = {sid: [] for sid in keys}
+            tiles_per_tick = []
+            with _TileSpy() as spy:
+                for tick in ticks:
+                    before = len(spy.flushes)
+                    for sid, new in gateway.push_many(tick).items():
+                        events[sid] += new
+                    tiles_per_tick.append(len(spy.flushes) - before)
+        finally:
+            gateway.shutdown()
+        # The first tick's codes fill no block (the LBP margin).
+        assert tiles_per_tick == [0] + [2] * (len(ticks) - 1)
+        assert sorted({rows for rows, _ in spy.flushes}) == [30, 34]
+        for rows, slabs in spy.flushes:
+            assert sum(slabs) == step and len(slabs) > 1
+        alone, expected = _lone_and_reference(models, keys, ticks)
+        assert events == alone
+        assert events == expected
+        assert all(events[sid] for sid in keys)
+
+    def test_a_checkpoint_between_ticks_with_pending_codes(
+        self, fleet_models, tmp_path
+    ):
+        # 0.5 s ticks leave every session step - margin codes pending
+        # (122 at 256 Hz): a save/load round trip between two ticks
+        # resumes them in the compact dtype, bit-exactly.
+        models, signals = fleet_models
+        keys = {f"s{i}": (16, SEEDS[i % 3], ENGINES[i % 3]) for i in range(12)}
+        step = int(FS / 2)
+        signal = signals[16][1]
+        ticks = [{sid: signal[start : start + step] for sid in keys}
+                 for start in range(0, len(signal), step)]
+        manager = StreamSessionManager()
+        for sid, key in keys.items():
+            manager.open(sid, _build(models, key))
+        events = {sid: [] for sid in keys}
+        for index, tick in enumerate(ticks):
+            if index == len(ticks) // 2:
+                for sid in keys:
+                    stream = manager.session(sid)
+                    pending = stream._encoder._pending
+                    assert pending.shape[0] == step - stream._symbolizer.margin
+                    assert pending.dtype == np.uint8
+                native_env = {NATIVE_PURE_PYTHON_ENV: "1"}
+                with mock.patch.dict(os.environ, native_env):
+                    manager = load_sessions(
+                        save_sessions(manager, tmp_path / "tick.npz"))
+                assert all(manager.session(sid)._encoder._pending.dtype
+                           == np.uint8 for sid in keys)
+            for sid, new in manager.push_many(tick).items():
+                events[sid] += new
+        alone, expected = _lone_and_reference(models, keys, ticks)
+        assert events == alone
+        assert events == expected
+
+
 class TestTickMemory:
     #: tracemalloc peak (median over ticks) of one 32-session serving
-    #: tick, 16 electrodes, d = 2000, 4 templates, 0.5 s chunks, when
-    #: slabs became one spatial call (1.002 MB before).  A 10% rise fails:
-    #: 384-record spatial tiles, say, peak at about 1.8 MB.
-    PEAK_MB = 0.994
+    #: tick, 16 electrodes, d = 2000, 4 templates, 0.5 s chunks, when a
+    #: shard's sessions became one tile counted in 256-record slabs
+    #: (0.994 MB before, with 8-row tiles of 128-record spatial tiles).
+    #: A 10% rise fails: slabs of 384 records, say, peak at about 1.3 MB.
+    PEAK_MB = 0.985
 
     def test_a_32_session_tick_keeps_its_peak(self):
         generator = SyntheticIEEGGenerator(16, SynthesisParams(fs=FS), seed=5)

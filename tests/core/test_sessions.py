@@ -207,9 +207,9 @@ class TestBatchedParity:
         retuned mid-stream: events equal solo streams'."""
         from repro.hdc import temporal
 
-        # Three packed sessions per tile at d = 1000 (an unpacked tile
-        # holds one), so the tick spans many tiles.
-        monkeypatch.setattr(temporal, "_TILE_WORDS", 3 * 128 * 16)
+        # A codes budget of three 16-electrode blocks: tiles of 3-6
+        # rows whose slabs split blocks, so the tick spans many tiles.
+        monkeypatch.setattr(temporal, "_TILE_WORDS", 3 * 128 * 16 // 8)
         detectors, signals = fleet
         models = dict(detectors)
         for i in range(3):

@@ -15,8 +15,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.hdc import spatial_packed
-from repro.hdc.backend import pack_bits
+from repro.hdc import native, spatial_packed
+from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import NativeSpatialEncoder
 from repro.hdc.spatial import SpatialEncoder
@@ -162,19 +162,119 @@ class TestSharing:
         assert failures == []
 
 
+def _arena_of(n_electrodes: int, dim: int, n_codes: int = 16):
+    return spatial_packed._ARENAS.get(
+        (n_electrodes, n_codes, packed_words(dim)))
+
+
+class TestRelease:
+    """Collected tables give their memory back; live slots stay put.
+    Each test uses an alphabet size no other test uses, so it owns the
+    arena of its shape."""
+
+    def test_lowest_free_slot_is_reused(self):
+        encoders = [PackedSpatialEncoder(*_memories(2, 110, 60 + i, 13))
+                    for i in range(5)]
+        bases = [e.base for e in encoders]
+        del encoders[3], encoders[1]
+        gc.collect()
+        memories = _memories(2, 110, 70, 13)
+        reused = PackedSpatialEncoder(*memories)
+        assert reused.base == bases[1]
+        second = PackedSpatialEncoder(*_memories(2, 110, 71, 13))
+        assert second.base == bases[3]
+        codes = np.arange(2 * 9).reshape(9, 2) % 13
+        np.testing.assert_array_equal(
+            reused.encode_packed(codes), _expected(memories, codes)
+        )
+
+    def test_free_tail_is_trimmed_and_live_slots_stay(self):
+        memories = [_memories(2, 120, 80 + i, 11) for i in range(8)]
+        encoders = [PackedSpatialEncoder(*m) for m in memories]
+        arena = _arena_of(2, 120, 11)
+        slot_rows = arena.slot_rows
+        assert len(arena.rows) == 8 * slot_rows
+        codes = np.arange(2 * 9).reshape(9, 2) % 11
+        # Slot 6 stays live: slot 7 is trimmed, nothing is given back
+        # below it (fragmentation), and slot 6 keeps its base.
+        first, kept = encoders[0], encoders[6]
+        base = kept.base
+        del encoders
+        gc.collect()
+        assert arena.n_slots == 7 and len(arena.rows) == 8 * slot_rows
+        assert kept.base == base
+        np.testing.assert_array_equal(
+            kept.encode_packed(codes), _expected(memories[6], codes)
+        )
+        # Slot 0 alone below a free tail: the array shrinks to it.
+        del kept
+        gc.collect()
+        assert arena.n_slots == 1 and len(arena.rows) == slot_rows
+        np.testing.assert_array_equal(
+            first.encode_packed(codes), _expected(memories[0], codes)
+        )
+
+    def test_shrinking_keeps_a_held_array_exact(self):
+        memories = [_memories(2, 125, 90 + i, 9) for i in range(5)]
+        encoders = [PackedSpatialEncoder(*m) for m in memories]
+        held, base = encoders[0]._rows()
+        before = held[base : base + 18].copy()
+        del encoders[1:]
+        gc.collect()
+        assert len(encoders[0]._rows()[0]) < len(held)
+        np.testing.assert_array_equal(held[base : base + 18], before)
+        codes = np.arange(2 * 9).reshape(9, 2) % 9
+        np.testing.assert_array_equal(
+            encoders[0].encode_packed(codes), _expected(memories[0], codes)
+        )
+
+    def test_arena_goes_with_its_last_slot(self):
+        encoders = [PackedSpatialEncoder(*_memories(2, 105, 100 + i, 7))
+                    for i in range(3)]
+        assert _arena_of(2, 105, 7) is encoders[0]._slot.arena
+        del encoders
+        gc.collect()
+        assert _arena_of(2, 105, 7) is None
+        # A new table of the shape starts a new arena at slot 0.
+        encoder = PackedSpatialEncoder(*_memories(2, 105, 110, 7))
+        assert encoder.base == 0 and len(encoder._rows()[0]) == 2 * 7
+
+    def test_release_inside_a_locked_build_waits_for_the_lock(self):
+        # A finalizer that runs while this thread holds the lock (say,
+        # a collection inside a table build) queues its slot, and the
+        # next build frees it.
+        encoder = PackedSpatialEncoder(*_memories(2, 100, 120, 5))
+        arena = encoder._slot.arena
+        with spatial_packed._LOCK:
+            del encoder
+            gc.collect()
+            assert spatial_packed._RELEASED and arena.n_slots == 1
+        PackedSpatialEncoder(*_memories(2, 100, 121, 5))
+        assert not spatial_packed._RELEASED
+        assert _arena_of(2, 100, 5) is not arena
+
+
 class TestGroupedCall:
     @pytest.mark.parametrize("encoder_class", ENCODERS)
     @pytest.mark.parametrize("tile", [None, 1, 7])
     def test_records_gather_from_their_own_tables(self, encoder_class, tile,
-                                                  rng):
+                                                  rng, monkeypatch):
+        # ``tile`` records per spatial tile, through either encoder's
+        # budget (None: one tile holds the batch).
         memories = [_memories(5, 300, seed=40 + i) for i in range(3)]
         encoders = [encoder_class(*m) for m in memories]
+        words = encoders[0].words
+        if tile:
+            monkeypatch.setattr(spatial_packed, "_PLANE_WORDS", tile * words)
+            monkeypatch.setattr(native, "_TILE_WORDS", tile * 5 * words)
         codes = rng.integers(0, 16, (60, 5))
         owner = rng.integers(0, 3, 60)
         bases = np.array([encoders[o].base for o in owner])
-        out = np.empty((60, encoders[0].words), dtype=np.uint64)
-        # Any encoder of the shape can run the call.
-        encoders[2].encode_packed(codes, out, bases, tile=tile)
+        # Any encoder of the shape can run the call, into ``out`` or not.
+        out = encoders[2].encode_packed(codes, bases=bases)
+        np.testing.assert_array_equal(
+            encoders[2].encode_packed(codes, np.empty_like(out), bases), out
+        )
         for i, m in enumerate(memories):
             mine = owner == i
             np.testing.assert_array_equal(

@@ -73,7 +73,7 @@ class TestCarrySaveCounter:
         bits = rng.integers(0, 2, (10, 4, dim), dtype=np.uint8)
         masks = pack_bits(bits)
         counter = CarrySaveCounter(masks.shape[1:])
-        counter.push_triple(masks[:3].copy())
+        counter.push_triple(masks[:2].copy(), masks[2].copy())
         for mask in masks[3:7]:
             counter.push(0, mask.copy())
         counter.add(masks[7:])
