@@ -332,12 +332,10 @@ class NativeSpatialEncoder(PackedSpatialEncoder):
     """
 
     def encode_packed(
-        self, codes: np.ndarray, out: np.ndarray | None = None,
-        bases: np.ndarray | None = None,
+        self, codes: np.ndarray, bases: np.ndarray | None = None,
     ) -> np.ndarray:
         arr, flat, first_row, bases = self._checked(codes, bases)
-        if out is None:
-            out = np.empty((arr.shape[0], self.words), dtype=np.uint64)
+        out = np.empty((arr.shape[0], self.words), dtype=np.uint64)
         tile = max(1, _TILE_WORDS // (self.n_electrodes * self.words))
         for start in range(0, arr.shape[0], tile):
             stop = min(start + tile, arr.shape[0])

@@ -233,24 +233,22 @@ class PackedSpatialEncoder:
         return slot.arena.rows, slot.base
 
     def encode_packed(
-        self, codes: np.ndarray, out: np.ndarray | None = None,
-        bases: np.ndarray | None = None,
+        self, codes: np.ndarray, bases: np.ndarray | None = None,
     ) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``
         (see the module docstring) — no per-sample Python loop.
 
-        ``out`` (any strides) receives the records instead of a new
-        array.  ``bases`` gives record i's table as its first row in
-        this encoder's arena (another encoder's :attr:`base`, if its
-        tables have this one's shape); by default every record uses
-        this encoder's table.  Without ``out``, a batch of one spatial
-        tile returns its counter's lowest digit plane, which the
-        comparator overwrites with the records."""
+        ``bases`` gives record i's table as its first row in this
+        encoder's arena (another encoder's :attr:`base`, if its tables
+        have this one's shape); by default every record uses this
+        encoder's table.  A batch of one spatial tile returns its
+        counter's lowest digit plane, which the comparator overwrites
+        with the records."""
         arr, flat, first_row, bases = self._checked(codes, bases)
         n_samples, n_electrodes = arr.shape
         tile = max(1, min(n_samples, _PLANE_WORDS // self.words))
-        if out is None and tile != n_samples:
-            out = np.empty((n_samples, self.words), dtype=np.uint64)
+        out = (None if tile == n_samples
+               else np.empty((n_samples, self.words), dtype=np.uint64))
         # Electrodes whose (electrodes, tile) row indices fill one plane,
         # a whole number of triples: the codes are read electrode-major.
         span = min(n_electrodes, max(3, _PLANE_WORDS // tile // 3 * 3))

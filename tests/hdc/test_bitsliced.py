@@ -204,11 +204,10 @@ class TestPackedSpatialEncoder:
             ItemMemory(64, 1000, seed=1), ItemMemory(1024, 1000, seed=2)
         )
         codes = rng.integers(0, 64, size=(256, 1024))
-        out = np.empty((256, encoder.words), dtype=np.uint64)
         gc.collect()
         tracemalloc.start()
         try:
-            encoder.encode_packed(codes, out=out)
+            encoder.encode_packed(codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
