@@ -14,6 +14,8 @@ are built on it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.hdc.backend import pack_bits, unpack_bits
@@ -36,8 +38,8 @@ class CarrySaveCounter:
     ``digits[j]`` holds the pending planes of weight ``2**j``; a digit
     that reaches three is compressed at once by a 3:2 adder, so at most
     two planes per digit are live.  Planes come from, and return to,
-    ``free``; a pooled plane with more leading rows than ``shape`` hands
-    out its leading rows.
+    ``free``; a pooled plane of another shape hands out its leading
+    words as ``shape``, or is dropped if it holds too few.
     """
 
     def __init__(self, shape: tuple[int, ...],
@@ -47,10 +49,13 @@ class CarrySaveCounter:
         self.digits: list[list[np.ndarray]] = []
 
     def plane(self) -> np.ndarray:
-        if not self.free:
-            return np.empty(self.shape, dtype=np.uint64)
-        plane = self.free.pop()
-        return plane if len(plane) == self.shape[0] else plane[: self.shape[0]]
+        while self.free:
+            plane = self.free.pop()
+            if plane.shape == self.shape:
+                return plane
+            if plane.size >= (size := math.prod(self.shape)):
+                return plane.reshape(-1)[:size].reshape(self.shape)
+        return np.empty(self.shape, dtype=np.uint64)
 
     def _adder(self, a, b, c) -> np.ndarray:
         """3:2 adder: the sum goes into ``c`` and the carry into a new

@@ -19,9 +19,10 @@ from repro.hdc.backend import pack_bits, random_bits
 class ItemMemory:
     """A fixed table of i.i.d. random binary hypervectors.
 
-    Vectors are drawn once from the equiprobable-bit distribution with an
-    explicit seed, so every run of a configured detector sees the same
-    atomic vectors.
+    Vectors are drawn once, on first use, from the equiprobable-bit
+    distribution with an explicit seed, so every run of a configured
+    detector sees the same atomic vectors; a memory whose bound table
+    is already shared never draws them.
 
     Args:
         n_items: Number of atomic vectors (e.g. 64 codes, or n electrodes).
@@ -40,24 +41,27 @@ class ItemMemory:
         self.n_items = n_items
         self.dim = dim
         self.seed = operator.index(seed)
-        rng = np.random.default_rng(self.seed)
-        self._vectors = random_bits((n_items, dim), rng)
-        self._vectors.setflags(write=False)
+        self._vectors: np.ndarray | None = None
 
     @property
     def vectors(self) -> np.ndarray:
         """All atomic vectors, read-only uint8 array ``(n_items, dim)``."""
+        if self._vectors is None:
+            vectors = random_bits((self.n_items, self.dim),
+                                  np.random.default_rng(self.seed))
+            vectors.setflags(write=False)
+            self._vectors = vectors
         return self._vectors
 
     def vector(self, index: int) -> np.ndarray:
         """The atomic vector of item ``index`` (read-only view)."""
         if not 0 <= index < self.n_items:
             raise IndexError(f"item {index} out of range [0, {self.n_items})")
-        return self._vectors[index]
+        return self.vectors[index]
 
     def packed(self) -> np.ndarray:
         """All vectors in packed uint64 form, ``(n_items, words)``."""
-        return pack_bits(self._vectors)
+        return pack_bits(self.vectors)
 
     def storage_bits(self) -> int:
         """Total storage of this memory in bits (as in Sec. V-B sizing)."""
@@ -69,7 +73,7 @@ class ItemMemory:
         Off-diagonal entries concentrate around 0.5 for d in the
         thousands — the near-orthogonality HD computing relies on.
         """
-        diff = self._vectors[:, None, :] != self._vectors[None, :, :]
+        diff = self.vectors[:, None, :] != self.vectors[None, :, :]
         return diff.sum(axis=-1) / self.dim
 
 

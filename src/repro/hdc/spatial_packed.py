@@ -22,9 +22,11 @@ plane-sized slice of electrodes at a time, gathers each electrode
 triple's bound masks from the arena (a pair with one ``np.take`` into a
 reused buffer, the third into a counter plane) and streams them through
 the carry-save counter (:class:`repro.hdc.bitsliced.CarrySaveCounter`):
-only ``O(log n_electrodes)`` planes are ever live.  Because every table
-of a shape is in one array, a batch may mix encoders: ``bases`` gives each
-record its table's first row, so a serving slab of many sessions is one
+only ``O(log n_electrodes)`` planes are ever live; a tile below the
+budget counts electrode groups side by side in ``(groups, n, words)``
+planes and sums the groups at the end.  Because every table of a shape
+is in one array, a batch may mix encoders: ``bases`` gives each record
+its table's first row, so a serving slab of many sessions is one
 call (:class:`repro.hdc.temporal_packed.PackedBlockTile`).
 """
 
@@ -195,12 +197,13 @@ class PackedSpatialEncoder:
         """First row of this encoder's table in its arena (``bases``)."""
         return self._slot.base
 
-    def _checked(self, codes: np.ndarray, bases: np.ndarray | None):
+    def _checked(self, codes: np.ndarray, bases: np.ndarray | None,
+                 checked: bool = False):
         """``(n_samples, n_electrodes)`` codes, validated; the arena
         (read once, so a resize never changes the array under an
         encode); each electrode's first row in it (plus this encoder's
         base when there are no ``bases``); and the records' table bases,
-        range-checked against the arena."""
+        range-checked against the arena (unless ``checked``)."""
         flat, base = self._rows()
         first_row = np.arange(self.n_electrodes, dtype=np.intp) * self.n_codes
         arr = np.asarray(codes)
@@ -210,7 +213,8 @@ class PackedSpatialEncoder:
             raise ValueError(
                 f"expected (n_samples, {self.n_electrodes}), got {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_codes):
+        if not checked and arr.size and (arr.min() < 0
+                                         or arr.max() >= self.n_codes):
             raise ValueError(f"code out of range [0, {self.n_codes})")
         if bases is None:
             return arr, flat, first_row + base, None
@@ -221,7 +225,8 @@ class PackedSpatialEncoder:
                 f"{bases.shape} {bases.dtype}"
             )
         last = len(flat) - self.n_electrodes * self.n_codes
-        if bases.size and (bases.min() < 0 or bases.max() > last):
+        if not checked and bases.size and (bases.min() < 0
+                                           or bases.max() > last):
             raise ValueError(f"table base out of range [0, {last}]")
         return arr, flat, first_row, bases.astype(np.intp, copy=False)
 
@@ -232,8 +237,19 @@ class PackedSpatialEncoder:
         slot = self._slot
         return slot.arena.rows, slot.base
 
+    def _tiling(self, n: int) -> tuple[int, int]:
+        """Groups a tile of ``n`` records counts side by side (as many as
+        fill the plane budget with three electrodes per digit or more,
+        rounded down to a power of two) and its span of electrodes."""
+        groups = min(_PLANE_WORDS // (n * self.words), self.n_electrodes
+                     // (3 * self.n_electrodes.bit_length()))
+        groups = 1 << (max(groups, 1).bit_length() - 1)
+        span = _PLANE_WORDS // n // (3 * groups) * 3 * groups
+        return groups, min(self.n_electrodes, max(3 * groups, span))
+
     def encode_packed(
-        self, codes: np.ndarray, bases: np.ndarray | None = None,
+        self, codes: np.ndarray, bases: np.ndarray | None = None, *,
+        checked: bool = False,
     ) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``
         (see the module docstring) — no per-sample Python loop.
@@ -241,27 +257,28 @@ class PackedSpatialEncoder:
         ``bases`` gives record i's table as its first row in this
         encoder's arena (another encoder's :attr:`base`, if its tables
         have this one's shape); by default every record uses this
-        encoder's table.  A batch of one spatial tile returns its
-        counter's lowest digit plane, which the comparator overwrites
-        with the records."""
-        arr, flat, first_row, bases = self._checked(codes, bases)
+        encoder's table; ``checked`` skips range scans the caller made.
+        A batch of one spatial tile returns its lowest digit plane, which
+        the comparator overwrites with the records."""
+        arr, flat, first_row, bases = self._checked(codes, bases, checked)
         n_samples, n_electrodes = arr.shape
         tile = max(1, min(n_samples, _PLANE_WORDS // self.words))
         out = (None if tile == n_samples
                else np.empty((n_samples, self.words), dtype=np.uint64))
-        # Electrodes whose (electrodes, tile) row indices fill one plane,
-        # a whole number of triples: the codes are read electrode-major.
-        span = min(n_electrodes, max(3, _PLANE_WORDS // tile // 3 * 3))
+        groups, span = self._tiling(tile)
         threshold = n_electrodes // 2
         free: list[np.ndarray] = []
-        index_buffer = np.empty(span * tile, dtype=np.intp)
-        pair_buffer = np.empty(2 * tile * self.words, dtype=np.uint64)
+        index_buffer = np.empty(min(n_electrodes * tile, max(
+            _PLANE_WORDS, 3 * groups * tile)), dtype=np.intp)
+        pair_buffer = np.empty(2 * groups * tile * self.words, np.uint64)
         for start in range(0, n_samples, tile):
             stop = min(start + tile, n_samples)
             n = stop - start
-            # A short last tile takes the leading rows of pooled planes.
-            counter = CarrySaveCounter((n, self.words), free)
-            pair = pair_buffer[: 2 * n * self.words].reshape(2, n, self.words)
+            if n < tile:  # a short last tile: its buffers fit in these
+                groups, span = self._tiling(n)
+            shape = (groups, n, self.words)
+            counter = CarrySaveCounter(shape, free)
+            pair = pair_buffer[: 2 * groups * n * self.words].reshape(2, *shape)
             for e0 in range(0, n_electrodes, span):
                 e1 = min(e0 + span, n_electrodes)
                 rows = index_buffer[: (e1 - e0) * n].reshape(e1 - e0, n)
@@ -273,22 +290,33 @@ class PackedSpatialEncoder:
                        out=rows, casting="unsafe")
                 if bases is not None:
                     rows += bases[start:stop]
-                for e in range(0, e1 - e0, 3):
-                    if e + 3 <= e1 - e0:
-                        np.take(flat, rows[e:e + 2], axis=0, out=pair,
-                                mode="clip")
-                        plane = counter.plane()
-                        np.take(flat, rows[e + 2], axis=0, out=plane,
-                                mode="clip")
-                        counter.push_triple(pair, plane)
-                        continue
-                    for row in rows[e:]:
-                        plane = counter.plane()
-                        np.take(flat, row, axis=0, out=plane, mode="clip")
-                        counter.push(0, plane)
-            planes = counter.planes()
+                # Electrode e0 + i * groups + g is group g's in step i.
+                whole = (e1 - e0) // (3 * groups) * 3
+                steps = rows[: whole * groups].reshape(whole, groups, n)
+                for i in range(0, whole, 3):
+                    np.take(flat, steps[i:i + 2], axis=0, out=pair,
+                            mode="clip")
+                    plane = counter.plane()
+                    np.take(flat, steps[i + 2], axis=0, out=plane,
+                            mode="clip")
+                    counter.push_triple(pair, plane)
+                # The rest a step at a time; missing groups add zeros.
+                for e in range(whole * groups, e1 - e0, groups):
+                    plane, part = counter.plane(), rows[e:e + groups]
+                    np.take(flat, part, axis=0, out=plane[: len(part)],
+                            mode="clip")
+                    plane[len(part):] = 0
+                    counter.push(0, plane)
+            grouped = counter.planes()
+            planes = [plane[0] for plane in grouped]
+            if groups > 1:  # each group's digit planes, as views, summed
+                total = CarrySaveCounter((n, self.words))
+                for digit, plane in enumerate(grouped):
+                    for part in plane:
+                        total.push(digit, part)
+                planes = total.planes()
             if out is None:
                 return planes_greater_than(planes, threshold, out=planes[0])
             planes_greater_than(planes, threshold, out=out[start:stop])
-            free.extend(planes)
+            free.extend(grouped)
         return out

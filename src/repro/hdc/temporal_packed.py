@@ -51,13 +51,14 @@ class PackedBlockTile(BlockTile):
 
     def _encode(self, s0: int, n: int) -> np.ndarray:
         # One spatial call for the whole slab: records in (sample, row)
-        # order, each gathering from its stream's bound table.
+        # order, each gathering from its stream's bound table; ``feed``
+        # range-checked the codes and the bases are live slots.
         rows = len(self.codes)
         codes = self._slab_codes[:n]
         codes[...] = self.codes[:, s0 : s0 + n].transpose(1, 0, 2)
         bases = None if self._bases is None else self._bases[: n * rows]
         records = self._spatial.encode_packed(codes.reshape(n * rows, -1),
-                                              bases=bases)
+                                              bases=bases, checked=True)
         return records.reshape(n, rows, self.width)
 
     @staticmethod

@@ -1,8 +1,12 @@
 """Tests for repro.hdc.item_memory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.persistence import detector_from_payload, detector_payload
+from repro.hdc import item_memory
 from repro.hdc.item_memory import ItemMemory, bound_table
 
 
@@ -83,3 +87,35 @@ class TestBoundTable:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             bound_table(ItemMemory(4, 64, 0), ItemMemory(4, 128, 0))
+
+
+class TestVectorsOnFirstUse:
+    def test_vectors_are_pinned(self):
+        # Drawn on first use, from the seed alone, as they always were.
+        memory = ItemMemory(64, 1000, seed=7)
+        vectors = memory.vectors
+        assert vectors.dtype == np.uint8 and vectors.shape == (64, 1000)
+        assert hashlib.sha256(vectors.tobytes()).hexdigest() == (
+            "46c64fe47b02eb85e1964a2743c08f468d2baa632113a3c35b3c7d2ed628f867"
+        )
+        assert memory.vectors is vectors and not vectors.flags.writeable
+
+    def test_second_open_of_a_template_draws_no_vectors(
+            self, fitted_detector, monkeypatch):
+        payload = {**detector_payload(fitted_detector), "engine": "packed"}
+        first = detector_from_payload(payload)
+        drawn = []
+        random_bits = item_memory.random_bits
+
+        def spy(shape, rng):
+            drawn.append(shape)
+            return random_bits(shape, rng)
+
+        monkeypatch.setattr(item_memory, "random_bits", spy)
+        second = detector_from_payload(payload)
+        # The bound table is shared, so neither memory was read.
+        assert drawn == []
+        assert second.spatial.base == first.spatial.base
+        # A memory still draws its vectors when they are asked for.
+        second.code_memory.vector(0)
+        assert drawn == [(second.code_memory.n_items, second.config.dim)]

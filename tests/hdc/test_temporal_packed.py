@@ -250,6 +250,41 @@ class TestStagedCodes:
             encoder.feed(-1 - np.zeros((40, N_ELECTRODES), dtype=np.int64))
 
 
+    def test_rejected_feed_stages_nothing_and_flush_skips_rescans(
+            self, memories, spec, rng, monkeypatch):
+        # ``feed`` range-checks a chunk before staging any of it, so the
+        # tile's spatial calls skip the encoder's range scans.
+        codes = rng.integers(0, 16, (100, N_ELECTRODES))
+        encoder = WindowBundler(
+            PackedSpatialEncoder(*memories), spec, PackedBlockTile
+        )
+        tiles = BlockTiles()
+        h = encoder.feed(codes[:40], tiles)
+        staged = [tile._staged for tile in tiles._tiles.values()]
+        pending = encoder._pending.copy()
+        bad = codes[40:].copy()
+        bad[30, 2] = 16
+        with pytest.raises(ValueError, match="out of range"):
+            encoder.feed(bad, tiles)
+        assert [tile._staged for tile in tiles._tiles.values()] == staged
+        np.testing.assert_array_equal(encoder._pending, pending)
+        scans = []
+        checked = PackedSpatialEncoder._checked
+
+        def spy(spatial, codes, bases, skip=False):
+            scans.append(skip)
+            return checked(spatial, codes, bases, skip)
+
+        monkeypatch.setattr(PackedSpatialEncoder, "_checked", spy)
+        tiles.flush()
+        assert scans and all(scans)
+        rest = encoder.feed(codes[40:])
+        expected = WindowBundler(
+            SpatialEncoder(*memories), spec, CountBlockTile
+        ).encode_all(codes)
+        np.testing.assert_array_equal(np.concatenate([h, rest]), expected)
+
+
 class TestPeakMemory:
     #: tracemalloc peaks (MB) of ``encode_all`` over 32 blocks on the
     #: per-block record buffer this slab flush replaced.
