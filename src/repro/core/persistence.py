@@ -32,11 +32,20 @@ turn a fitted detector into a picklable dict (the unit shipped to shard
 workers and moved between shards on rebalance), and
 ``write_fleet_manifest``/``read_fleet_manifest`` record how a fleet
 checkpoint is split across per-worker ``save_sessions`` shard files.
+
+Every file is written atomically: to a temporary file in the target
+directory first, then moved over the target with ``os.replace``, so a
+write that fails partway leaves the previous model, shard or manifest
+as it was.  Archives are deflated at level 1 by one shared ``.npz``
+writer; ``np.load`` reads them like any ``np.savez_compressed`` file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -80,6 +89,52 @@ def _npz_path(path: str | Path) -> Path:
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
     return path
+
+
+def _replace(path: Path, write) -> Path:
+    """Write ``path`` atomically through ``write(binary_file)``.
+
+    The bytes go to a temporary file in ``path``'s directory, which one
+    ``os.replace`` then moves over ``path``: a write that fails partway
+    leaves the previous file whole and removes the temporary one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temp, "xb") as file:
+            write(file)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as one ``.npz`` archive, atomically.
+
+    The layout is ``np.savez_compressed``'s (one ``<name>.npy`` entry
+    per array, read back by ``np.load``), deflated at level 1: at the
+    default level most of a shard write was spent in zlib.
+
+    Returns:
+        The path written (``.npz`` appended when missing).
+    """
+    def write(file) -> None:
+        with zipfile.ZipFile(
+            file, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+        ) as archive:
+            for name, array in arrays.items():
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(
+                        entry, np.asanyarray(array), allow_pickle=False
+                    )
+
+    return _replace(_npz_path(path), write)
+
+
+def _meta_array(meta: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
 
 def _model_meta(detector: LaelapsDetector) -> dict:
@@ -169,16 +224,12 @@ def save_model(detector: LaelapsDetector, path: str | Path) -> Path:
     """
     if not detector.is_fitted:
         raise ValueError("only fitted detectors can be saved")
-    path = _npz_path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {"version": _FORMAT_VERSION, **_model_meta(detector)}
-    np.savez_compressed(
-        path,
-        interictal=detector.memory.prototype(INTERICTAL),
-        ictal=detector.memory.prototype(ICTAL),
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-    )
-    return path
+    return _write_npz(path, {
+        "interictal": detector.memory.prototype(INTERICTAL),
+        "ictal": detector.memory.prototype(ICTAL),
+        "meta": _meta_array(meta),
+    })
 
 
 def load_model(path: str | Path) -> LaelapsDetector:
@@ -214,8 +265,6 @@ def save_sessions(manager, path: str | Path) -> Path:
     session_ids = manager.session_ids
     if not session_ids:
         raise ValueError("cannot checkpoint a manager with no open sessions")
-    path = _npz_path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     sessions_meta = []
     arrays: dict[str, np.ndarray] = {}
     for i, session_id in enumerate(session_ids):
@@ -244,12 +293,7 @@ def save_sessions(manager, path: str | Path) -> Path:
         for j, block in enumerate(encoder["blocks"]):
             arrays[f"s{i}__block{j}"] = block
     meta = {"version": _SESSIONS_FORMAT_VERSION, "sessions": sessions_meta}
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        **arrays,
-    )
-    return path
+    return _write_npz(path, {"meta": _meta_array(meta), **arrays})
 
 
 def load_sessions(path: str | Path):
@@ -323,16 +367,14 @@ def write_fleet_manifest(
             from its own ring).
         dim: The fleet's shared hypervector dimension.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": _FLEET_FORMAT_VERSION,
         "shards": dict(shards),
         "routes": dict(routes),
         "dim": int(dim),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    return _replace(Path(path), lambda file: file.write(text.encode("utf-8")))
 
 
 def read_fleet_manifest(path: str | Path) -> dict:

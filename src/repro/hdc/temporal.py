@@ -212,6 +212,8 @@ class WindowBundler:
         self.words = packed_words(self.dim)
         #: Smallest dtype of the alphabet: pending and staged codes.
         self._code_dtype = np.min_scalar_type(spatial.n_codes - 1)
+        #: Smallest dtype of a block count in ``[0, step_samples]``.
+        self._count_dtype = np.min_scalar_type(spec.step_samples)
         self.reset()
 
     def reset(self) -> None:
@@ -274,11 +276,17 @@ class WindowBundler:
 
     def state_dict(self) -> dict:
         """Pending codes + block state as plain, engine-independent numpy
-        data: :meth:`restore_state` on *any* engine resumes bit-exactly."""
+        data: :meth:`restore_state` on *any* engine resumes bit-exactly.
+
+        Block counts come in the narrowest unsigned dtype that holds
+        ``step_samples`` (uint8 at the paper's 128-sample step)."""
         return {
             "pending": self._pending.copy(),
-            "blocks": [self.tile_class.export_block(block, self.dim)
-                       for block in self._blocks],
+            "blocks": [
+                self.tile_class.export_block(block, self.dim)
+                .astype(self._count_dtype)
+                for block in self._blocks
+            ],
         }
 
     def restore_state(self, state: dict) -> "WindowBundler":

@@ -6,12 +6,17 @@ layer a *network* client can reach.  One asyncio TCP server speaks two
 protocols on the same port, told apart by the first four bytes of a
 connection:
 
-* **data plane** — length-prefixed JSON frames (4-byte big-endian
-  length, then a UTF-8 JSON object) carrying the session vocabulary:
-  ``open`` / ``push`` / ``push_many`` / ``submit`` / ``drain`` /
-  ``close`` / ``checkpoint`` plus ``ping``, ``healthz`` and
-  ``metrics``.  Numpy arrays (chunks, model prototypes) travel as
-  tagged base64 objects, bit-exactly;
+* **data plane** — length-prefixed frames carrying the session
+  vocabulary: ``open`` / ``push`` / ``push_many`` / ``submit`` /
+  ``drain`` / ``close`` / ``checkpoint`` plus ``ping``, ``healthz``
+  and ``metrics``.  A frame is a 4-byte big-endian length, then the
+  body: a 4-byte big-endian header length, a UTF-8 JSON header (the
+  message) and one attachment region.  Numpy arrays (chunks, model
+  prototypes) travel as their raw C-order bytes in that region, each
+  named in the header by an ``{"__ndarray__": {dtype, shape, offset,
+  nbytes}}`` tag, bit-exactly; requests and replies use the same
+  layout, and a body that does not follow it gets the typed
+  ``FrameError``;
 * **ops plane** — plain ``HTTP/1.1``: ``GET /healthz`` answers 200
   with per-worker liveness (via the shard ``ping`` command) or 503
   when any worker is dead/hung, and ``GET /metrics`` serves the
@@ -36,10 +41,11 @@ harness the same stack without a subprocess.
 from __future__ import annotations
 
 import asyncio
-import base64
 import contextlib
 import json
 import logging
+import math
+import re
 import signal
 import socket
 import threading
@@ -91,48 +97,125 @@ class ServiceError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Wire codec: JSON with tagged, base64 numpy arrays
+# Wire codec: a JSON header over one raw attachment region
 # ----------------------------------------------------------------------
 
-def encode_value(value):
-    """Make ``value`` JSON-safe, tagging numpy arrays losslessly.
+#: Key of an array tag.
+_TAG = "__ndarray__"
+_TAG_FIELDS = frozenset({"dtype", "shape", "offset", "nbytes"})
 
-    Arrays become ``{"__ndarray__": {dtype, shape, data}}`` with the
-    raw C-order bytes base64-encoded — bit-exact for every dtype the
-    pipeline uses (float64 signals, uint8/uint64 prototypes), unlike a
-    decimal round-trip through nested lists.
+#: The dtype strings an attachment may name (``dtype.str`` of a bool,
+#: integer, float or complex dtype).  Anything else is refused before
+#: numpy parses it: ``np.dtype`` evaluates structured-dtype strings.
+_DTYPE_STR = re.compile(r"[<>|=]?[biufc][0-9]{1,2}")
+
+#: Most dimensions a tagged array may declare (numpy 1's limit).
+_MAX_NDIM = 32
+
+
+class FrameError(ValueError):
+    """A data-plane body that does not follow the body layout."""
+
+
+class _Attachments:
+    """The raw byte parts of one body's attachment region, in order."""
+
+    def __init__(self) -> None:
+        self.parts: list[np.ndarray] = []
+        self.size = 0
+
+    def add(self, raw: np.ndarray) -> int:
+        """Append ``raw`` (uint8) and return its offset in the region."""
+        offset = self.size
+        self.parts.append(raw)
+        self.size += raw.nbytes
+        return offset
+
+
+def encode_value(value, attachments: _Attachments):
+    """Make ``value`` JSON-safe, moving numpy arrays into ``attachments``.
+
+    An array becomes ``{"__ndarray__": {dtype, shape, offset, nbytes}}``
+    and its raw C-order bytes join the attachment region at ``offset``:
+    bit-exact for every dtype the pipeline uses (float signals,
+    uint8/uint64 prototypes), with no text round trip.
     """
     if isinstance(value, np.ndarray):
+        raw = np.ascontiguousarray(value).reshape(-1).view(np.uint8)
         return {
-            "__ndarray__": {
+            _TAG: {
                 "dtype": value.dtype.str,
                 "shape": list(value.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(value).tobytes()
-                ).decode("ascii"),
+                "offset": attachments.add(raw),
+                "nbytes": raw.nbytes,
             }
         }
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
     if isinstance(value, dict):
-        return {key: encode_value(item) for key, item in value.items()}
+        return {
+            key: encode_value(item, attachments) for key, item in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [encode_value(item) for item in value]
+        return [encode_value(item, attachments) for item in value]
     return value
 
 
-def decode_value(value):
-    """Inverse of :func:`encode_value` (tagged arrays back to numpy)."""
+def decode_value(value, region: memoryview):
+    """Inverse of :func:`encode_value`: tags become arrays read from
+    ``region``, each a checked copy that owns its memory.
+
+    Raises:
+        FrameError: For a tag that is not exactly the four fields, a
+            dtype that is not bool, integer, float or complex, a shape
+            that is not a list of non-negative integers, an ``nbytes``
+            other than the shape's and dtype's, or bytes outside
+            ``region``.
+    """
     if isinstance(value, dict):
-        if set(value.keys()) == {"__ndarray__"}:
-            spec = value["__ndarray__"]
-            return np.frombuffer(
-                base64.b64decode(spec["data"]), dtype=np.dtype(spec["dtype"])
-            ).reshape(spec["shape"]).copy()
-        return {key: decode_value(item) for key, item in value.items()}
+        if _TAG in value:
+            return _attachment(value, region)
+        return {key: decode_value(item, region) for key, item in value.items()}
     if isinstance(value, list):
-        return [decode_value(item) for item in value]
+        return [decode_value(item, region) for item in value]
     return value
+
+
+def _attachment(tag: dict, region: memoryview) -> np.ndarray:
+    spec = tag[_TAG]
+    if len(tag) != 1 or not isinstance(spec, dict) or spec.keys() != _TAG_FIELDS:
+        raise FrameError(
+            "an array tag must be one key holding exactly dtype, shape, "
+            "offset and nbytes"
+        )
+    dtype, shape = spec["dtype"], spec["shape"]
+    if not (isinstance(dtype, str) and _DTYPE_STR.fullmatch(dtype)):
+        raise FrameError(f"unsupported array dtype {dtype!r}")
+    try:
+        dtype = np.dtype(dtype)
+    except TypeError:  # a size the kind does not have, say "<i3"
+        raise FrameError(f"unsupported array dtype {dtype!r}") from None
+    if not (isinstance(shape, list) and len(shape) <= _MAX_NDIM
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise FrameError(f"bad array shape {shape!r}")
+    offset, nbytes = spec["offset"], spec["nbytes"]
+    if type(offset) is not int or type(nbytes) is not int or offset < 0:
+        raise FrameError("array offset and nbytes must be integers >= 0")
+    count = math.prod(shape)
+    if nbytes != count * dtype.itemsize:
+        raise FrameError(
+            f"a {dtype} array of shape {shape} holds "
+            f"{count * dtype.itemsize} bytes, not {nbytes}"
+        )
+    if offset + nbytes > len(region):
+        raise FrameError(
+            f"array bytes [{offset}, {offset + nbytes}) lie outside the "
+            f"{len(region)}-byte attachment region"
+        )
+    try:
+        return np.frombuffer(region, dtype, count, offset).reshape(shape).copy()
+    except (ValueError, OverflowError) as exc:  # a zero-size shape too big
+        raise FrameError(f"bad array shape {shape!r}: {exc}") from None
 
 
 def events_to_wire(events: list[StreamEvent]) -> list[dict]:
@@ -161,13 +244,57 @@ def events_from_wire(payload: list[dict]) -> list[StreamEvent]:
     ]
 
 
-def _frame(payload: dict) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ValueError(
-            f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES"
+def _frame_parts(message) -> list:
+    """``message`` as one frame, in parts to send back to back.
+
+    A frame is its 4-byte big-endian length, then the body: a 4-byte
+    big-endian header length, the UTF-8 JSON header (``message`` with
+    its arrays tagged) and the attachment region (the arrays' raw
+    bytes).
+    """
+    attachments = _Attachments()
+    header = json.dumps(
+        encode_value(message, attachments), separators=(",", ":")
+    ).encode("utf-8")
+    length = 4 + len(header) + attachments.size
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
+    return [
+        length.to_bytes(4, "big"), len(header).to_bytes(4, "big"), header,
+        *attachments.parts,
+    ]
+
+
+def _frame(payload) -> bytes:
+    return b"".join(_frame_parts(payload))
+
+
+def _unpack(body) -> object:
+    """The message of one frame body (see :func:`_frame_parts`).
+
+    Reads nothing outside ``body``.
+
+    Raises:
+        FrameError: For a body too short for its header, a header that
+            is not UTF-8 JSON, or a bad array tag.
+    """
+    view = memoryview(body)
+    if len(view) < 4:
+        raise FrameError(f"a {len(view)}-byte body has no header length")
+    end = 4 + int.from_bytes(view[:4], "big")
+    if end > len(view):
+        raise FrameError(
+            f"a {end - 4}-byte header runs past the {len(view)}-byte body"
         )
-    return len(body).to_bytes(4, "big") + body
+    try:
+        header = json.loads(str(view[4:end], "utf-8"))
+        return decode_value(header, view[end:])
+    except RecursionError:
+        raise FrameError("the header nests too deeply") from None
+    except FrameError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise FrameError(f"the header is not UTF-8 JSON: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +452,7 @@ class LaelapsService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Serve length-prefixed JSON requests until the peer hangs up."""
+        """Serve length-prefixed requests until the peer hangs up."""
         while True:
             length = int.from_bytes(head, "big")
             if length > MAX_FRAME_BYTES:
@@ -349,7 +476,9 @@ class LaelapsService:
 
     async def _execute(self, body: bytes) -> dict:
         try:
-            request = json.loads(body)
+            request = _unpack(body)
+            if not isinstance(request, dict):
+                raise FrameError("a request header must be a JSON object")
             op = request.get("op")
             handler = getattr(self, f"_op_{op}", None) if op else None
             if handler is None:
@@ -385,9 +514,8 @@ class LaelapsService:
 
     def _op_open(self, request: dict):
         session_id = request["session_id"]
-        payload = decode_value(request["model"])
         worker_id = self._gateway.open(
-            session_id, detector_from_payload(payload)
+            session_id, detector_from_payload(request["model"])
         )
         self._log.info(
             "session opened",
@@ -396,26 +524,18 @@ class LaelapsService:
         return {"worker": worker_id}
 
     def _op_push(self, request: dict):
-        events = self._gateway.push(
-            request["session_id"], decode_value(request["chunk"])
-        )
+        events = self._gateway.push(request["session_id"], request["chunk"])
         return events_to_wire(events)
 
     def _op_push_many(self, request: dict):
-        chunks = {
-            session_id: decode_value(chunk)
-            for session_id, chunk in request["chunks"].items()
-        }
-        events = self._gateway.push_many(chunks)
+        events = self._gateway.push_many(request["chunks"])
         return {
             session_id: events_to_wire(session_events)
             for session_id, session_events in events.items()
         }
 
     def _op_submit(self, request: dict):
-        self._gateway.submit(
-            request["session_id"], decode_value(request["chunk"])
-        )
+        self._gateway.submit(request["session_id"], request["chunk"])
         return None
 
     def _op_drain(self, request: dict):
@@ -603,7 +723,7 @@ class ServiceRunner:
 class ServiceClient:
     """Blocking data-plane client of one :class:`LaelapsService`.
 
-    Speaks the length-prefixed JSON protocol over a plain socket; every
+    Speaks the length-prefixed frame protocol over a plain socket; every
     method is one request/reply round trip.  Server-side failures raise
     :class:`ServiceError` with the remote exception's class name in
     ``error_type``.  Usable as a context manager.
@@ -615,12 +735,13 @@ class ServiceClient:
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
 
     def call(self, op: str, **fields):
-        """One raw protocol round trip (the typed methods wrap this)."""
-        request = {"op": op, **fields}
-        body = json.dumps(request).encode("utf-8")
-        self._sock.sendall(len(body).to_bytes(4, "big") + body)
+        """One raw protocol round trip (the typed methods wrap this).
+
+        Numpy arrays anywhere in ``fields`` travel as attachments.
+        """
+        self._sock.sendall(b"".join(_frame_parts({"op": op, **fields})))
         length = int.from_bytes(self._recv_exact(4), "big")
-        response = json.loads(self._recv_exact(length))
+        response = _unpack(self._recv_exact(length))
         if not response["ok"]:
             error = response["error"]
             raise ServiceError(error["type"], error["message"])
@@ -649,21 +770,17 @@ class ServiceClient:
         return self.open_payload(session_id, detector_payload(detector))
 
     def open_payload(self, session_id: str, payload: dict) -> str:
-        result = self.call(
-            "open", session_id=session_id, model=encode_value(payload)
-        )
+        result = self.call("open", session_id=session_id, model=payload)
         return result["worker"]
 
     def push(self, session_id: str, chunk) -> list[StreamEvent]:
         return events_from_wire(self.call(
-            "push",
-            session_id=session_id,
-            chunk=encode_value(np.asarray(chunk)),
+            "push", session_id=session_id, chunk=np.asarray(chunk)
         ))
 
     def push_many(self, chunks: dict) -> dict[str, list[StreamEvent]]:
         wire_chunks = {
-            session_id: encode_value(np.asarray(chunk))
+            session_id: np.asarray(chunk)
             for session_id, chunk in chunks.items()
         }
         result = self.call("push_many", chunks=wire_chunks)
@@ -673,11 +790,7 @@ class ServiceClient:
         }
 
     def submit(self, session_id: str, chunk) -> None:
-        self.call(
-            "submit",
-            session_id=session_id,
-            chunk=encode_value(np.asarray(chunk)),
-        )
+        self.call("submit", session_id=session_id, chunk=np.asarray(chunk))
 
     def drain(self) -> dict[str, list[StreamEvent]]:
         return {

@@ -405,6 +405,45 @@ class TestCheckpointing:
         for sid in detectors:
             assert head[sid] + tail[sid] == reference[sid]
 
+    def test_blocks_are_uint8_and_restore_on_every_engine(
+        self, fleet, tmp_path
+    ):
+        detectors, signals = fleet
+        reference = {
+            sid: StreamingLaelaps(det).run(signals[sid], 300)
+            for sid, det in detectors.items()
+        }
+        manager = StreamSessionManager()
+        for sid, detector in detectors.items():
+            manager.open(sid, detector)
+        cut = 256 * 21 + 61
+        head = manager.run(
+            {sid: signals[sid][:cut] for sid in detectors}, 300
+        )
+        for sid in detectors:
+            stream = manager.session(sid)
+            assert stream.detector.config.window_spec.step_samples == 128
+            blocks = stream.state_dict()["encoder"]["blocks"]
+            assert blocks and {b.dtype for b in blocks} == {np.dtype(np.uint8)}
+        path = save_sessions(manager, tmp_path / "sessions.npz")
+        with np.load(path) as archive:
+            dtypes = {archive[name].dtype for name in archive.files
+                      if "__block" in name}
+        assert dtypes == {np.dtype(np.uint8)}
+        for engine in ("packed", "unpacked"):
+            loaded = load_sessions(path)
+            resumed = StreamSessionManager()
+            for sid in detectors:
+                payload = loaded.pop_session(sid)
+                payload["model"]["engine"] = engine
+                assert resumed.import_session(sid, payload).detector.backend \
+                    == engine
+            tail = resumed.run(
+                {sid: signals[sid][cut:] for sid in detectors}, 300
+            )
+            for sid in detectors:
+                assert head[sid] + tail[sid] == reference[sid], (engine, sid)
+
     @pytest.mark.parametrize("engine", engine_names())
     @pytest.mark.parametrize("count", [2**32 + 5, -1])
     def test_restore_rejects_block_counts_out_of_range(

@@ -330,3 +330,83 @@ class TestFleetCheckpoint:
         manifest_path.write_text(bad)
         with pytest.raises(ValueError, match="version"):
             ShardedStreamGateway.restore(tmp_path / "fleet")
+
+
+class TestAtomicCheckpointWrites:
+    """A checkpoint write that fails partway keeps what was on disk."""
+
+    CUT, LATER = int(3 * FS), int(4 * FS)
+
+    def _checkpointed(self, fleet, directory):
+        """A 1-worker fleet checkpointed at CUT, then streamed to LATER."""
+        detectors, signals = fleet
+        gateway = ShardedStreamGateway(1)
+        for sid, detector in detectors.items():
+            gateway.open(sid, detector)
+        head = gateway.run(
+            {s: sig[:self.CUT] for s, sig in signals.items()}, 128
+        )
+        gateway.checkpoint(directory)
+        middle = gateway.run(
+            {s: sig[self.CUT:self.LATER] for s, sig in signals.items()}, 128
+        )
+        saved = {path.name: path.read_bytes() for path in directory.iterdir()}
+        return gateway, head, middle, saved
+
+    def _assert_resumes(self, fleet, directory, head, start):
+        """Restoring ``directory`` continues bit-exactly from ``start``."""
+        detectors, signals = fleet
+        expected = reference_events(detectors, signals)
+        with ShardedStreamGateway.restore(directory) as restored:
+            rest = restored.run(
+                {s: sig[start:] for s, sig in signals.items()}, 128
+            )
+        for sid in detectors:
+            assert head[sid] + rest[sid] == expected[sid]
+
+    def test_shard_write_failing_partway(self, fleet, tmp_path, monkeypatch):
+        directory = tmp_path / "fleet"
+        gateway, head, _, saved = self._checkpointed(fleet, directory)
+        write_array = np.lib.format.write_array
+        entries = []
+
+        def failing(*args, **kwargs):
+            entries.append(1)
+            if len(entries) == 7:
+                raise OSError("disk full")
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            gateway.checkpoint(directory)
+        monkeypatch.undo()
+        gateway.shutdown()
+        assert len(entries) == 7
+        # The shard and the manifest are the first checkpoint's, byte
+        # for byte, and no temporary file is left beside them.
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == saved
+        self._assert_resumes(fleet, directory, head, self.CUT)
+
+    def test_manifest_write_failing(self, fleet, tmp_path, monkeypatch):
+        import repro.core.persistence as persistence
+
+        directory = tmp_path / "fleet"
+        gateway, head, middle, saved = self._checkpointed(fleet, directory)
+        replace = persistence.os.replace
+
+        def failing(src, dst):
+            if str(dst).endswith(".json"):
+                raise OSError("disk full")
+            return replace(src, dst)
+
+        monkeypatch.setattr(persistence.os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            gateway.checkpoint(directory)
+        monkeypatch.undo()
+        gateway.shutdown()
+        # The shard was replaced whole; the manifest is the old one and
+        # still names it.
+        assert sorted(p.name for p in directory.iterdir()) == sorted(saved)
+        assert (directory / "fleet.json").read_bytes() == saved["fleet.json"]
+        head = {sid: head[sid] + middle[sid] for sid in head}
+        self._assert_resumes(fleet, directory, head, self.LATER)

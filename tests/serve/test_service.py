@@ -3,7 +3,7 @@
 Everything here runs against actual TCP connections on loopback —
 :class:`~repro.serve.service.ServiceRunner` hosts the event loop on a
 background thread, :class:`~repro.serve.service.ServiceClient` speaks
-the length-prefixed JSON protocol, and the ops plane is probed with
+the length-prefixed frame protocol, and the ops plane is probed with
 plain HTTP GETs.  The governing invariant is inherited from the rest of
 the serving stack: events that crossed the wire are bit-identical to a
 single in-process :class:`~repro.core.sessions.StreamSessionManager`
@@ -29,12 +29,13 @@ import pytest
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamEvent
 from repro.serve import ShardedStreamGateway
+from repro.serve import service as service_module
 from repro.serve.service import (
     ServiceClient,
     ServiceError,
     ServiceRunner,
-    decode_value,
-    encode_value,
+    _frame,
+    _unpack,
     events_from_wire,
     events_to_wire,
     http_get,
@@ -73,40 +74,88 @@ def lockstep_push(client, signals, start_tick=0, end_tick=None, chunk=CHUNK):
     return events
 
 
+def round_trip(message):
+    """``message`` through one frame body, as the receiving side reads it."""
+    frame = _frame(message)
+    assert int.from_bytes(frame[:4], "big") == len(frame) - 4
+    return _unpack(frame[4:])
+
+
 class TestWireCodec:
     def test_ndarray_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(7)
-        arrays = [
-            rng.standard_normal((7, 3)),
-            np.arange(12, dtype=np.uint64).reshape(3, 4),
-            rng.integers(0, 2, size=9, dtype=np.uint8),
-            np.asfortranarray(rng.standard_normal((4, 5))),
-        ]
+        arrays = []
+        for dtype in (np.float64, np.float32, np.int16, np.uint16,
+                      np.uint8, np.uint64, np.bool_):
+            base = rng.integers(0, 2**16, size=(6, 10)).astype(dtype)
+            if np.dtype(dtype).kind == "f":
+                base = rng.standard_normal((6, 10)).astype(dtype)
+            arrays += [
+                base,
+                np.asfortranarray(base),
+                base[::2, 1::3],  # strided, not contiguous
+                base[:, :0],  # zero-size
+                base[:1, :1].reshape(()),  # 0-d
+            ]
         for original in arrays:
-            over_json = json.loads(json.dumps(encode_value(original)))
-            decoded = decode_value(over_json)
+            decoded = round_trip({"chunk": original})["chunk"]
             assert decoded.dtype == original.dtype
             assert decoded.shape == original.shape
+            assert decoded.flags.c_contiguous
             assert np.ascontiguousarray(original).tobytes() \
                 == decoded.tobytes()
 
+    def test_many_arrays_share_one_region(self):
+        rng = np.random.default_rng(3)
+        chunks = {
+            f"s{i:03d}": rng.standard_normal((128, 16)).astype(np.float32)
+            for i in range(64)
+        }
+        chunks["empty"] = np.zeros((0, 16), dtype=np.float32)
+        frame = _frame({"op": "push_many", "chunks": chunks})
+        header_len = int.from_bytes(frame[4:8], "big")
+        # Raw bytes, no text encoding: the region is exactly the data.
+        assert len(frame) - 8 - header_len == sum(
+            chunk.nbytes for chunk in chunks.values()
+        )
+        decoded = _unpack(frame[4:])["chunks"]
+        assert decoded.keys() == chunks.keys()
+        for sid, chunk in chunks.items():
+            assert decoded[sid].tobytes() == chunk.tobytes()
+
     def test_nested_containers_roundtrip(self):
         payload = {
-            "meta": {"dim": 512, "tag": "packed"},
-            "protos": [np.arange(4, dtype=np.uint64), "text", 1.5],
+            "meta": {"dim": 512, "tag": "packed", "none": None},
+            "protos": [np.arange(4, dtype=np.uint64), "text", 1.5,
+                       (np.int16(-3), np.float32(0.25), np.bool_(True))],
+            "deep": {"a": [{"b": np.eye(2, dtype=np.uint8)}]},
         }
-        decoded = decode_value(json.loads(json.dumps(encode_value(payload))))
+        decoded = round_trip(payload)
         assert decoded["meta"] == payload["meta"]
         assert np.array_equal(decoded["protos"][0], payload["protos"][0])
-        assert decoded["protos"][1:] == ["text", 1.5]
+        assert decoded["protos"][1:] == ["text", 1.5, [-3, 0.25, True]]
+        assert np.array_equal(decoded["deep"]["a"][0]["b"], np.eye(2))
+
+    def test_decoded_chunk_owns_its_memory(self):
+        # A queued ``submit`` chunk outlives its request: it must not
+        # be a view that pins the whole request body.
+        body = _frame({"chunk": np.arange(32, dtype=np.float32)})[4:]
+        decoded = _unpack(body)["chunk"]
+        assert decoded.base is None and decoded.flags.owndata
+        assert decoded.flags.writeable
+
+    def test_oversized_frame_is_refused_before_sending(self, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_FRAME_BYTES", 1024)
+        _frame({"chunk": np.zeros(900, dtype=np.uint8)})
+        with pytest.raises(ValueError, match="MAX_FRAME_BYTES"):
+            _frame({"chunk": np.zeros(1024, dtype=np.uint8)})
 
     def test_events_roundtrip_exactly(self):
         events = [
             StreamEvent(time_s=0.1 + 0.2, label=1, delta=-3.725, alarm=True),
             StreamEvent(time_s=7.5, label=0, delta=1 / 3, alarm=False),
         ]
-        over_json = json.loads(json.dumps(events_to_wire(events)))
-        assert events_from_wire(over_json) == events
+        assert events_from_wire(round_trip(events_to_wire(events))) == events
 
 
 class TestServiceEndToEnd:
