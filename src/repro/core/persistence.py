@@ -296,18 +296,16 @@ def save_sessions(manager, path: str | Path) -> Path:
     return _write_npz(path, {"meta": _meta_array(meta), **arrays})
 
 
-def load_sessions(path: str | Path):
-    """Resume a :func:`save_sessions` checkpoint.
+def read_sessions(path: str | Path) -> dict[str, dict]:
+    """Read a :func:`save_sessions` checkpoint as session payloads.
 
     Returns:
-        A fresh :class:`~repro.core.sessions.StreamSessionManager` with
-        every session reopened mid-stream: models are rebuilt as in
-        :func:`load_model`, and the raw tails, encoder buffers and
-        alarm machines pick up exactly where the checkpoint left off.
+        Per session id, in checkpoint order, the ``{"model", "state"}``
+        payload that ``StreamSessionManager.import_session`` resumes;
+        no detector is built here.
     """
-    from repro.core.sessions import StreamSessionManager
-
     path = Path(path)
+    payloads = {}
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
         if meta.get("version") != _SESSIONS_FORMAT_VERSION:
@@ -315,32 +313,45 @@ def load_sessions(path: str | Path):
                 f"{path}: unsupported sessions format version "
                 f"{meta.get('version')!r}"
             )
-        manager = StreamSessionManager()
         for i, spec in enumerate(meta["sessions"]):
-            detector = _rebuild_detector(
-                spec, archive[f"s{i}__interictal"], archive[f"s{i}__ictal"]
-            )
-            stream = manager.open(spec["id"], detector)
-            stream.restore_state(
-                {
-                    "raw_tail": archive[f"s{i}__raw_tail"],
-                    "samples_seen": spec["samples_seen"],
-                    "windows_emitted": spec["windows_emitted"],
-                    "encoder": {
-                        "pending": archive[f"s{i}__pending"],
-                        "blocks": [
-                            archive[f"s{i}__block{j}"]
-                            for j in range(spec["n_blocks"])
-                        ],
-                    },
-                    "post": {
-                        "tail_labels": archive[f"s{i}__post_labels"],
-                        "tail_deltas": archive[f"s{i}__post_deltas"],
-                        "seen": spec["post_seen"],
-                        "active": spec["post_active"],
-                    },
-                }
-            )
+            model = dict(spec)  # the _model_meta left once state is popped
+            state = {
+                "raw_tail": archive[f"s{i}__raw_tail"],
+                "samples_seen": model.pop("samples_seen"),
+                "windows_emitted": model.pop("windows_emitted"),
+                "encoder": {
+                    "pending": archive[f"s{i}__pending"],
+                    "blocks": [
+                        archive[f"s{i}__block{j}"]
+                        for j in range(model.pop("n_blocks"))
+                    ],
+                },
+                "post": {
+                    "tail_labels": archive[f"s{i}__post_labels"],
+                    "tail_deltas": archive[f"s{i}__post_deltas"],
+                    "seen": model.pop("post_seen"),
+                    "active": model.pop("post_active"),
+                },
+            }
+            model["interictal"] = archive[f"s{i}__interictal"]
+            model["ictal"] = archive[f"s{i}__ictal"]
+            payloads[model.pop("id")] = {"model": model, "state": state}
+    return payloads
+
+
+def load_sessions(path: str | Path):
+    """Resume a :func:`save_sessions` checkpoint.
+
+    Returns:
+        A fresh :class:`~repro.core.sessions.StreamSessionManager` with
+        every :func:`read_sessions` payload reopened mid-stream through
+        its ``import_session``.
+    """
+    from repro.core.sessions import StreamSessionManager
+
+    manager = StreamSessionManager()
+    for session_id, payload in read_sessions(path).items():
+        manager.import_session(session_id, payload)
     return manager
 
 

@@ -252,15 +252,12 @@ class StreamSessionManager:
     # ------------------------------------------------------------------
 
     def export_session(self, session_id: str) -> dict:
-        """One session as a portable payload (model + live stream state).
+        """One session as a picklable ``{"model", "state"}`` payload.
 
-        The shard-migration unit of the serving layer: the returned dict
-        is picklable (plain dicts and numpy arrays), contains the full
-        model (:func:`repro.core.persistence.detector_payload`) and the
-        complete mid-stream state (:meth:`StreamingLaelaps.state_dict`),
-        and round-trips bit-exactly through :meth:`import_session` on
-        any other manager — in another process or on another host.  The
-        session stays open; use :meth:`pop_session` to move it out.
+        The full model (:func:`repro.core.persistence.detector_payload`)
+        and mid-stream state (:meth:`StreamingLaelaps.state_dict`); it
+        resumes bit-exactly through :meth:`import_session` on any other
+        manager.  The session stays open (:meth:`pop_session` moves it).
         """
         from repro.core.persistence import detector_payload
 
@@ -273,13 +270,15 @@ class StreamSessionManager:
     def import_session(self, session_id: str, payload: dict) -> StreamingLaelaps:
         """Open a session from an :meth:`export_session` payload.
 
-        Rebuilds the detector from the payload's model description and
-        resumes the stream mid-flight; subsequent events are
-        bit-identical to the exporting manager's.
+        Rebuilds the detector from the payload's model and resumes the
+        stream mid-flight (a ``state`` of ``None`` opens it fresh);
+        subsequent events are bit-identical to the exporting manager's.
         """
         from repro.core.persistence import detector_from_payload
 
         stream = self.open(session_id, detector_from_payload(payload["model"]))
+        if payload["state"] is None:
+            return stream
         try:
             stream.restore_state(payload["state"])
         except Exception:

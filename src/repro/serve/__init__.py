@@ -14,9 +14,10 @@ the road to fleet scale (see ``docs/serving.md``):
     single-manager event semantics, bounded per-session submit queues
     with explicit :class:`Backpressure`, elastic worker add/remove with
     bit-exact session migration, and whole-fleet checkpoint/restore
-    built on ``save_sessions``/``load_sessions`` shard files plus a
-    manifest.  Every tick counts into :class:`TickStats`, monotonic
-    counters that ``/metrics`` reads and nothing resets.
+    built on ``save_sessions``/``read_sessions`` shard files plus a
+    manifest; every session enters a shard through ``admit``.  Every
+    tick counts into :class:`TickStats`, monotonic counters that
+    ``/metrics`` reads and nothing resets.
 ``repro.serve.loadgen``
     The load harness: :class:`LoadGenerator` opens many clocked-source
     sessions against a gateway, times every tick itself and measures

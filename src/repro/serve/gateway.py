@@ -26,10 +26,14 @@ The gateway adds three things a bare manager does not have:
   worker plus a manifest, and
   :meth:`ShardedStreamGateway.restore` resumes the fleet on *any*
   worker count.
+
+Opened, migrated and restored sessions all enter a shard one way: as a
+``{"model", "state"}`` payload through :meth:`ShardedStreamGateway.admit`.
 """
 
 from __future__ import annotations
 
+import secrets
 import time
 import types
 from bisect import bisect_left
@@ -42,8 +46,8 @@ import numpy as np
 from repro.core.detector import LaelapsDetector
 from repro.core.persistence import (
     detector_payload,
-    load_sessions,
     read_fleet_manifest,
+    read_sessions,
     write_fleet_manifest,
 )
 from repro.core.sessions import run_lockstep, validate_chunk
@@ -362,32 +366,34 @@ class ShardedStreamGateway:
         Returns:
             The id of the worker now serving the session.
         """
+        return self.admit(
+            session_id, {"model": detector_payload(detector), "state": None}
+        )
+
+    def admit(self, session_id: str, payload: dict) -> str:
+        """Route a ``{"model", "state"}`` payload to its shard, open it.
+
+        A ``state`` of ``None`` opens a fresh stream.  The shard's
+        ``import_session`` rebuilds and checks the model; a payload it
+        refuses leaves no route.  Returns the serving worker's id.
+        """
         if session_id in self._routes:
             raise ValueError(f"session {session_id!r} is already open")
-        payload = detector_payload(detector)
-        return self._admit(session_id, {"model": payload, "state": None})
-
-    def _admit(self, session_id: str, session: dict) -> str:
-        """Route and install one session (fresh model or mid-stream)."""
-        model = session["model"]
+        model = payload["model"]
         dim = int(model["config"]["dim"])
         if self._dim is not None and dim != self._dim:
             raise ValueError(
                 f"session dimension {dim} does not match the fleet's "
                 f"shared dimension {self._dim}"
             )
+        n_electrodes = int(model["n_electrodes"])
         worker_id = self._ring.assign(session_id)
-        if session["state"] is None:
-            self._workers[worker_id].request(
-                "open", {"id": session_id, "model": model}
-            )
-        else:
-            self._workers[worker_id].request(
-                "import", {"id": session_id, "session": session}
-            )
+        self._workers[worker_id].request(
+            "import", {"id": session_id, "session": payload}
+        )
         self._routes[session_id] = worker_id
         self._queues[session_id] = deque()
-        self._electrodes[session_id] = int(model["n_electrodes"])
+        self._electrodes[session_id] = n_electrodes
         self._dim = dim
         return worker_id
 
@@ -411,11 +417,6 @@ class ShardedStreamGateway:
         del self._electrodes[session_id]
         if not self._routes:
             self._dim = None
-
-    def export_session(self, session_id: str) -> dict:
-        """The session's portable payload (model + mid-stream state)."""
-        worker_id = self._route(session_id)
-        return self._workers[worker_id].request("export", {"id": session_id})
 
     # ------------------------------------------------------------------
     # Streaming
@@ -558,8 +559,11 @@ class ShardedStreamGateway:
 
         Each worker writes its shard with
         :func:`~repro.core.persistence.save_sessions` (with process
-        workers, shard files are written concurrently by the children),
-        then the gateway writes the manifest tying them together.
+        workers, shard files are written concurrently by the children)
+        as ``shard-{worker}-{token}.npz``, then the gateway replaces the
+        manifest.  The set is atomic: a failure before the manifest is
+        replaced deletes this checkpoint's shards, and a success deletes
+        the shards the new manifest does not name.
 
         Returns:
             The manifest path (``fleet.json``).
@@ -579,25 +583,34 @@ class ShardedStreamGateway:
             )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        occupied = {
-            worker_id: sessions
+        # A fresh random token, not a counter: a counter restarts with a
+        # restored fleet and could overwrite the shards it restored from.
+        token = secrets.token_hex(4)
+        paths = {
+            worker_id: directory / f"shard-{worker_id}-{token}.npz"
             for worker_id, sessions in self.shard_map().items()
             if sessions
         }
-        shards = {
-            worker_id: Path(path).name
-            for worker_id, path in self._round({
-                worker_id: ("checkpoint",
-                            {"path": str(directory / f"shard-{worker_id}.npz")})
-                for worker_id in occupied
-            }).items()
-        }
-        return write_fleet_manifest(
-            directory / FLEET_MANIFEST,
-            shards=shards,
-            routes=self._routes,
-            dim=self._dim,
-        )
+        try:
+            self._round({
+                worker_id: ("checkpoint", {"path": str(path)})
+                for worker_id, path in paths.items()
+            })
+            manifest = write_fleet_manifest(
+                directory / FLEET_MANIFEST,
+                shards={worker_id: path.name
+                        for worker_id, path in paths.items()},
+                routes=self._routes,
+                dim=self._dim,
+            )
+        except BaseException:
+            for path in paths.values():
+                path.unlink(missing_ok=True)
+            raise
+        for path in directory.glob("shard-*.npz"):
+            if path not in paths.values():
+                path.unlink(missing_ok=True)
+        return manifest
 
     @classmethod
     def restore(
@@ -611,11 +624,10 @@ class ShardedStreamGateway:
     ) -> "ShardedStreamGateway":
         """Resume a :meth:`checkpoint` fleet, on any worker count.
 
-        Shard files are loaded with
-        :func:`~repro.core.persistence.load_sessions` and every session
-        is re-admitted through the new gateway's ring — the worker count
-        and transport are free to differ from the checkpointing fleet's;
-        subsequent events are bit-identical either way.
+        Every :func:`~repro.core.persistence.read_sessions` payload is
+        :meth:`admit`-ted through the new gateway's ring — the worker
+        count and transport are free to differ from the checkpointing
+        fleet's; subsequent events are bit-identical either way.
 
         Args:
             directory: A fleet checkpoint directory (or its manifest).
@@ -633,11 +645,9 @@ class ShardedStreamGateway:
         )
         try:
             for shard_file in manifest["shards"].values():
-                loaded = load_sessions(directory / shard_file)
-                for session_id in loaded.session_ids:
-                    gateway._admit(
-                        session_id, loaded.export_session(session_id)
-                    )
+                shard = read_sessions(directory / shard_file)
+                for session_id, payload in shard.items():
+                    gateway.admit(session_id, payload)
         except Exception:
             gateway.shutdown()
             raise

@@ -8,8 +8,8 @@ connection:
 
 * **data plane** — length-prefixed frames carrying the session
   vocabulary: ``open`` / ``push`` / ``push_many`` / ``submit`` /
-  ``drain`` / ``close`` / ``checkpoint`` plus ``ping``, ``healthz``
-  and ``metrics``.  A frame is a 4-byte big-endian length, then the
+  ``drain`` / ``close`` / ``checkpoint`` / ``session_ids`` plus
+  ``ping``.  A frame is a 4-byte big-endian length, then the
   body: a 4-byte big-endian header length, a UTF-8 JSON header (the
   message) and one attachment region.  Numpy arrays (chunks, model
   prototypes) travel as their raw C-order bytes in that region, each
@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.persistence import detector_from_payload, detector_payload
+from repro.core.persistence import detector_payload
 from repro.core.streaming import StreamEvent
 from repro.serve.gateway import Backpressure, ShardedStreamGateway
 from repro.serve.metrics import gateway_metrics, service_logger
@@ -79,8 +79,8 @@ _HTTP_REASONS = types.MappingProxyType(
 )
 
 #: Data-plane ops that stay answerable while the service drains
-#: (read-only probes; everything stateful is refused once draining).
-_DRAINING_SAFE_OPS = frozenset({"ping", "healthz", "metrics"})
+#: (everything stateful is refused; health is the HTTP plane's).
+_DRAINING_SAFE_OPS = frozenset({"ping"})
 
 
 class ServiceError(RuntimeError):
@@ -513,9 +513,11 @@ class LaelapsService:
         return "pong"
 
     def _op_open(self, request: dict):
+        # The shard's import_session checks the model; a refusal routes
+        # nothing.
         session_id = request["session_id"]
-        worker_id = self._gateway.open(
-            session_id, detector_from_payload(request["model"])
+        worker_id = self._gateway.admit(
+            session_id, {"model": request["model"], "state": None}
         )
         self._log.info(
             "session opened",
@@ -564,12 +566,6 @@ class LaelapsService:
 
     def _op_session_ids(self, request: dict):
         return self._gateway.session_ids
-
-    def _op_healthz(self, request: dict):
-        return self._healthz_payload()
-
-    def _op_metrics(self, request: dict):
-        return gateway_metrics(self._gateway)
 
     # -- HTTP ops plane ------------------------------------------------
 
@@ -767,11 +763,9 @@ class ServiceClient:
 
     def open(self, session_id: str, detector) -> str:
         """Open a session from a fitted detector; returns its worker id."""
-        return self.open_payload(session_id, detector_payload(detector))
-
-    def open_payload(self, session_id: str, payload: dict) -> str:
-        result = self.call("open", session_id=session_id, model=payload)
-        return result["worker"]
+        return self.call(
+            "open", session_id=session_id, model=detector_payload(detector)
+        )["worker"]
 
     def push(self, session_id: str, chunk) -> list[StreamEvent]:
         return events_from_wire(self.call(
@@ -806,12 +800,6 @@ class ServiceClient:
 
     def session_ids(self) -> list[str]:
         return self.call("session_ids")
-
-    def healthz(self) -> dict:
-        return self.call("healthz")
-
-    def metrics(self) -> dict:
-        return self.call("metrics")
 
     def close(self) -> None:
         self._sock.close()

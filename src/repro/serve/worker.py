@@ -1,10 +1,11 @@
 """Shard workers: one :class:`StreamSessionManager` per worker.
 
 A worker owns a subset of the fleet's sessions and executes a small
-command vocabulary against its manager — open/import/export/pop/close,
-``push_many`` (the per-tick grouped sweep over *its* sessions, each
-session queried through its own compute engine), and ``checkpoint``
-(its shard of a fleet snapshot, written with
+command vocabulary against its manager — ping, import (the one way in
+for a session payload, fresh or mid-stream), pop, close, ``push_many``
+(the per-tick grouped sweep over *its* sessions, each session queried
+through its own compute engine), and ``checkpoint`` (its shard of a
+fleet snapshot, written with
 :func:`repro.core.persistence.save_sessions` — session payloads carry
 their engine tag, so shards reopen on the engine that wrote them).
 
@@ -30,7 +31,7 @@ import time
 import traceback
 from multiprocessing.connection import Connection
 
-from repro.core.persistence import detector_from_payload, save_sessions
+from repro.core.persistence import save_sessions
 from repro.core.sessions import StreamSessionManager
 
 #: Default reply deadline of :meth:`ProcessShardWorker.collect`.  A tick
@@ -96,25 +97,14 @@ class ShardCommandHandler:
     def _op_ping(self, payload: dict) -> str:
         return "pong"
 
-    def _op_open(self, payload: dict) -> None:
-        self.manager.open(
-            payload["id"], detector_from_payload(payload["model"])
-        )
-
     def _op_import(self, payload: dict) -> None:
         self.manager.import_session(payload["id"], payload["session"])
-
-    def _op_export(self, payload: dict) -> dict:
-        return self.manager.export_session(payload["id"])
 
     def _op_pop(self, payload: dict) -> dict:
         return self.manager.pop_session(payload["id"])
 
     def _op_close(self, payload: dict) -> None:
         self.manager.close(payload["id"])
-
-    def _op_session_ids(self, payload: dict) -> list[str]:
-        return self.manager.session_ids
 
     def _op_push_many(self, payload: dict) -> dict:
         return self.manager.push_many(payload["chunks"])

@@ -1,14 +1,18 @@
 """Unit tests for the sharded gateway (inline transport)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.core.persistence as persistence
+import repro.serve.worker as worker_module
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.persistence import read_fleet_manifest
 from repro.core.sessions import StreamSessionManager
 from repro.hdc.backend import pack_bits
-from repro.serve import Backpressure, ShardedStreamGateway
+from repro.serve import Backpressure, ShardedStreamGateway, WorkerError
 
 from tests.serve.conftest import FS
 
@@ -315,6 +319,40 @@ class TestFleetCheckpoint:
             assert restored.session_ids == [sid]
             assert len(restored.worker_ids) == 1
 
+    def test_restore_builds_each_detector_once(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        detectors, signals = fleet
+        with ShardedStreamGateway(2) as gateway:
+            for sid, detector in detectors.items():
+                gateway.open(sid, detector)
+            gateway.run({s: sig[:int(2 * FS)] for s, sig in signals.items()},
+                        128)
+            gateway.checkpoint(tmp_path / "fleet")
+        built = []
+        rebuild = persistence._rebuild_detector
+
+        def counting(*args):
+            built.append(args)
+            return rebuild(*args)
+
+        monkeypatch.setattr(persistence, "_rebuild_detector", counting)
+        with ShardedStreamGateway.restore(tmp_path / "fleet") as restored:
+            assert len(restored) == len(detectors)
+        assert len(built) == len(detectors)
+
+    def test_superseded_shards_are_deleted(self, fleet, tmp_path):
+        detectors, _ = fleet
+        directory = tmp_path / "fleet"
+        with ShardedStreamGateway(2) as gateway:
+            for sid, detector in detectors.items():
+                gateway.open(sid, detector)
+            for _ in range(3):
+                manifest = read_fleet_manifest(gateway.checkpoint(directory))
+                assert sorted(p.name for p in directory.iterdir()) == sorted(
+                    ["fleet.json", *manifest["shards"].values()]
+                )
+
     def test_empty_fleet_cannot_checkpoint(self, tmp_path):
         with ShardedStreamGateway(1) as gateway:
             with pytest.raises(ValueError):
@@ -347,11 +385,11 @@ class TestAtomicCheckpointWrites:
             {s: sig[:self.CUT] for s, sig in signals.items()}, 128
         )
         gateway.checkpoint(directory)
-        middle = gateway.run(
+        gateway.run(
             {s: sig[self.CUT:self.LATER] for s, sig in signals.items()}, 128
         )
         saved = {path.name: path.read_bytes() for path in directory.iterdir()}
-        return gateway, head, middle, saved
+        return gateway, head, saved
 
     def _assert_resumes(self, fleet, directory, head, start):
         """Restoring ``directory`` continues bit-exactly from ``start``."""
@@ -366,7 +404,7 @@ class TestAtomicCheckpointWrites:
 
     def test_shard_write_failing_partway(self, fleet, tmp_path, monkeypatch):
         directory = tmp_path / "fleet"
-        gateway, head, _, saved = self._checkpointed(fleet, directory)
+        gateway, head, saved = self._checkpointed(fleet, directory)
         write_array = np.lib.format.write_array
         entries = []
 
@@ -388,10 +426,8 @@ class TestAtomicCheckpointWrites:
         self._assert_resumes(fleet, directory, head, self.CUT)
 
     def test_manifest_write_failing(self, fleet, tmp_path, monkeypatch):
-        import repro.core.persistence as persistence
-
         directory = tmp_path / "fleet"
-        gateway, head, middle, saved = self._checkpointed(fleet, directory)
+        gateway, head, saved = self._checkpointed(fleet, directory)
         replace = persistence.os.replace
 
         def failing(src, dst):
@@ -404,9 +440,47 @@ class TestAtomicCheckpointWrites:
             gateway.checkpoint(directory)
         monkeypatch.undo()
         gateway.shutdown()
-        # The shard was replaced whole; the manifest is the old one and
-        # still names it.
-        assert sorted(p.name for p in directory.iterdir()) == sorted(saved)
-        assert (directory / "fleet.json").read_bytes() == saved["fleet.json"]
-        head = {sid: head[sid] + middle[sid] for sid in head}
-        self._assert_resumes(fleet, directory, head, self.LATER)
+        # The new shard was deleted with the failed manifest: the
+        # directory is the first checkpoint's, byte for byte.
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == saved
+        self._assert_resumes(fleet, directory, head, self.CUT)
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_second_shard_write_failing(
+        self, fleet, tmp_path, monkeypatch, mode
+    ):
+        """A fleet checkpoint is one atomic set: one shard failing
+        leaves the previous checkpoint as it was."""
+        detectors, signals = fleet
+        directory = tmp_path / "fleet"
+        armed = tmp_path / "armed"
+        save_sessions = worker_module.save_sessions
+
+        def failing(manager, path):
+            # Armed through a file, so forked shard children see it.
+            if armed.exists() and Path(path).name.startswith("shard-w1"):
+                raise OSError("disk full")
+            return save_sessions(manager, path)
+
+        monkeypatch.setattr(worker_module, "save_sessions", failing)
+        gateway = ShardedStreamGateway(2, mode=mode)
+        try:
+            for sid, detector in detectors.items():
+                gateway.open(sid, detector)
+            assert all(gateway.shard_map().values())
+            head = gateway.run(
+                {s: sig[:self.CUT] for s, sig in signals.items()}, 128
+            )
+            gateway.checkpoint(directory)
+            saved = {p.name: p.read_bytes() for p in directory.iterdir()}
+            gateway.run(
+                {s: sig[self.CUT:self.LATER] for s, sig in signals.items()},
+                128,
+            )
+            armed.touch()
+            with pytest.raises((OSError, WorkerError), match="disk full"):
+                gateway.checkpoint(directory)
+        finally:
+            gateway.shutdown()
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == saved
+        self._assert_resumes(fleet, directory, head, self.CUT)

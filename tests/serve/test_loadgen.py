@@ -15,6 +15,7 @@ from repro.serve.loadgen import (
     run_load_test,
 )
 from repro.serve.metrics import gateway_metrics
+from repro.serve.service import http_get
 
 
 class TestNearestRankPercentile:
@@ -296,12 +297,13 @@ class TestSocketTransportRun:
         )
         sources = generator._build_sources()
         transport = _SocketTransport(gateway)
+        address = transport.runner.service.address
         try:
-            before = transport.client.metrics()
+            _, before = http_get(*address, "/metrics")
             latencies = [
                 generator._tick(transport, sources) for _ in range(12)
             ]
-            after = transport.client.metrics()
+            _, after = http_get(*address, "/metrics")
         finally:
             transport.close()
         assert after["ticks_total"] - before["ticks_total"] == 12

@@ -68,9 +68,9 @@ class TestWorkerTransport:
         try:
             assert worker.request("ping", {}) == "pong"
             with pytest.raises(WorkerError, match="ghost"):
-                worker.request("export", {"id": "ghost"})
+                worker.request("pop", {"id": "ghost"})
             # The worker survives a failed command.
-            assert worker.request("session_ids", {}) == []
+            assert worker.request("ping", {}) == "pong"
         finally:
             worker.stop()
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.persistence import detector_payload
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamEvent
 from repro.serve import ShardedStreamGateway
@@ -201,16 +202,16 @@ class TestServiceEndToEnd:
                 assert (
                     metrics["tick_latency"]["count"] == metrics["ticks_total"]
                 )
-                assert client.metrics() == metrics  # both planes agree
 
                 # Queue depths surface submitted-but-undrained chunks.
                 victim = next(iter(signals))
                 client.submit(victim, np.zeros((CHUNK, 8)))
-                depths = client.metrics()["queue_depths"]
+                depths = http_get(host, port, "/metrics")[1]["queue_depths"]
                 assert depths[victim] == gateway.pending(victim) == 1
                 drained = client.drain()
                 assert set(drained) == {victim}
-                assert client.metrics()["queued_chunks_total"] == 0
+                _, metrics = http_get(host, port, "/metrics")
+                assert metrics["queued_chunks_total"] == 0
 
                 client.close_session(victim)
                 assert victim not in client.session_ids()
@@ -262,8 +263,11 @@ class TestServiceEndToEnd:
                 assert excinfo.value.error_type == "KeyError"
 
                 # Nothing on the wire resets the tick counters: there is
-                # no ``stats``/``stats_reset`` op beside /metrics.
-                for op in ("frobnicate", "stats", "stats_reset"):
+                # no ``stats``/``stats_reset`` op beside /metrics, and
+                # health and metrics are served by the HTTP ops plane
+                # only.
+                for op in ("frobnicate", "stats", "stats_reset", "healthz",
+                           "metrics"):
                     with pytest.raises(ServiceError) as excinfo:
                         client.call(op)
                     assert excinfo.value.error_type == "UnknownOp"
@@ -275,6 +279,35 @@ class TestServiceEndToEnd:
                     client.submit(session_id, np.zeros((8, 8)))
                 assert excinfo.value.error_type == "Backpressure"
                 client.drain()
+        finally:
+            runner.stop(drain=False)
+
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_malformed_model_is_refused_typed(self, mode):
+        detectors, _ = build_fleet(n_sessions=1, seconds=2.0)
+        session_id, detector = next(iter(detectors.items()))
+        model = detector_payload(detector)
+        malformed = (
+            {key: value for key, value in model.items() if key != "config"},
+            {**model, "ictal": model["ictal"][:-1]},
+            {**model, "engine": "abacus"},
+        )
+        gateway = ShardedStreamGateway(2, mode=mode)
+        runner = ServiceRunner(gateway)
+        try:
+            host, port = runner.start()
+            with ServiceClient(host, port) as client:
+                for bad in malformed:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.call("open", session_id=session_id, model=bad)
+                    assert excinfo.value.error_type in {
+                        "KeyError", "ValueError", "WorkerError",
+                    }
+                    assert session_id not in gateway
+                    assert client.session_ids() == []
+                worker_id = client.open(session_id, detector)
+                assert worker_id == gateway.worker_of(session_id)
         finally:
             runner.stop(drain=False)
 
